@@ -22,6 +22,16 @@ loop; no swap or reorientation can use it), which makes every state's
 universe exactly ``n_pairs + n_2paths``.  The plain walk, having no 2-path
 category, draws from the pairs with distinct tails and distinct heads (the
 same count), looping on the members that do not admit a swap.
+
+Each mode has exactly one step loop (``_run_undirected``, ``_run_full``,
+``_run_plain``).  Sampling, the public ``step_*`` functions, traces,
+invariant checks and the one-step fidelity check of
+:mod:`degswap.statespace` all run through it.  A loop takes a private
+``on_move(t, removed, added)`` hook, called after every move and never after
+a loop, with the step index and the edge/arc tuples taken out and put in.
+The hook may restore the graph through the graph's own mutators: the loop
+rebuilds its cached draw lists after every move, so the next step sees the
+graph as the hook left it.
 """
 
 from __future__ import annotations
@@ -214,65 +224,14 @@ def iter_role_disjoint_arc_pairs(g: Digraph):
                 yield (a, b), (c, d)
 
 
-class _PairCache:
-    """Materialized selection lists, invalidated on graph mutation."""
+class _StubCache:
+    """Materialized proper 2-paths, invalidated on graph mutation."""
 
-    __slots__ = ("version", "pairs", "stub_version", "stubs")
+    __slots__ = ("version", "stubs")
 
     def __init__(self):
         self.version = -1
-        self.pairs: list = []
-        self.stub_version = -1
         self.stubs: list = []
-
-
-def _draw_pair(g, universe, rb, cache):
-    """Uniform unordered pair of edges/arcs with four distinct endpoints."""
-    lst = g._edges if isinstance(g, Graph) else g._arcs
-    if universe.exhaustive_pairs:
-        if cache.version != g._version:
-            if isinstance(g, Graph):
-                cache.pairs = list(iter_nonadjacent_edge_pairs(g))
-            else:
-                cache.pairs = list(iter_nonadjacent_arc_pairs(g))
-            cache.version = g._version
-        pairs = cache.pairs
-        return pairs[rb(len(pairs))]
-    m = len(lst)
-    mm = m * (m - 1)
-    while True:
-        k = rb(mm)
-        i, j = divmod(k, m - 1)
-        if j >= i:
-            j += 1
-        e1 = lst[i]
-        e2 = lst[j]
-        a, b = e1
-        c, d = e2
-        if a != c and a != d and b != c and b != d:
-            return e1, e2
-
-
-def _draw_role_disjoint_pair(g, universe, rb, cache):
-    """Uniform arc pair with distinct tails and distinct heads."""
-    arcs = g._arcs
-    if universe.exhaustive_pairs:
-        if cache.version != g._version:
-            cache.pairs = list(iter_role_disjoint_arc_pairs(g))
-            cache.version = g._version
-        pairs = cache.pairs
-        return pairs[rb(len(pairs))]
-    m = len(arcs)
-    mm = m * (m - 1)
-    while True:
-        k = rb(mm)
-        i, j = divmod(k, m - 1)
-        if j >= i:
-            j += 1
-        a1 = arcs[i]
-        a2 = arcs[j]
-        if a1[0] != a2[0] and a1[1] != a2[1]:
-            return a1, a2
 
 
 def _stub_at(g, cum, r):
@@ -293,7 +252,7 @@ def _draw_proper_stub(g, universe, rb, cache):
     n_2paths = universe.n_2paths
     proper = n_2paths - 2 * g.anti
     if universe.m <= 8 or 10 * proper < n_2paths:
-        if cache.stub_version != g._version:
+        if cache.version != g._version:
             cache.stubs = [
                 (u, v, w)
                 for v in range(g.n)
@@ -301,7 +260,7 @@ def _draw_proper_stub(g, universe, rb, cache):
                 for w in g.out_list[v]
                 if u != w
             ]
-            cache.stub_version = g._version
+            cache.version = g._version
         stubs = cache.stubs
         return stubs[rb(len(stubs))]
     cum = universe.twopath_cum
@@ -312,110 +271,13 @@ def _draw_proper_stub(g, universe, rb, cache):
 
 
 # ---------------------------------------------------------------------------
-# single steps
+# the step loops
 #
-# Internal _step_* mutate the graph and return None on a loop, or the pair
-# (removed, added) of arc/edge tuples on a move, so callers can undo or key
-# the destination cheaply.
+# _run_<mode>(g, universe, rb, tau, on_move=None) runs tau steps on g in place
+# and returns the number of moves; on_move follows the module docstring.
 
 
-def _step_undirected(g, universe, rb, cache):
-    n_pairs = universe.n_pairs
-    d = 2 * n_pairs + 1
-    slot = rb(d)
-    if slot == d - 1:
-        return None  # padding loop: keeps per-slot probability at 1/walk_degree
-    e1, e2 = _draw_pair(g, universe, rb, cache)
-    a, b = e1
-    c, dd = e2
-    if slot & 1:  # re-pair {a,d},{b,c}
-        f1 = (a, dd) if a < dd else (dd, a)
-        f2 = (b, c) if b < c else (c, b)
-    else:  # re-pair {a,c},{b,d}
-        f1 = (a, c) if a < c else (c, a)
-        f2 = (b, dd) if b < dd else (dd, b)
-    pos = g._pos
-    if f1 in pos or f2 in pos:
-        return None
-    g._swap_edges(e1, e2, f1, f2)
-    return (e1, e2), (f1, f2)
-
-
-def _step_directed_plain(g, universe, rb, cache):
-    d = universe.n_pairs + universe.n_2paths + 1
-    slot = rb(d)
-    if slot == d - 1:
-        return None  # padding loop
-    a1, a2 = _draw_role_disjoint_pair(g, universe, rb, cache)
-    a, b = a1
-    c, dd = a2
-    if a == dd or b == c:
-        return None  # head-to-tail or antiparallel pair: no swap exists
-    pos = g._pos
-    if (a, dd) in pos or (c, b) in pos:
-        return None
-    g._swap_arcs(a, b, c, dd)
-    return (a1, a2), ((a, dd), (c, b))
-
-
-def _attempt_arc_swap(g, universe, rb, cache):
-    a1, a2 = _draw_pair(g, universe, rb, cache)
-    a, b = a1
-    c, d = a2
-    pos = g._pos
-    if (a, d) in pos or (c, b) in pos:
-        return None
-    g._swap_arcs(a, b, c, d)
-    return (a1, a2), ((a, d), (c, b))
-
-
-def _step_directed_full(g, universe, rb, cache):
-    n_pairs = universe.n_pairs
-    n_2paths = universe.n_2paths
-    if n_2paths == 0:
-        slot = rb(n_pairs + 1)
-        if slot == n_pairs:
-            return None  # sink/source-only sequences carry one padding loop
-        return _attempt_arc_swap(g, universe, rb, cache)
-    anti = g.anti
-    disjoint = n_pairs + anti
-    slot = rb(n_pairs + n_2paths)
-    if slot < disjoint:
-        return _attempt_arc_swap(g, universe, rb, cache)
-    if slot >= disjoint + n_2paths - 2 * anti:
-        return None  # one loop slot per antiparallel pair (it admits no move)
-    if anti:
-        u, v, w = _draw_proper_stub(g, universe, rb, cache)
-    else:
-        # proper stubs are all stubs: index directly by cumulative weight
-        u, v, w = _stub_at(g, universe.twopath_cum, slot - disjoint)
-    # reorientation gate: the 2-path must close an induced directed 3-cycle
-    # and its endpoint must carry the strictly largest index
-    if w <= u or w <= v:
-        return None
-    pos = g._pos
-    if (w, u) not in pos or (v, u) in pos or (w, v) in pos or (u, w) in pos:
-        return None
-    g._reorient_triangle(u, v, w)
-    return ((u, v), (v, w), (w, u)), ((v, u), (w, v), (u, w))
-
-
-_STEPPERS = {
-    MODE_UNDIRECTED: _step_undirected,
-    MODE_FULL: _step_directed_full,
-    MODE_PLAIN: _step_directed_plain,
-}
-
-
-# ---------------------------------------------------------------------------
-# bulk-run kernels
-#
-# Exactly the _step_* logic with the loop constants hoisted and the pair
-# cache kept locally, so a bulk run draws the same numbers in the same order
-# as repeated single steps (the test suite pins that equivalence).
-
-
-def _run_undirected_kernel(g: Graph, universe, rb, tau: int) -> int:
+def _run_undirected(g: Graph, universe, rb, tau: int, on_move=None) -> int:
     n_pairs = universe.n_pairs
     d = 2 * n_pairs + 1
     loop_slot = d - 1
@@ -427,10 +289,10 @@ def _run_undirected_kernel(g: Graph, universe, rb, tau: int) -> int:
     mm = m * (m - 1)
     pairs = None
     moves = 0
-    for _ in range(tau):
+    for t in range(tau):
         slot = rb(d)
         if slot == loop_slot:
-            continue
+            continue  # padding loop: keeps per-slot probability at 1/walk_degree
         if exhaustive:
             if pairs is None:
                 pairs = list(iter_nonadjacent_edge_pairs(g))
@@ -449,10 +311,10 @@ def _run_undirected_kernel(g: Graph, universe, rb, tau: int) -> int:
                 c, dd = e2
                 if a != c and a != dd and b != c and b != dd:
                     break
-        if slot & 1:
+        if slot & 1:  # re-pair {a,d},{b,c}
             f1 = (a, dd) if a < dd else (dd, a)
             f2 = (b, c) if b < c else (c, b)
-        else:
+        else:  # re-pair {a,c},{b,d}
             f1 = (a, c) if a < c else (c, a)
             f2 = (b, dd) if b < dd else (dd, b)
         if f1 in pos or f2 in pos:
@@ -460,10 +322,12 @@ def _run_undirected_kernel(g: Graph, universe, rb, tau: int) -> int:
         swap(e1, e2, f1, f2)
         pairs = None
         moves += 1
+        if on_move is not None:
+            on_move(t, (e1, e2), (f1, f2))
     return moves
 
 
-def _run_plain_kernel(g: Digraph, universe, rb, tau: int) -> int:
+def _run_plain(g: Digraph, universe, rb, tau: int, on_move=None) -> int:
     d = universe.n_pairs + universe.n_2paths + 1
     loop_slot = d - 1
     exhaustive = universe.exhaustive_pairs
@@ -474,15 +338,13 @@ def _run_plain_kernel(g: Digraph, universe, rb, tau: int) -> int:
     mm = m * (m - 1)
     pairs = None
     moves = 0
-    for _ in range(tau):
+    for t in range(tau):
         if rb(d) == loop_slot:
-            continue
+            continue  # padding loop
         if exhaustive:
             if pairs is None:
                 pairs = list(iter_role_disjoint_arc_pairs(g))
-            a1, a2 = pairs[rb(len(pairs))]
-            a, b = a1
-            c, dd = a2
+            (a, b), (c, dd) = pairs[rb(len(pairs))]
         else:
             while True:
                 k = rb(mm)
@@ -494,44 +356,45 @@ def _run_plain_kernel(g: Digraph, universe, rb, tau: int) -> int:
                 if a != c and b != dd:
                     break
         if a == dd or b == c:
-            continue
+            continue  # head-to-tail or antiparallel pair: no swap exists
         if (a, dd) in pos or (c, b) in pos:
             continue
         swap(a, b, c, dd)
         pairs = None
         moves += 1
+        if on_move is not None:
+            on_move(t, ((a, b), (c, dd)), ((a, dd), (c, b)))
     return moves
 
 
-def _run_full_kernel(g: Digraph, universe, rb, tau: int) -> int:
+def _run_full(g: Digraph, universe, rb, tau: int, on_move=None) -> int:
     n_pairs = universe.n_pairs
     n_2paths = universe.n_2paths
+    # sink/source-only sequences (no 2-paths) carry one padding loop
     d = n_pairs + n_2paths + (1 if n_2paths == 0 else 0)
     cum = universe.twopath_cum
     pos = g._pos
     arcs = g._arcs
     swap = g._swap_arcs
     reorient = g._reorient_triangle
-    in_lists = g.in_list
-    out_lists = g.out_list
     exhaustive = universe.exhaustive_pairs
     m = len(arcs)
     mm = m * (m - 1)
-    stub_cache = _PairCache()
+    stub_cache = _StubCache()
     pairs = None
     moves = 0
-    for _ in range(tau):
+    for t in range(tau):
         slot = rb(d)
         anti = g.anti
         if slot >= n_pairs + n_2paths - anti:
-            continue  # padding loop (b3) or antiparallel-pair slot
+            # padding loop, or one loop slot per antiparallel pair (it
+            # admits no move)
+            continue
         if slot < n_pairs + anti:
             if exhaustive:
                 if pairs is None:
                     pairs = list(iter_nonadjacent_arc_pairs(g))
-                a1, a2 = pairs[rb(len(pairs))]
-                a, b = a1
-                c, dd = a2
+                (a, b), (c, dd) = pairs[rb(len(pairs))]
             else:
                 while True:
                     k = rb(mm)
@@ -547,17 +410,16 @@ def _run_full_kernel(g: Digraph, universe, rb, tau: int) -> int:
             swap(a, b, c, dd)
             pairs = None
             moves += 1
+            if on_move is not None:
+                on_move(t, ((a, b), (c, dd)), ((a, dd), (c, b)))
             continue
         if anti:
             u, v, w = _draw_proper_stub(g, universe, rb, stub_cache)
         else:
-            r = slot - n_pairs
-            v = bisect_right(cum, r)
-            q = r - (cum[v - 1] if v else 0)
-            in_list = in_lists[v]
-            deg_in = len(in_list)
-            u = in_list[q % deg_in]
-            w = out_lists[v][q // deg_in]
+            # proper stubs are all stubs: index directly by cumulative weight
+            u, v, w = _stub_at(g, cum, slot - n_pairs)
+        # reorientation gate: the 2-path must close an induced directed
+        # 3-cycle and its endpoint must carry the strictly largest index
         if w <= u or w <= v:
             continue
         if (w, u) not in pos or (v, u) in pos or (w, v) in pos or (u, w) in pos:
@@ -565,13 +427,15 @@ def _run_full_kernel(g: Digraph, universe, rb, tau: int) -> int:
         reorient(u, v, w)
         pairs = None
         moves += 1
+        if on_move is not None:
+            on_move(t, ((u, v), (v, w), (w, u)), ((v, u), (w, v), (u, w)))
     return moves
 
 
-_KERNELS = {
-    MODE_UNDIRECTED: _run_undirected_kernel,
-    MODE_FULL: _run_full_kernel,
-    MODE_PLAIN: _run_plain_kernel,
+_RUNS = {
+    MODE_UNDIRECTED: _run_undirected,
+    MODE_FULL: _run_full,
+    MODE_PLAIN: _run_plain,
 }
 
 
@@ -592,24 +456,19 @@ def universe_for(g: Graph | Digraph, mode: str) -> MoveUniverse:
 def step_undirected(g: Graph, rng: random.Random, universe=None) -> bool:
     """One undirected chain step in place; True when the graph changed."""
     universe = universe or universe_for(g, MODE_UNDIRECTED)
-    return _step_undirected(g, universe, _make_randbelow(rng), _PairCache()) is not None
+    return _run_undirected(g, universe, _make_randbelow(rng), 1) == 1
 
 
 def step_directed_full(g: Digraph, rng: random.Random, universe=None) -> bool:
     """One swap-or-reorient step in place; True when the digraph changed."""
     universe = universe or universe_for(g, MODE_FULL)
-    return (
-        _step_directed_full(g, universe, _make_randbelow(rng), _PairCache()) is not None
-    )
+    return _run_full(g, universe, _make_randbelow(rng), 1) == 1
 
 
 def step_directed_plain(g: Digraph, rng: random.Random, universe=None) -> bool:
     """One swap-only step in place; True when the digraph changed."""
     universe = universe or universe_for(g, MODE_PLAIN)
-    return (
-        _step_directed_plain(g, universe, _make_randbelow(rng), _PairCache())
-        is not None
-    )
+    return _run_plain(g, universe, _make_randbelow(rng), 1) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +485,7 @@ class ChainConfig:
     def __post_init__(self):
         if self.tau < 0:
             raise InvalidInputError("tau must be >= 0")
-        if self.mode not in _STEPPERS:
+        if self.mode not in _RUNS:
             raise InvalidInputError(f"unknown mode {self.mode!r}")
 
 
@@ -643,34 +502,40 @@ def run_chain(
 ) -> ChainResult:
     """Run tau steps from a copy of g0; deterministic given (g0, seed).
 
-    With ``check_invariants`` every step re-derives the degree sequence and
-    the universe counts on the current realization and asserts constancy.
+    With ``check_invariants`` the start state and the state after every move
+    re-derive the degree sequence and the universe counts and assert
+    constancy (a loop leaves the graph, and so the counts, unchanged).
     """
     universe = universe_for(g0, cfg.mode)
     g = g0.copy()
-    rng = random.Random(cfg.seed)
-    rb = _make_randbelow(rng)
-    moves = 0
-
-    if cfg.record_trace or check_invariants:
-        step = _STEPPERS[cfg.mode]
-        cache = _PairCache()
-        trace = [canonical_key(g)] if cfg.record_trace else None
+    rb = _make_randbelow(random.Random(cfg.seed))
+    trace = [canonical_key(g)] if cfg.record_trace else None
+    on_move = None
+    if trace is not None or check_invariants:
         s0 = g0.degree_sequence()
-        for _ in range(cfg.tau):
-            if step(g, universe, rb, cache) is not None:
-                moves += 1
-            if cfg.record_trace:
+
+        def on_move(t, removed, added):
+            if trace is not None:
+                # loop steps repeat the previous key: entry t + 1 is step t
+                trace.extend([trace[-1]] * (t - len(trace) + 1))
                 trace.append(canonical_key(g))
             if check_invariants:
-                if g.degree_sequence() != s0:
-                    raise AssertionError("degree sequence drifted")
-                pairs, twopaths, anti = universe.counts_on(g)
-                if pairs - anti != universe.n_pairs:
-                    raise AssertionError("corrected pair count drifted")
-                if universe.kind != MODE_UNDIRECTED and twopaths != universe.n_2paths:
-                    raise AssertionError("2-path count drifted")
-        return ChainResult(g, moves, cfg.tau - moves, trace)
+                _check_invariants(g, universe, s0)
 
-    moves = _KERNELS[cfg.mode](g, universe, rb, cfg.tau)
-    return ChainResult(g, moves, cfg.tau - moves, None)
+        if check_invariants:
+            _check_invariants(g, universe, s0)
+
+    moves = _RUNS[cfg.mode](g, universe, rb, cfg.tau, on_move)
+    if trace is not None:
+        trace.extend([trace[-1]] * (cfg.tau + 1 - len(trace)))
+    return ChainResult(g, moves, cfg.tau - moves, trace)
+
+
+def _check_invariants(g, universe: MoveUniverse, s0) -> None:
+    if g.degree_sequence() != s0:
+        raise AssertionError("degree sequence drifted")
+    pairs, twopaths, anti = universe.counts_on(g)
+    if pairs - anti != universe.n_pairs:
+        raise AssertionError("corrected pair count drifted")
+    if universe.kind != MODE_UNDIRECTED and twopaths != universe.n_2paths:
+        raise AssertionError("2-path count drifted")

@@ -13,6 +13,7 @@ import json
 import secrets
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from typing import Optional
 
 from . import arcswap, statespace
@@ -78,9 +79,9 @@ def _emit(payload: str) -> None:
 
 def _sample_one(job):
     """One independent chain for the sample fan-out (top level: picklable)."""
-    kind, n, pairs, mode, tau, seed = job
+    kind, n, pairs, cfg = job
     g0 = Graph(n, pairs) if kind == "undirected" else Digraph(n, pairs)
-    result = run_chain(g0, ChainConfig(tau=tau, mode=mode, seed=seed))
+    result = run_chain(g0, cfg)
     g = result.graph
     out_pairs = tuple(g.edges() if isinstance(g, Graph) else g.arcs())
     return canonical_key(g).hex(), result.moves, result.loops, out_pairs
@@ -117,11 +118,15 @@ def _mode_for(args, s) -> str:
 
 
 def _cmd_sample(args) -> int:
+    if args.runs < 1:
+        raise InvalidInputError("--runs must be >= 1")
+    if args.runs > 1 and args.format == "edgelist":
+        raise InvalidInputError("--emit edgelist prints one graph; it needs --runs 1")
     g0, s = _load_graph_or_sequence(args)
     mode = _mode_for(args, s)
     seed = _parse_seed(args.seed)
-    if args.runs <= 1:
-        cfg = ChainConfig(tau=args.tau, mode=mode, seed=seed)
+    cfg = ChainConfig(tau=args.tau, mode=mode, seed=seed)
+    if args.runs == 1:
         result = run_chain(g0, cfg)
         if args.format == "edgelist":
             _emit(format_edgelist(result.graph))
@@ -143,7 +148,7 @@ def _cmd_sample(args) -> int:
 
     pairs = tuple(g0.edges() if isinstance(g0, Graph) else g0.arcs())
     jobs = [
-        (g0.kind, g0.n, pairs, mode, args.tau, derive_seed(seed, i))
+        (g0.kind, g0.n, pairs, replace(cfg, seed=derive_seed(seed, i)))
         for i in range(args.runs)
     ]
     if args.workers > 1:

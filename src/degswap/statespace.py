@@ -25,9 +25,8 @@ from .chain import (
     MODE_PLAIN,
     MODE_UNDIRECTED,
     MoveUniverse,
+    _RUNS,
     _make_randbelow,
-    _PairCache,
-    _STEPPERS,
     derive_seed,
     iter_nonadjacent_arc_pairs,
     iter_nonadjacent_edge_pairs,
@@ -554,54 +553,47 @@ def empirical_transition_check(
     """Single chain steps from every state vs. the explicit transition row.
 
     Runs ``steps_per_state`` one-step trials from each enumerated state
-    (undoing any move) and checks each destination count against its
-    binomial expectation within ``tolerance_sigmas``.
+    through the sampling loop, undoing every move as it happens, and checks
+    each destination count against its binomial expectation within
+    ``tolerance_sigmas``.
     """
     if sg is None:
         sg = build_state_graph(s, kind)
-    mode = _KIND_TO_MODE[kind]
-    step = _STEPPERS[mode]
+    run = _RUNS[_KIND_TO_MODE[kind]]
     universe = sg.universe
-    d = universe.walk_degree
     n = sg.n
     directed = kind != KIND_PSI
+    index = arc_index if directed else pair_index
 
     failures = []
     max_sigma = 0.0
     for idx, key in enumerate(sg.keys):
         g = sg.realizations[key].copy()
-        rng = random.Random(derive_seed(seed, idx))
-        rb = _make_randbelow(rng)
-        cache = _PairCache()
+        rb = _make_randbelow(random.Random(derive_seed(seed, idx)))
         counts: dict[CanonicalKey, int] = {}
         sig_dest: dict = {}
         if directed:
             add, remove = g._add_arc, g._remove_arc
-            index = arc_index
         else:
             add, remove = g._add_edge, g._remove_edge
-            index = pair_index
-        for _ in range(steps_per_state):
-            res = step(g, universe, rb, cache)
-            if res is None:
-                counts[key] = counts.get(key, 0) + 1
-                continue
+
+        def on_move(t, removed, added):
+            res = (removed, added)
             dest = sig_dest.get(res)
             if dest is None:
-                removed, added = res
                 mask = 0
-                for u, v in removed:
-                    mask |= 1 << index(n, u, v)
-                for u, v in added:
+                for u, v in removed + added:
                     mask |= 1 << index(n, u, v)
                 dest = CanonicalKey(key.kind, n, key.bits ^ mask)
                 sig_dest[res] = dest
             counts[dest] = counts.get(dest, 0) + 1
-            removed, added = res
             for u, v in added:
                 remove(u, v)
             for u, v in removed:
                 add(u, v)
+
+        moves = run(g, universe, rb, steps_per_state, on_move)
+        counts[key] = steps_per_state - moves
 
         row = sg.transition_row(key)
         seen = set(counts) | set(row)

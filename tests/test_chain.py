@@ -76,7 +76,20 @@ def test_determinism():
     assert (a.moves != c.moves) or canonical_key(a.graph) != canonical_key(c.graph)
 
 
-def test_bulk_kernel_matches_stepwise_path():
+def _rejection_path_cases():
+    # m > 8 leaves the materialized-pair fallback; stress the rejection draws
+    return [
+        (realize_directed(DiDegreeSequence(((1, 1),) * 9)), "full"),
+        (realize_directed(DiDegreeSequence(((1, 1),) * 9)), "plain"),
+        (realize_directed(DiDegreeSequence(((2, 2),) * 5)), "full"),
+        (realize_directed(DiDegreeSequence(((2, 2),) * 5)), "plain"),
+        (realize_undirected(DegreeSequence((3,) * 10)), "undirected"),
+    ]
+
+
+def test_move_hook_leaves_the_walk_unchanged():
+    # traces and invariant checks ride on the sampling loop's per-move hook;
+    # installing it must not change a single draw
     cases = [
         (realize_undirected(DegreeSequence((1, 1, 1, 1))), "undirected"),
         (realize_undirected(DegreeSequence((2, 2, 2, 1, 1))), "undirected"),
@@ -85,16 +98,23 @@ def test_bulk_kernel_matches_stepwise_path():
         (realize_directed(DiDegreeSequence(((1, 1),) * 4)), "plain"),
         (realize_directed(DiDegreeSequence(((2, 1), (1, 2), (1, 1), (1, 1)))), "full"),
         (realize_directed(DiDegreeSequence(((2, 2), (2, 2), (1, 1), (1, 1)))), "plain"),
-    ]
+    ] + _rejection_path_cases()
     for g0, mode in cases:
         for seed in range(4):
-            fast = run_chain(g0, ChainConfig(tau=600, mode=mode, seed=seed))
-            slow = run_chain(
+            cfg = ChainConfig(tau=600, mode=mode, seed=seed)
+            bare = run_chain(g0, cfg)
+            traced = run_chain(
                 g0, ChainConfig(tau=600, mode=mode, seed=seed, record_trace=True)
             )
-            assert canonical_key(fast.graph) == canonical_key(slow.graph)
-            assert fast.moves == slow.moves
-            assert len(slow.trace) == 601
+            checked = run_chain(g0, cfg, check_invariants=True)
+            key = canonical_key(bare.graph)
+            for hooked in (traced, checked):
+                assert canonical_key(hooked.graph) == key
+                assert hooked.moves == bare.moves
+            assert len(traced.trace) == 601
+            assert traced.trace[0] == canonical_key(g0) and traced.trace[-1] == key
+            changes = sum(1 for a, b in zip(traced.trace, traced.trace[1:]) if a != b)
+            assert changes == bare.moves
 
 
 def test_trace_records_moves():
@@ -114,15 +134,7 @@ def test_invariants_hold_throughout():
 
 
 def test_invariants_on_rejection_sampling_path():
-    # m > 8 leaves the materialized-pair fallback; stress the rejection draws
-    cases = [
-        (realize_directed(DiDegreeSequence(((1, 1),) * 9)), "full"),
-        (realize_directed(DiDegreeSequence(((1, 1),) * 9)), "plain"),
-        (realize_directed(DiDegreeSequence(((2, 2),) * 5)), "full"),
-        (realize_directed(DiDegreeSequence(((2, 2),) * 5)), "plain"),
-        (realize_undirected(DegreeSequence((3,) * 10)), "undirected"),
-    ]
-    for g0, mode in cases:
+    for g0, mode in _rejection_path_cases():
         res = run_chain(
             g0, ChainConfig(tau=800, mode=mode, seed=3), check_invariants=True
         )

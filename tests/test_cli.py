@@ -237,3 +237,37 @@ def test_entropy_seed_runs(capsys):
     )
     assert code == 0
     assert json.loads(out)["moves"] >= 0
+
+
+def test_sample_rejects_nonpositive_runs(capsys):
+    for runs in ("0", "-3"):
+        code, out, err = run_cli(
+            capsys, "sample", "--degrees", "1 1 1 1", "--runs", runs
+        )
+        assert code == 2 and out == ""
+        assert "--runs" in json.loads(err)["error"]
+
+
+def test_sample_bad_tau_fails_before_the_pool(capsys, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("process pool started")
+
+    monkeypatch.setattr("degswap.cli.ProcessPoolExecutor", no_pool)
+    code, out, err = run_cli(
+        capsys, "sample", "--degrees", "1 1 1 1", "--tau", "-1",
+        "--runs", "3", "--workers", "2",
+    )
+    assert code == 2 and out == ""
+    assert "tau" in json.loads(err)["error"]
+
+
+def test_sample_rejects_edgelist_with_many_runs(capsys):
+    code, out, err = run_cli(
+        capsys, "sample", "--degrees", "1 1 1 1", "--runs", "3", "--emit", "edgelist"
+    )
+    assert code == 2 and out == ""
+    assert "edgelist" in json.loads(err)["error"]
+    code, out, _ = run_cli(
+        capsys, "sample", "--degrees", "1 1 1 1", "--runs", "1", "--emit", "edgelist"
+    )
+    assert code == 0 and out.splitlines()[0] == "undirected n=4"

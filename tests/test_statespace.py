@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 import pytest
@@ -179,3 +180,28 @@ def test_to_dot():
     assert dot.count("->") == 6
     key = canonical_key(sg.realizations[sg.keys[0]])
     assert key.hex() in dot
+
+
+def test_empirical_transition_check_catches_a_wrong_row():
+    # negative control: move one unit of multiplicity from an arc to the
+    # loop count of one state; the check must fail that row and no other
+    s = DegreeSequence((1, 1, 1, 1))
+    sg = build_state_graph(s, "psi")
+    key = sg.keys[0]
+    dest = next(iter(sg.arcs[key]))
+    arcs = {x: dict(row) for x, row in sg.arcs.items()}
+    arcs[key][dest] -= 1
+    if not arcs[key][dest]:
+        del arcs[key][dest]
+    loops = dict(sg.loops)
+    loops[key] += 1
+    perturbed = dataclasses.replace(sg, arcs=arcs, loops=loops)
+    assert perturbed.out_degree(key) == sg.out_degree(key)
+
+    # test_empirical_transition_check_small passes these draws unperturbed
+    rep = empirical_transition_check(
+        s, "psi", steps_per_state=20000, seed=5, sg=perturbed
+    )
+    assert not rep.ok
+    assert {f[0] for f in rep.failures} == {key.hex()}
+    assert {f[1] for f in rep.failures} == {key.hex(), dest.hex()}
