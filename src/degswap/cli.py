@@ -12,7 +12,6 @@ import argparse
 import json
 import secrets
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from typing import Optional
 
@@ -32,7 +31,7 @@ from .core import (
 from .errors import InvalidInputError, RealizationError, ResourceLimitError
 from .generators import FAMILIES, FAMILY_EXAMPLE1, BlockedInstanceSpec, generate_blocked
 from .realize import realize_directed, realize_undirected
-from .stats import ensemble_stats
+from .stats import ensemble_stats, map_runs
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -151,18 +150,13 @@ def _cmd_sample(args) -> int:
         (g0.kind, g0.n, pairs, replace(cfg, seed=derive_seed(seed, i)))
         for i in range(args.runs)
     ]
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            outcomes = list(pool.map(_sample_one, jobs, chunksize=16))
-    else:
-        outcomes = [_sample_one(job) for job in jobs]
     visits: dict[str, int] = {}
     moves = loops = 0
-    for key, mv, lp, _ in outcomes:
+    outcomes = map_runs(_sample_one, jobs, args.workers, chunksize=16)
+    for key, mv, lp, final_pairs in outcomes:
         visits[key] = visits.get(key, 0) + 1
         moves += mv
         loops += lp
-    final_pairs = outcomes[-1][3]
     final = (
         Graph(g0.n, final_pairs)
         if g0.kind == "undirected"
@@ -267,7 +261,10 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    g0, s = _load_graph_or_sequence(args)
+    if args.edgelist is not None:
+        s = parse_edgelist(_read_text(args.edgelist)).degree_sequence()
+    else:
+        s = _load_sequence(args)
     mode = _mode_for(args, s)
     seed = _parse_seed(args.seed)
     cfg = ChainConfig(tau=args.tau, mode=mode, seed=seed)

@@ -476,19 +476,24 @@ def arc_index(n: int, u: int, v: int) -> int:
 
 
 def canonical_key(g: Graph | Digraph) -> CanonicalKey:
+    """Key of g's edge/arc set: one bit per grid position, O(n^2/8 + m).
+
+    The bits are set in a byte buffer and turned into an integer once, so no
+    step copies the n^2-bit integer.
+    """
     if isinstance(g, Graph):
-        bits = 0
-        n = g.n
-        for u, v in g._edges:
-            bits |= 1 << pair_index(n, u, v)
-        return CanonicalKey(UNDIRECTED, n, bits)
-    if isinstance(g, Digraph):
-        bits = 0
-        n = g.n
-        for u, v in g._arcs:
-            bits |= 1 << arc_index(n, u, v)
-        return CanonicalKey(DIRECTED, n, bits)
-    raise InvalidInputError(f"not a graph value: {g!r}")
+        kind, n, index, pairs = UNDIRECTED, g.n, pair_index, g._edges
+        size = n * (n - 1) // 2
+    elif isinstance(g, Digraph):
+        kind, n, index, pairs = DIRECTED, g.n, arc_index, g._arcs
+        size = n * (n - 1)
+    else:
+        raise InvalidInputError(f"not a graph value: {g!r}")
+    buf = bytearray((size + 7) // 8)
+    for u, v in pairs:
+        i = index(n, u, v)
+        buf[i >> 3] |= 1 << (i & 7)
+    return CanonicalKey(kind, n, int.from_bytes(buf, "little"))
 
 
 def graph_from_key(key: CanonicalKey) -> Graph | Digraph:

@@ -32,27 +32,34 @@ class StatsReport:
 
 
 def count_directed_3cycles(g: Digraph) -> int:
-    """Induced directed 3-cycles (exactly 3 cyclic arcs on the triple)."""
-    count = 0
-    for i in range(g.n):
-        for j in range(i + 1, g.n):
-            for k in range(j + 1, g.n):
-                if arcswap._cycle_orientation(g, (i, j, k)) is not None:
-                    count += 1
-    return count
+    """Induced directed 3-cycles (exactly 3 cyclic arcs on the triple).
+
+    Counts :func:`arcswap.induced_3cycles`, so O(m * max degree).
+    """
+    return len(arcswap.induced_3cycles(g))
 
 
-def _run_one(args):
-    seq_pairs, directed, cfg_tuple, index = args
-    tau, mode, seed = cfg_tuple
-    if directed:
-        g0 = realize_directed(DiDegreeSequence(seq_pairs))
+def _run_one(job):
+    """One chain from the shipped start graph (top level: picklable)."""
+    directed, n, g0_pairs, cfg = job
+    g0 = Digraph(n, g0_pairs) if directed else Graph(n, g0_pairs)
+    g = run_chain(g0, cfg).graph
+    return tuple(sorted(g.arcs() if directed else g.edges()))
+
+
+def map_runs(fn, jobs, workers: int, chunksize: int):
+    """Yield ``fn(job)`` for each job, in job order, as the results arrive.
+
+    With ``workers > 1`` the jobs run on a process pool, so ``fn`` must be a
+    module-level function.  Callers aggregate while iterating, so no list of
+    all results is ever held.
+    """
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            yield from pool.map(fn, jobs, chunksize=chunksize)
     else:
-        g0 = realize_undirected(DegreeSequence(seq_pairs))
-    cfg = ChainConfig(tau=tau, mode=mode, seed=derive_seed(seed, index))
-    result = run_chain(g0, cfg)
-    pairs = result.graph.edges() if isinstance(result.graph, Graph) else result.graph.arcs()
-    return tuple(sorted(pairs))
+        for job in jobs:
+            yield fn(job)
 
 
 def ensemble_stats(
@@ -63,8 +70,9 @@ def ensemble_stats(
 ) -> StatsReport:
     """Aggregate K independent chains; deterministic in (cfg.seed, runs).
 
-    Chain ``index`` uses the split seed ``derive_seed(cfg.seed, index)``, so
-    the aggregate is independent of worker scheduling.
+    g0 is realized once; every chain starts from its insertion-ordered pair
+    list.  Chain ``index`` uses the split seed ``derive_seed(cfg.seed,
+    index)``, so the aggregate is independent of worker scheduling.
     """
     directed = isinstance(s, DiDegreeSequence)
     if directed == (cfg.mode == MODE_UNDIRECTED):
@@ -72,18 +80,17 @@ def ensemble_stats(
     if runs < 1:
         raise InvalidInputError("runs must be >= 1")
 
-    payload = s.pairs if directed else s.degrees
-    jobs = [(payload, directed, (cfg.tau, cfg.mode, cfg.seed), i) for i in range(runs)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            finals = list(pool.map(_run_one, jobs, chunksize=64))
-    else:
-        finals = [_run_one(job) for job in jobs]
+    g0 = realize_directed(s) if directed else realize_undirected(s)
+    g0_pairs = tuple(g0.arcs() if directed else g0.edges())
+    jobs = [
+        (directed, s.n, g0_pairs, ChainConfig(cfg.tau, cfg.mode, derive_seed(cfg.seed, i)))
+        for i in range(runs)
+    ]
 
     arc_counts: Counter = Counter()
     key_counts: Counter = Counter()
     motifs: Optional[Counter] = Counter() if directed else None
-    for pairs in finals:
+    for pairs in map_runs(_run_one, jobs, workers, chunksize=64):
         arc_counts.update(pairs)
         g = Digraph(s.n, pairs) if directed else Graph(s.n, pairs)
         key_counts[canonical_key(g).hex()] += 1
@@ -94,7 +101,6 @@ def ensemble_stats(
 
     corrected = None
     if directed and cfg.mode == "plain":
-        g0 = realize_directed(s)
         bias = arcswap.arc_probability_bias(s, g0)
         if any(b.category != "unbiased" for b in bias.values()):
             corrected = {}

@@ -252,7 +252,7 @@ def test_sample_bad_tau_fails_before_the_pool(capsys, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("process pool started")
 
-    monkeypatch.setattr("degswap.cli.ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr("degswap.stats.ProcessPoolExecutor", no_pool)
     code, out, err = run_cli(
         capsys, "sample", "--degrees", "1 1 1 1", "--tau", "-1",
         "--runs", "3", "--workers", "2",
