@@ -74,14 +74,18 @@ def _alternating_path(
     exactly the in/out <= 2 discipline of a simple symmetric swap cycle.
     Neither the probe nor the excluded arc may be used.
 
+    An out-copy scans only the in-copies not yet reached, in ascending
+    order; each one it passes over is a present, probe or excluded arc or
+    its own in-copy, so a search costs O(n + m).
+
     Returns the path's arcs with alternating membership, probe excluded.
     """
-    n = g.n
     v, w = probe
     pos = g._pos
     start, goal = ("out", v), ("in", w)
 
     parent = {start: None}
+    fresh_in = list(range(g.n))  # in-copies not yet reached, ascending
     frontier = [start]
     while frontier:
         nxt_frontier = []
@@ -89,18 +93,18 @@ def _alternating_path(
             side, x = node
             if side == "out":
                 # add an arc (x, y): y- must be fresh
-                for y in range(n):
-                    if y == x or (x, y) in pos:
-                        continue
-                    if (x, y) == probe or (x, y) == excluded:
+                kept = []
+                for y in fresh_in:
+                    arc = (x, y)
+                    if y == x or arc in pos or arc == probe or arc == excluded:
+                        kept.append(y)
                         continue
                     tgt = ("in", y)
-                    if tgt in parent:
-                        continue
                     parent[tgt] = node
                     if tgt == goal:
                         return _collect_path(parent, start, goal)
                     nxt_frontier.append(tgt)
+                fresh_in = kept
             else:
                 # remove an arc (z, x): z+ must be fresh
                 for z in g.in_list[x]:
@@ -286,19 +290,31 @@ class ArcBias:
     corrected_probability: Optional[float]
 
 
-def arc_probability_bias(
-    s: DiDegreeSequence, g0: Digraph
-) -> dict[tuple[int, int], ArcBias]:
-    """Per-ordered-pair bias report for swap-only sampling started at g0."""
-    if g0.degree_sequence() != s:
-        raise InvalidInputError("g0 does not realize the sequence")
-    sets = detect_induced_cycle_sets(g0)
+def cycle_set_arcs(g0: Digraph) -> set[tuple[int, int]]:
+    """The arcs of g0's induced cycle sets, which a swap-only walk freezes.
+
+    These arcs and their reversals are the only ordered pairs whose
+    swap-only frequency needs correcting; there are three per cycle set.
+    """
     cycle_arcs = set()
-    for cs in sets:
+    for cs in detect_induced_cycle_sets(g0):
         arcs = _cycle_orientation(g0, cs.vertices)
         if arcs is None:
             raise InternalInconsistencyError("cycle set lost its 3-cycle")
         cycle_arcs.update(arcs)
+    return cycle_arcs
+
+
+def arc_probability_bias(
+    s: DiDegreeSequence, g0: Digraph
+) -> dict[tuple[int, int], ArcBias]:
+    """Per-ordered-pair bias report for swap-only sampling started at g0.
+
+    It has n(n-1) entries; :func:`cycle_set_arcs` names the few biased ones.
+    """
+    if g0.degree_sequence() != s:
+        raise InvalidInputError("g0 does not realize the sequence")
+    cycle_arcs = cycle_set_arcs(g0)
 
     report = {}
     for u in range(g0.n):

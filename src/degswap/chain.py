@@ -23,6 +23,17 @@ universe exactly ``n_pairs + n_2paths``.  The plain walk, having no 2-path
 category, draws from the pairs with distinct tails and distinct heads (the
 same count), looping on the members that do not admit a swap.
 
+A universe pair is drawn by rejection: two distinct edge/arc list slots
+uniformly, redrawn until they form a universe pair.  The loop keeps no
+pair state, and a universe of P pairs among m slots costs C(m, 2) / P
+expected tries per draw: a few on most input, about 13 around the hub of a
+star with a matching beside it, and m / 2 on a star plus one edge.  A loop
+draws a pair only when its universe holds one, so the redraw ends.
+
+The 2-paths of ``full`` are indexed directly by cumulative weight when no
+antiparallel pair exists, by rejection when proper 2-paths are common, and
+otherwise from a list of the proper 2-paths, rebuilt after every move.
+
 Each mode has exactly one step loop (``_run_undirected``, ``_run_full``,
 ``_run_plain``).  Sampling, the public ``step_*`` functions, traces,
 invariant checks and the one-step fidelity check of
@@ -30,8 +41,8 @@ invariant checks and the one-step fidelity check of
 ``on_move(t, removed, added)`` hook, called after every move and never after
 a loop, with the step index and the edge/arc tuples taken out and put in.
 The hook may restore the graph through the graph's own mutators: the loop
-rebuilds its cached draw lists after every move, so the next step sees the
-graph as the hook left it.
+drops its proper 2-path list after every move and keeps no other draw
+state, so the next step sees the graph as the hook left it.
 """
 
 from __future__ import annotations
@@ -110,7 +121,6 @@ class MoveUniverse:
     n_pairs: int
     n_2paths: int
     twopath_cum: Optional[tuple[int, ...]]
-    exhaustive_pairs: bool
 
     @staticmethod
     def undirected(s: DegreeSequence) -> "MoveUniverse":
@@ -118,9 +128,7 @@ class MoveUniverse:
         n_pairs = _choose2(m) - sum(_choose2(d) for d in s.degrees)
         if n_pairs < 0:
             raise InvalidInputError("degree sequence admits no simple graph")
-        return MoveUniverse(
-            MODE_UNDIRECTED, m, n_pairs, 0, None, _use_exhaustive(m, n_pairs)
-        )
+        return MoveUniverse(MODE_UNDIRECTED, m, n_pairs, 0, None)
 
     @staticmethod
     def directed_full(s: DiDegreeSequence) -> "MoveUniverse":
@@ -130,21 +138,12 @@ class MoveUniverse:
         for a, b in s.pairs:
             acc += a * b
             cum.append(acc)
-        return MoveUniverse(
-            MODE_FULL, m, n_pairs, n_2paths, tuple(cum), _use_exhaustive(m, n_pairs)
-        )
+        return MoveUniverse(MODE_FULL, m, n_pairs, n_2paths, tuple(cum))
 
     @staticmethod
     def directed_plain(s: DiDegreeSequence) -> "MoveUniverse":
         m, n_pairs, n_2paths = _directed_counts(s)
-        return MoveUniverse(
-            MODE_PLAIN,
-            m,
-            n_pairs,
-            n_2paths,
-            None,
-            _use_exhaustive(m, n_pairs + n_2paths),
-        )
+        return MoveUniverse(MODE_PLAIN, m, n_pairs, n_2paths, None)
 
     @property
     def walk_degree(self) -> int:
@@ -187,12 +186,6 @@ def _directed_counts(s: DiDegreeSequence) -> tuple[int, int, int]:
     return m, n_pairs, n_2paths
 
 
-def _use_exhaustive(m: int, count: int) -> bool:
-    # Rejection sampling would stall when acceptable pairs are rare; fall
-    # back to materializing them outright for tiny or near-degenerate input.
-    return m <= 8 or 10 * count < _choose2(m)
-
-
 def iter_nonadjacent_edge_pairs(g: Graph):
     """All unordered pairs of edges with four distinct endpoints, list order."""
     edges = g.edges()
@@ -224,16 +217,6 @@ def iter_role_disjoint_arc_pairs(g: Digraph):
                 yield (a, b), (c, d)
 
 
-class _StubCache:
-    """Materialized proper 2-paths, invalidated on graph mutation."""
-
-    __slots__ = ("version", "stubs")
-
-    def __init__(self):
-        self.version = -1
-        self.stubs: list = []
-
-
 def _stub_at(g, cum, r):
     """The r-th in/out stub 2-path under the fixed cumulative weights."""
     v = bisect_right(cum, r)
@@ -243,31 +226,15 @@ def _stub_at(g, cum, r):
     return in_list[q % deg_in], v, g.out_list[v][q // deg_in]
 
 
-def _draw_proper_stub(g, universe, rb, cache):
-    """Uniform non-degenerate 2-path (u,v,w), u != w.
-
-    Rejection over the stub universe; materialized outright when proper
-    stubs are rare among all stubs.
-    """
-    n_2paths = universe.n_2paths
-    proper = n_2paths - 2 * g.anti
-    if universe.m <= 8 or 10 * proper < n_2paths:
-        if cache.version != g._version:
-            cache.stubs = [
-                (u, v, w)
-                for v in range(g.n)
-                for u in g.in_list[v]
-                for w in g.out_list[v]
-                if u != w
-            ]
-            cache.version = g._version
-        stubs = cache.stubs
-        return stubs[rb(len(stubs))]
-    cum = universe.twopath_cum
-    while True:
-        u, v, w = _stub_at(g, cum, rb(n_2paths))
-        if u != w:
-            return u, v, w
+def _proper_stubs(g: Digraph) -> list[tuple[int, int, int]]:
+    """All non-degenerate in/out stub 2-paths (u, v, w), u != w."""
+    return [
+        (u, v, w)
+        for v in range(g.n)
+        for u in g.in_list[v]
+        for w in g.out_list[v]
+        if u != w
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -278,39 +245,29 @@ def _draw_proper_stub(g, universe, rb, cache):
 
 
 def _run_undirected(g: Graph, universe, rb, tau: int, on_move=None) -> int:
-    n_pairs = universe.n_pairs
-    d = 2 * n_pairs + 1
+    d = 2 * universe.n_pairs + 1
     loop_slot = d - 1
-    exhaustive = universe.exhaustive_pairs
     pos = g._pos
     edges = g._edges
     swap = g._swap_edges
     m = len(edges)
     mm = m * (m - 1)
-    pairs = None
     moves = 0
     for t in range(tau):
         slot = rb(d)
         if slot == loop_slot:
             continue  # padding loop: keeps per-slot probability at 1/walk_degree
-        if exhaustive:
-            if pairs is None:
-                pairs = list(iter_nonadjacent_edge_pairs(g))
-            e1, e2 = pairs[rb(n_pairs)]
+        while True:
+            k = rb(mm)
+            i, j = divmod(k, m - 1)
+            if j >= i:
+                j += 1
+            e1 = edges[i]
+            e2 = edges[j]
             a, b = e1
             c, dd = e2
-        else:
-            while True:
-                k = rb(mm)
-                i, j = divmod(k, m - 1)
-                if j >= i:
-                    j += 1
-                e1 = edges[i]
-                e2 = edges[j]
-                a, b = e1
-                c, dd = e2
-                if a != c and a != dd and b != c and b != dd:
-                    break
+            if a != c and a != dd and b != c and b != dd:
+                break
         if slot & 1:  # re-pair {a,d},{b,c}
             f1 = (a, dd) if a < dd else (dd, a)
             f2 = (b, c) if b < c else (c, b)
@@ -320,7 +277,6 @@ def _run_undirected(g: Graph, universe, rb, tau: int, on_move=None) -> int:
         if f1 in pos or f2 in pos:
             continue
         swap(e1, e2, f1, f2)
-        pairs = None
         moves += 1
         if on_move is not None:
             on_move(t, (e1, e2), (f1, f2))
@@ -330,37 +286,29 @@ def _run_undirected(g: Graph, universe, rb, tau: int, on_move=None) -> int:
 def _run_plain(g: Digraph, universe, rb, tau: int, on_move=None) -> int:
     d = universe.n_pairs + universe.n_2paths + 1
     loop_slot = d - 1
-    exhaustive = universe.exhaustive_pairs
     pos = g._pos
     arcs = g._arcs
     swap = g._swap_arcs
     m = len(arcs)
     mm = m * (m - 1)
-    pairs = None
     moves = 0
     for t in range(tau):
         if rb(d) == loop_slot:
             continue  # padding loop
-        if exhaustive:
-            if pairs is None:
-                pairs = list(iter_role_disjoint_arc_pairs(g))
-            (a, b), (c, dd) = pairs[rb(len(pairs))]
-        else:
-            while True:
-                k = rb(mm)
-                i, j = divmod(k, m - 1)
-                if j >= i:
-                    j += 1
-                a, b = arcs[i]
-                c, dd = arcs[j]
-                if a != c and b != dd:
-                    break
+        while True:
+            k = rb(mm)
+            i, j = divmod(k, m - 1)
+            if j >= i:
+                j += 1
+            a, b = arcs[i]
+            c, dd = arcs[j]
+            if a != c and b != dd:
+                break
         if a == dd or b == c:
             continue  # head-to-tail or antiparallel pair: no swap exists
         if (a, dd) in pos or (c, b) in pos:
             continue
         swap(a, b, c, dd)
-        pairs = None
         moves += 1
         if on_move is not None:
             on_move(t, ((a, b), (c, dd)), ((a, dd), (c, b)))
@@ -377,11 +325,9 @@ def _run_full(g: Digraph, universe, rb, tau: int, on_move=None) -> int:
     arcs = g._arcs
     swap = g._swap_arcs
     reorient = g._reorient_triangle
-    exhaustive = universe.exhaustive_pairs
     m = len(arcs)
     mm = m * (m - 1)
-    stub_cache = _StubCache()
-    pairs = None
+    stubs = None  # proper 2-paths, materialized when rare; reset on every move
     moves = 0
     for t in range(tau):
         slot = rb(d)
@@ -391,33 +337,37 @@ def _run_full(g: Digraph, universe, rb, tau: int, on_move=None) -> int:
             # admits no move)
             continue
         if slot < n_pairs + anti:
-            if exhaustive:
-                if pairs is None:
-                    pairs = list(iter_nonadjacent_arc_pairs(g))
-                (a, b), (c, dd) = pairs[rb(len(pairs))]
-            else:
-                while True:
-                    k = rb(mm)
-                    i, j = divmod(k, m - 1)
-                    if j >= i:
-                        j += 1
-                    a, b = arcs[i]
-                    c, dd = arcs[j]
-                    if a != c and a != dd and b != c and b != dd:
-                        break
+            while True:
+                k = rb(mm)
+                i, j = divmod(k, m - 1)
+                if j >= i:
+                    j += 1
+                a, b = arcs[i]
+                c, dd = arcs[j]
+                if a != c and a != dd and b != c and b != dd:
+                    break
             if (a, dd) in pos or (c, b) in pos:
                 continue
             swap(a, b, c, dd)
-            pairs = None
+            stubs = None
             moves += 1
             if on_move is not None:
                 on_move(t, ((a, b), (c, dd)), ((a, dd), (c, b)))
             continue
-        if anti:
-            u, v, w = _draw_proper_stub(g, universe, rb, stub_cache)
-        else:
+        if not anti:
             # proper stubs are all stubs: index directly by cumulative weight
             u, v, w = _stub_at(g, cum, slot - n_pairs)
+        elif m <= 8 or 10 * (n_2paths - 2 * anti) < n_2paths:
+            # proper stubs are rare among all stubs: draw from the list
+            if stubs is None:
+                stubs = _proper_stubs(g)
+            u, v, w = stubs[rb(len(stubs))]
+        else:
+            # rejection over the stub universe
+            while True:
+                u, v, w = _stub_at(g, cum, rb(n_2paths))
+                if u != w:
+                    break
         # reorientation gate: the 2-path must close an induced directed
         # 3-cycle and its endpoint must carry the strictly largest index
         if w <= u or w <= v:
@@ -425,7 +375,7 @@ def _run_full(g: Digraph, universe, rb, tau: int, on_move=None) -> int:
         if (w, u) not in pos or (v, u) in pos or (w, v) in pos or (u, w) in pos:
             continue
         reorient(u, v, w)
-        pairs = None
+        stubs = None
         moves += 1
         if on_move is not None:
             on_move(t, ((u, v), (v, w), (w, u)), ((v, u), (w, v), (u, w)))

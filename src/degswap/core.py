@@ -108,7 +108,7 @@ class Graph:
     list (for uniform random indexing); moves keep the two in sync.
     """
 
-    __slots__ = ("n", "degree", "adj", "_edges", "_pos", "_version")
+    __slots__ = ("n", "degree", "adj", "_edges", "_pos")
 
     kind = UNDIRECTED
 
@@ -120,7 +120,6 @@ class Graph:
         self.adj = [set() for _ in range(n)]
         self._edges: list[tuple[int, int]] = []
         self._pos: dict[tuple[int, int], int] = {}
-        self._version = 0
         for u, v in edges:
             self._check_pair(u, v)
             e = _norm_edge(u, v)
@@ -161,7 +160,6 @@ class Graph:
         g.adj = [set(s) for s in self.adj]
         g._edges = list(self._edges)
         g._pos = dict(self._pos)
-        g._version = 0
         return g
 
     def __eq__(self, other) -> bool:
@@ -186,7 +184,6 @@ class Graph:
         self.adj[v].add(u)
         self.degree[u] += 1
         self.degree[v] += 1
-        self._version += 1
 
     def _remove_edge(self, u: int, v: int) -> None:
         e = (u, v)
@@ -199,7 +196,6 @@ class Graph:
         self.adj[v].discard(u)
         self.degree[u] -= 1
         self.degree[v] -= 1
-        self._version += 1
 
     def _swap_edges(self, e1, e2, f1, f2) -> None:
         """Replace edges e1, e2 by f1, f2 on the same four endpoints.
@@ -221,7 +217,6 @@ class Graph:
         for u, v in (f1, f2):
             adj[u].add(v)
             adj[v].add(u)
-        self._version += 1
 
 
 class Digraph:
@@ -242,7 +237,6 @@ class Digraph:
         "_in_lpos",
         "_arcs",
         "_pos",
-        "_version",
     )
 
     kind = DIRECTED
@@ -260,7 +254,6 @@ class Digraph:
         self._in_lpos: list[dict[int, int]] = [{} for _ in range(n)]
         self._arcs: list[tuple[int, int]] = []
         self._pos: dict[tuple[int, int], int] = {}
-        self._version = 0
         for u, v in arcs:
             self._check_pair(u, v)
             if (u, v) in self._pos:
@@ -308,7 +301,6 @@ class Digraph:
         g._in_lpos = [dict(d) for d in self._in_lpos]
         g._arcs = list(self._arcs)
         g._pos = dict(self._pos)
-        g._version = 0
         return g
 
     def __eq__(self, other) -> bool:
@@ -337,7 +329,6 @@ class Digraph:
         self.in_list[v].append(u)
         self.out_deg[u] += 1
         self.in_deg[v] += 1
-        self._version += 1
 
     def _remove_arc(self, u: int, v: int) -> None:
         a = (u, v)
@@ -367,7 +358,6 @@ class Digraph:
 
         self.out_deg[u] -= 1
         self.in_deg[v] -= 1
-        self._version += 1
 
     def _replace_in_lists(self, changes) -> None:
         for lists, lpos_all, x, old, new in changes:
@@ -406,7 +396,6 @@ class Digraph:
                 (self.in_list, self._in_lpos, d, c, a),
             )
         )
-        self._version += 1
 
     def _reorient_triangle(self, u: int, v: int, w: int) -> None:
         """Reverse the arcs of the induced directed 3-cycle u -> v -> w -> u.
@@ -435,7 +424,6 @@ class Digraph:
                 (self.in_list, self._in_lpos, u, w, v),
             )
         )
-        self._version += 1
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,24 @@ def count_directed_3cycles(g: Digraph) -> int:
     return len(arcswap.induced_3cycles(g))
 
 
+def correct_frozen_arcs(
+    freq: dict[tuple[int, int], float], cycle_arcs: set[tuple[int, int]]
+) -> Optional[dict[tuple[int, int], float]]:
+    """Swap-only arc frequencies with the frozen cycle-set arcs set to 1/2.
+
+    ``cycle_arcs`` comes from :func:`arcswap.cycle_set_arcs`; the arcs and
+    their reversals get 1/2 and every other sampled arc keeps its frequency,
+    in sorted arc order.  None when there is nothing to correct.  Costs
+    O(|freq| log |freq|), never n(n-1).
+    """
+    if not cycle_arcs:
+        return None
+    frozen = cycle_arcs | {(v, u) for u, v in cycle_arcs}
+    return {
+        arc: 0.5 if arc in frozen else freq[arc] for arc in sorted(frozen | set(freq))
+    }
+
+
 def _run_one(job):
     """One chain from the shipped start graph (top level: picklable)."""
     directed, n, g0_pairs, cfg = job
@@ -101,14 +119,7 @@ def ensemble_stats(
 
     corrected = None
     if directed and cfg.mode == "plain":
-        bias = arcswap.arc_probability_bias(s, g0)
-        if any(b.category != "unbiased" for b in bias.values()):
-            corrected = {}
-            for arc, b in sorted(bias.items()):
-                if b.corrected_probability is not None:
-                    corrected[arc] = b.corrected_probability
-                elif arc in freq:
-                    corrected[arc] = freq[arc]
+        corrected = correct_frozen_arcs(freq, arcswap.cycle_set_arcs(g0))
 
     return StatsReport(
         runs=runs,

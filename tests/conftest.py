@@ -10,7 +10,7 @@ import math
 
 import pytest
 
-from degswap.core import DegreeSequence, DiDegreeSequence, Digraph, arc_index
+from degswap.core import DegreeSequence, DiDegreeSequence, Digraph, Graph, arc_index
 
 
 def subset_enum_undirected(s: DegreeSequence) -> list[frozenset]:
@@ -127,6 +127,36 @@ def mobile_blocked_instance() -> Digraph:
             arcs += [(c, a), (a, c)]
     arcs += [(5, 3), (3, 5), (6, 4), (4, 6)]
     return Digraph(7, arcs)
+
+
+def hub_with_matching(leaves: int, matching: int, kind: str = "undirected"):
+    """Star on hub 0 plus a disjoint matching: universe pairs are rare.
+
+    ``kind`` is ``undirected``, ``out`` (hub -> leaves, matching arcs
+    2j+1+leaves -> 2j+2+leaves) or ``in`` (leaves -> hub).  With 20 leaves
+    and one matching edge the pairs are under a tenth of all slot pairs in
+    every chain mode.
+    """
+    n = 1 + leaves + 2 * matching
+    star = [(0, v) for v in range(1, leaves + 1)]
+    pairs = [(leaves + 1 + 2 * j, leaves + 2 + 2 * j) for j in range(matching)]
+    if kind == "undirected":
+        return Graph(n, star + pairs)
+    if kind == "in":
+        star = [(v, u) for u, v in star]
+    return Digraph(n, star + pairs)
+
+
+def hub_with_back_arc(leaves: int = 20) -> Digraph:
+    """Out-star on hub 0 whose hub also has one in-arc; degrees (leaves, 1).
+
+    Vertex x = leaves + 1 has degrees (1, 1) and y = leaves + 2 has (1, 0),
+    so the hub and x can form an antiparallel pair.  The ``full`` universe
+    pairs are rare; with 20 leaves there are 41 realizations.
+    """
+    x, y = leaves + 1, leaves + 2
+    arcs = [(0, v) for v in range(2, leaves + 1)] + [(0, x), (x, 1), (y, 0)]
+    return Digraph(leaves + 3, arcs)
 
 
 # ---------------------------------------------------------------------------

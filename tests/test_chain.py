@@ -17,7 +17,7 @@ from degswap.generators import BlockedInstanceSpec, generate_blocked
 from degswap.realize import realize_directed, realize_undirected
 from degswap.statespace import enumerate_realizations
 from degswap import arcswap
-from .conftest import mobile_blocked_instance
+from .conftest import hub_with_back_arc, hub_with_matching, mobile_blocked_instance
 
 
 def test_universe_counts():
@@ -77,13 +77,17 @@ def test_determinism():
 
 
 def _rejection_path_cases():
-    # m > 8 leaves the materialized-pair fallback; stress the rejection draws
+    # m > 8, and hub-dominated instances whose pairs are under a tenth of
+    # all slot pairs: many redraws per step
     return [
         (realize_directed(DiDegreeSequence(((1, 1),) * 9)), "full"),
         (realize_directed(DiDegreeSequence(((1, 1),) * 9)), "plain"),
         (realize_directed(DiDegreeSequence(((2, 2),) * 5)), "full"),
         (realize_directed(DiDegreeSequence(((2, 2),) * 5)), "plain"),
         (realize_undirected(DegreeSequence((3,) * 10)), "undirected"),
+        (hub_with_matching(20, 1), "undirected"),
+        (hub_with_matching(20, 1, "out"), "plain"),
+        (hub_with_back_arc(), "full"),
     ]
 
 
@@ -271,3 +275,27 @@ def test_plain_mode_uniform_within_component():
     expected = runs / len(component)
     chi2 = sum((counts.get(k, 0) - expected) ** 2 / expected for k in component)
     assert chi2_sf(chi2, df=len(component) - 1) > 0.01, (sorted(counts.values()), chi2)
+
+
+def test_rare_pair_long_walks_are_uniform():
+    # hub instances whose universe pairs are under a tenth of all slot pairs;
+    # the walk is never undone, and the states it visits every 10th step
+    # must be uniform
+    from .conftest import chi2_sf
+
+    tau, every = 100_000, 10
+    for g0, mode, states, seed in (
+        (hub_with_matching(20, 1), "undirected", 231, 41),
+        (hub_with_back_arc(), "full", 41, 42),
+        (hub_with_matching(20, 1, "out"), "plain", 21, 43),
+    ):
+        cfg = ChainConfig(tau=tau, mode=mode, seed=seed, record_trace=True)
+        res = run_chain(g0, cfg)
+        counts = {}
+        for key in res.trace[every::every]:
+            counts[key] = counts.get(key, 0) + 1
+        assert len(counts) == states
+        expected = tau // every / states
+        chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
+        assert chi2_sf(chi2, df=states - 1) > 0.01, (mode, chi2)
+        assert res.graph.degree_sequence() == g0.degree_sequence()

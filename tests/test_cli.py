@@ -271,3 +271,28 @@ def test_sample_rejects_edgelist_with_many_runs(capsys):
         capsys, "sample", "--degrees", "1 1 1 1", "--runs", "1", "--emit", "edgelist"
     )
     assert code == 0 and out.splitlines()[0] == "undirected n=4"
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    # `PYTHONPATH=src python -m degswap ...` from a checkout: the same output
+    # and exit code as calling main() in process
+    import os
+    import subprocess
+    import sys
+
+    import degswap
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(degswap.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    args = ["sample", "--degrees", "1 1 1 1", "--tau", "50", "--seed", "7"]
+    done = subprocess.run(
+        [sys.executable, "-m", "degswap", *args],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    code, out, _ = run_cli(capsys, *args)
+    assert code == done.returncode == 0 and done.stdout == out
+    bad = subprocess.run(
+        [sys.executable, "-m", "degswap", "realize", "--degrees", "3 1"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert bad.returncode == 2 and "error" in json.loads(bad.stderr)

@@ -3,10 +3,13 @@
 The reference functions below are the straightforward quadratic (and, for
 the triangle scan, cubic) versions: the feasibility tests recompute every
 tail sum, the greedies re-sort all vertices every round, the key ORs one
-shifted bit at a time and the scan visits all C(n, 3) triples.  The
-package's versions must agree with them exactly: the same violation
-strings, the same edge/arc lists in insertion order (chains and ensembles
-draw by list index), the same key bits and the same sorted triples.
+shifted bit at a time, the scan visits all C(n, 3) triples, the breaking-walk
+search scans all n in-copies from every out-copy and the swap-only
+correction walks the full n(n-1) bias report.  The package's versions must
+agree with them exactly: the same violation strings, the same edge/arc
+lists in insertion order (chains and ensembles draw by list index), the
+same key bits, the same sorted triples, the same walk paths and the same
+corrected frequencies in the same order.
 """
 
 import collections
@@ -14,8 +17,12 @@ import itertools
 import random
 
 from degswap.arcswap import (
+    _alternating_path,
     _breaking_cycle_via,
+    _collect_path,
     _cycle_orientation,
+    arc_probability_bias,
+    cycle_set_arcs,
     detect_induced_cycle_sets,
     induced_3cycles,
 )
@@ -34,7 +41,8 @@ from degswap.realize import (
     is_digraphical,
     is_graphical,
 )
-from degswap.stats import count_directed_3cycles
+from degswap.generators import BlockedInstanceSpec, generate_blocked
+from degswap.stats import correct_frozen_arcs, count_directed_3cycles
 
 SEED = 20140301
 
@@ -154,6 +162,60 @@ def ref_detect_induced_cycle_sets(g):
         ):
             found.append(triple)
     return found
+
+
+def ref_alternating_path(g, probe, excluded):
+    """Breadth-first breaking-walk search scanning all n in-copies per out-copy."""
+    n = g.n
+    v, w = probe
+    pos = g._pos
+    start, goal = ("out", v), ("in", w)
+    parent = {start: None}
+    frontier = [start]
+    while frontier:
+        nxt_frontier = []
+        for node in frontier:
+            side, x = node
+            if side == "out":
+                for y in range(n):
+                    if y == x or (x, y) in pos:
+                        continue
+                    if (x, y) == probe or (x, y) == excluded:
+                        continue
+                    tgt = ("in", y)
+                    if tgt in parent:
+                        continue
+                    parent[tgt] = node
+                    if tgt == goal:
+                        return _collect_path(parent, start, goal)
+                    nxt_frontier.append(tgt)
+            else:
+                for z in g.in_list[x]:
+                    if (z, x) == probe or (z, x) == excluded:
+                        continue
+                    tgt = ("out", z)
+                    if tgt in parent:
+                        continue
+                    parent[tgt] = node
+                    if tgt == goal:
+                        return _collect_path(parent, start, goal)
+                    nxt_frontier.append(tgt)
+        frontier = nxt_frontier
+    return None
+
+
+def ref_corrected_frequency(s, g0, freq):
+    """The swap-only correction built from the full n(n-1) bias report."""
+    bias = arc_probability_bias(s, g0)
+    if all(b.category == "unbiased" for b in bias.values()):
+        return None
+    corrected = {}
+    for arc, b in sorted(bias.items()):
+        if b.corrected_probability is not None:
+            corrected[arc] = b.corrected_probability
+        elif arc in freq:
+            corrected[arc] = freq[arc]
+    return corrected
 
 
 # ---------------------------------------------------------------------------
@@ -342,3 +404,81 @@ def test_detect_matches_triple_loop():
                       + [(i, j) for i in range(3) for j in range(3, 6)])
     assert [cs.vertices for cs in detect_induced_cycle_sets(blocked)] == [(0, 1, 2)]
     assert ref_detect_induced_cycle_sets(blocked) == [(0, 1, 2)]
+
+
+def check_walk_searches(g, probes):
+    """Every probe against every other arc of its triangle, and a random pair."""
+    found = 0
+    for probe, excluded in probes:
+        path = _alternating_path(g, probe, excluded)
+        assert path == ref_alternating_path(g, probe, excluded), (probe, excluded)
+        found += path is not None
+    return found
+
+
+def triangle_probes(g, triples):
+    probes = []
+    for triple in triples:
+        arcs = _cycle_orientation(g, triple)
+        six = list(arcs) + [(b, a) for a, b in arcs]
+        probes.extend((p, x) for p in arcs for x in six if x != p)
+    return probes
+
+
+def test_walk_search_matches_full_scan():
+    rng = random.Random(SEED + 5)
+    found = missed = 0
+    for _ in range(150):
+        n = rng.randint(3, 40)
+        g = random_digraph(rng, n, rng.choice((0.05, 0.2, 0.5, 0.8)), 0.3)
+        if not g.m:
+            continue
+        probes = triangle_probes(g, induced_3cycles(g)[:2])
+        for _ in range(5):
+            probe = rng.choice(g.arcs())
+            excluded = (rng.randrange(n), rng.randrange(n))
+            probes.append((probe, excluded))
+        hits = check_walk_searches(g, probes)
+        found += hits
+        missed += len(probes) - hits
+    assert found > 200 and missed > 20, (found, missed)
+    blocked = generate_blocked(BlockedInstanceSpec(blocks=2))
+    assert check_walk_searches(blocked, triangle_probes(blocked, induced_3cycles(blocked))) == 0
+
+
+def test_walk_search_matches_full_scan_at_scale():
+    # the shape of tests/test_scale.py: n = 20 000, m = 10^5, realized the
+    # way recognize realizes it; a handful of its candidate triangles
+    from .test_scale import M, N, sparse_pairs
+
+    rng = random.Random(2014)
+    outs, ins = [0] * N, [0] * N
+    for u, v in sparse_pairs(rng, N, M, directed=True):
+        outs[u] += 1
+        ins[v] += 1
+    g = is_digraphical(DiDegreeSequence(zip(outs, ins))).witness
+    triples = induced_3cycles(g)
+    assert triples
+    probes = triangle_probes(g, triples[:1])
+    assert check_walk_searches(g, probes) > 0
+
+
+def test_frozen_arc_correction_matches_bias_report():
+    rng = random.Random(SEED + 6)
+    checked = corrected = 0
+    instances = [generate_blocked(BlockedInstanceSpec(blocks=k)) for k in (1, 2, 4)]
+    instances += [random_digraph(rng, rng.randint(3, 30), 0.3, 0.2) for _ in range(60)]
+    for g0 in instances:
+        s = g0.degree_sequence()
+        # any frequency table over ordered pairs will do: sample some
+        pairs = [(u, v) for u in range(g0.n) for v in range(g0.n) if u != v]
+        freq = {arc: rng.randrange(1, 50) / 50 for arc in rng.sample(pairs, len(pairs) // 3)}
+        freq.update((arc, 1.0) for arc in g0.arcs() if rng.random() < 0.5)
+        freq = dict(sorted(freq.items()))
+        want = ref_corrected_frequency(s, g0, freq)
+        got = correct_frozen_arcs(freq, cycle_set_arcs(g0))
+        assert got == want
+        assert got is None or list(got) == list(want)
+        checked += 1
+        corrected += got is not None
+    assert checked == 63 and corrected >= 3

@@ -1,16 +1,21 @@
-"""No super-linear cliff on the cold path: realize and recognize at n = 20 000.
+"""No super-linear cliff: realize and recognize at n = 20 000, chains on a hub.
 
 With per-round re-sorting greedies, tail-sum feasibility tests and a scan
-over all vertex triples this instance takes minutes; the near-linear
-versions need seconds.  The budget leaves a wide margin for a slow machine.
+over all vertex triples the cold-path instance takes minutes; the
+near-linear versions need seconds.  The hub-star chains would rebuild a
+pair list of 5 * 10^7 candidates per move if they materialized the rare
+pairs instead of drawing them by rejection.  The budget leaves a wide
+margin for a slow machine.
 """
 
 import random
 import time
 
 from degswap.arcswap import recognize
+from degswap.chain import ChainConfig, run_chain, universe_for
 from degswap.core import DegreeSequence, DiDegreeSequence
 from degswap.realize import realize_directed, realize_undirected
+from .conftest import hub_with_matching
 
 N = 20_000
 M = 100_000
@@ -48,3 +53,20 @@ def test_cold_path_has_no_cliff_at_20000_vertices():
     assert report.component_count == 1 << len(report.cycle_sets)
     elapsed = time.perf_counter() - start
     assert elapsed < BUDGET_S, f"cold path took {elapsed:.1f} s"
+
+
+def test_hub_star_chains_have_no_cliff():
+    # K_{1,10^4} plus a 400-edge matching: universe pairs are under a tenth
+    # of all slot pairs, so a rejection draw takes about 13 tries.
+    # Rebuilding a pair list after each move would scan 5 * 10^7 slot pairs.
+    leaves, matching, tau = 10_000, 400, 10_000
+    start = time.perf_counter()
+    for kind, mode in (("undirected", "undirected"), ("out", "full"), ("out", "plain")):
+        g0 = hub_with_matching(leaves, matching, kind)
+        u = universe_for(g0, mode)
+        assert 10 * (u.n_pairs + u.n_2paths) < u.m * (u.m - 1) // 2
+        res = run_chain(g0, ChainConfig(tau=tau, mode=mode, seed=7))
+        assert res.moves > tau // 2, (mode, res.moves)
+        assert res.graph.degree_sequence() == g0.degree_sequence()
+    elapsed = time.perf_counter() - start
+    assert elapsed < BUDGET_S, f"hub-star chains took {elapsed:.1f} s"

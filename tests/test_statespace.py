@@ -1,5 +1,6 @@
 import dataclasses
 import os
+from statistics import NormalDist
 
 import pytest
 
@@ -17,6 +18,8 @@ from degswap.statespace import (
     to_dot,
 )
 from .conftest import (
+    hub_with_back_arc,
+    hub_with_matching,
     mobile_blocked_instance,
     subset_enum_directed,
     subset_enum_undirected,
@@ -171,6 +174,57 @@ def test_empirical_transition_check_rejection_paths():
         DiDegreeSequence(((2, 2),) * 5), "phi", steps_per_state=2000, seed=21
     )
     assert rep.ok, rep.failures[:5]
+
+
+def _bonferroni_sigmas(sg, alpha=0.001):
+    """Tolerance at which a correct sampler fails one check with chance alpha.
+
+    Every cell of every transition row is tested; under the normal
+    approximation each fails with chance 2 * (1 - Phi(z)), so z is the
+    Bonferroni bound over all the cells.
+    """
+    cells = sum(len(sg.transition_row(key)) for key in sg.keys)
+    return NormalDist().inv_cdf(1 - alpha / (2 * cells))
+
+
+def test_empirical_transition_check_rare_pairs():
+    # m > 8 around a hub: universe pairs are under a tenth of all slot pairs,
+    # so each pair draw takes many redraws.  The psi check has 9471 cells and
+    # tolerance 5.32 sigma, the 21-state ones 441 cells and 4.73 sigma; with
+    # the binomial counts' exact tails (skewed for p = 1/41) the six checks
+    # together fail a correct sampler with chance about 1.3 %.
+    s = hub_with_matching(20, 1).degree_sequence()
+    sg = build_state_graph(s, "psi", max_n=23)
+    assert sg.node_count == 231
+    rep = empirical_transition_check(
+        s,
+        "psi",
+        steps_per_state=2000,
+        seed=31,
+        sg=sg,
+        tolerance_sigmas=_bonferroni_sigmas(sg),
+    )
+    assert rep.ok, rep.failures[:5]
+    cases = [
+        (hub_with_matching(20, 1, "out"), "phi", 21),
+        (hub_with_matching(20, 1, "out"), "phibar", 21),
+        (hub_with_matching(20, 1, "in"), "phi", 21),
+        (hub_with_matching(20, 1, "in"), "phibar", 21),
+        (hub_with_back_arc(), "phi", 41),  # antiparallel hub <-> x in some states
+    ]
+    for seed, (g, kind, states) in enumerate(cases, start=32):
+        s = g.degree_sequence()
+        sg = build_state_graph(s, kind, max_n=23)
+        assert sg.node_count == states
+        rep = empirical_transition_check(
+            s,
+            kind,
+            steps_per_state=5000,
+            seed=seed,
+            sg=sg,
+            tolerance_sigmas=_bonferroni_sigmas(sg),
+        )
+        assert rep.ok, (kind, rep.failures[:5])
 
 
 def test_to_dot():
