@@ -76,13 +76,22 @@ def _alternating_path(
 
     An out-copy scans only the in-copies not yet reached, in ascending
     order; each one it passes over is a present, probe or excluded arc or
-    its own in-copy, so a search costs O(n + m).
+    its own in-copy, so a search costs O(n + m).  A newly reached out-copy
+    z+ ends the search at once when (z, w) is a usable absent arc: the
+    frontier is expanded in the order it was generated, so z+ is the first
+    out-copy whose expansion would reach w-, and the path is the one the
+    full breadth-first search returns.  A three-arc breaking walk is then
+    found after the O(n) scan from v+ and one in-list.
 
     Returns the path's arcs with alternating membership, probe excluded.
     """
     v, w = probe
     pos = g._pos
     start, goal = ("out", v), ("in", w)
+
+    def closes(z):
+        arc = (z, w)
+        return z != w and arc not in pos and arc != probe and arc != excluded
 
     parent = {start: None}
     fresh_in = list(range(g.n))  # in-copies not yet reached, ascending
@@ -99,10 +108,9 @@ def _alternating_path(
                     if y == x or arc in pos or arc == probe or arc == excluded:
                         kept.append(y)
                         continue
+                    # never w-: every expanded out-copy fails closes()
                     tgt = ("in", y)
                     parent[tgt] = node
-                    if tgt == goal:
-                        return _collect_path(parent, start, goal)
                     nxt_frontier.append(tgt)
                 fresh_in = kept
             else:
@@ -114,7 +122,8 @@ def _alternating_path(
                     if tgt in parent:
                         continue
                     parent[tgt] = node
-                    if tgt == goal:
+                    if closes(z):
+                        parent[goal] = tgt
                         return _collect_path(parent, start, goal)
                     nxt_frontier.append(tgt)
         frontier = nxt_frontier

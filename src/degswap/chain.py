@@ -453,6 +453,7 @@ def run_chain(
     """Run tau steps from a copy of g0; deterministic given (g0, seed).
 
     With ``check_invariants`` the start state and the state after every move
+    check the graph's index structures against its edge/arc list, then
     re-derive the degree sequence and the universe counts and assert
     constancy (a loop leaves the graph, and so the counts, unchanged).
     """
@@ -482,6 +483,7 @@ def run_chain(
 
 
 def _check_invariants(g, universe: MoveUniverse, s0) -> None:
+    g._check_index()
     if g.degree_sequence() != s0:
         raise AssertionError("degree sequence drifted")
     pairs, twopaths, anti = universe.counts_on(g)

@@ -104,11 +104,15 @@ def _norm_edge(u: int, v: int) -> tuple[int, int]:
 class Graph:
     """Simple undirected labeled graph with O(1) edge queries.
 
-    Edges are stored both as a position map (for membership) and as a dense
-    list (for uniform random indexing); moves keep the two in sync.
+    Storage: the edges as a dense list ``_edges`` (for uniform random
+    indexing), their list positions ``_pos`` (for membership) and the
+    per-vertex ``degree``.  A swap rewrites two list slots and moves two
+    ``_pos`` entries; an add or remove (swap-with-last) touches one or two
+    of each.  No per-vertex adjacency is stored: :meth:`neighbors` scans
+    the edge list.
     """
 
-    __slots__ = ("n", "degree", "adj", "_edges", "_pos")
+    __slots__ = ("n", "degree", "_edges", "_pos")
 
     kind = UNDIRECTED
 
@@ -117,7 +121,6 @@ class Graph:
             raise InvalidInputError("graph needs at least one vertex")
         self.n = n
         self.degree = [0] * n
-        self.adj = [set() for _ in range(n)]
         self._edges: list[tuple[int, int]] = []
         self._pos: dict[tuple[int, int], int] = {}
         for u, v in edges:
@@ -148,7 +151,8 @@ class Graph:
         return _norm_edge(u, v) in self._pos
 
     def neighbors(self, v: int) -> list[int]:
-        return sorted(self.adj[v])
+        """Sorted neighbors of v, from a scan of the edge list: O(m)."""
+        return sorted(b if a == v else a for a, b in self._edges if v in (a, b))
 
     def degree_sequence(self) -> DegreeSequence:
         return DegreeSequence(self.degree)
@@ -157,7 +161,6 @@ class Graph:
         g = Graph.__new__(Graph)
         g.n = self.n
         g.degree = list(self.degree)
-        g.adj = [set(s) for s in self.adj]
         g._edges = list(self._edges)
         g._pos = dict(self._pos)
         return g
@@ -174,14 +177,26 @@ class Graph:
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={sorted(self._edges)})"
 
+    def _check_index(self) -> None:
+        """Raise AssertionError unless ``_pos`` and ``degree`` match ``_edges``."""
+        edges = self._edges
+        if len(self._pos) != len(edges) or any(
+            self._pos.get(e) != i for i, e in enumerate(edges)
+        ):
+            raise AssertionError("edge positions do not invert the edge list")
+        degree = [0] * self.n
+        for u, v in edges:
+            degree[u] += 1
+            degree[v] += 1
+        if degree != self.degree:
+            raise AssertionError("stored degrees differ from the edge list")
+
     # mutation: reserved for moves / constructors
 
     def _add_edge(self, u: int, v: int) -> None:
         e = (u, v)
         self._pos[e] = len(self._edges)
         self._edges.append(e)
-        self.adj[u].add(v)
-        self.adj[v].add(u)
         self.degree[u] += 1
         self.degree[v] += 1
 
@@ -192,8 +207,6 @@ class Graph:
         if last != e:
             self._edges[i] = last
             self._pos[last] = i
-        self.adj[u].discard(v)
-        self.adj[v].discard(u)
         self.degree[u] -= 1
         self.degree[v] -= 1
 
@@ -204,26 +217,29 @@ class Graph:
         """
         pos = self._pos
         edges = self._edges
-        adj = self.adj
         i1 = pos.pop(e1)
         i2 = pos.pop(e2)
         pos[f1] = i1
         edges[i1] = f1
         pos[f2] = i2
         edges[i2] = f2
-        for u, v in (e1, e2):
-            adj[u].discard(v)
-            adj[v].discard(u)
-        for u, v in (f1, f2):
-            adj[u].add(v)
-            adj[v].add(u)
 
 
 class Digraph:
     """Simple directed labeled graph; antiparallel arc pairs are allowed.
 
-    Per-vertex in/out neighbor lists are kept alongside the arc list so a
-    chain step can index a uniform in-arc or out-arc in O(1).
+    Storage: the arcs as a dense list ``_arcs`` with their list positions
+    ``_pos``; per-vertex head lists ``out_list`` and tail lists ``in_list``,
+    so a chain step can index a uniform out-arc or in-arc in O(1); and two
+    int lists aligned with ``_arcs``: arc i = (u, v) sits at
+    ``out_list[u][_oslot[i]]`` and ``in_list[v][_islot[i]]``.  ``anti``
+    counts the antiparallel pairs.
+
+    A swap writes two ``_arcs`` slots, four list entries and exchanges two
+    ``_islot`` entries; a reorientation writes three ``_arcs`` slots, six
+    list entries and rotates three slots of each kind.  Both also move the
+    affected ``_pos`` entries.  An add or remove (swap-with-last in every
+    list) is O(1) as well.
     """
 
     __slots__ = (
@@ -233,10 +249,10 @@ class Digraph:
         "out_list",
         "in_list",
         "anti",
-        "_out_lpos",
-        "_in_lpos",
         "_arcs",
         "_pos",
+        "_oslot",
+        "_islot",
     )
 
     kind = DIRECTED
@@ -250,10 +266,10 @@ class Digraph:
         self.out_list: list[list[int]] = [[] for _ in range(n)]
         self.in_list: list[list[int]] = [[] for _ in range(n)]
         self.anti = 0  # antiparallel arc pairs {(u,v),(v,u)} currently present
-        self._out_lpos: list[dict[int, int]] = [{} for _ in range(n)]
-        self._in_lpos: list[dict[int, int]] = [{} for _ in range(n)]
         self._arcs: list[tuple[int, int]] = []
         self._pos: dict[tuple[int, int], int] = {}
+        self._oslot: list[int] = []
+        self._islot: list[int] = []
         for u, v in arcs:
             self._check_pair(u, v)
             if (u, v) in self._pos:
@@ -297,10 +313,10 @@ class Digraph:
         g.out_list = [list(ls) for ls in self.out_list]
         g.in_list = [list(ls) for ls in self.in_list]
         g.anti = self.anti
-        g._out_lpos = [dict(d) for d in self._out_lpos]
-        g._in_lpos = [dict(d) for d in self._in_lpos]
         g._arcs = list(self._arcs)
         g._pos = dict(self._pos)
+        g._oslot = list(self._oslot)
+        g._islot = list(self._islot)
         return g
 
     def __eq__(self, other) -> bool:
@@ -315,6 +331,39 @@ class Digraph:
     def __repr__(self) -> str:
         return f"Digraph(n={self.n}, arcs={sorted(self._arcs)})"
 
+    def _check_index(self) -> None:
+        """Raise AssertionError unless every index structure matches ``_arcs``.
+
+        Checks that ``_pos`` inverts ``_arcs``, that each arc's two slots
+        point back at it, that the per-vertex lists hold exactly the arcs'
+        heads and tails, and that ``anti`` and the degrees match a recount.
+        """
+        arcs, pos = self._arcs, self._pos
+        if len(pos) != len(arcs) or any(pos.get(a) != i for i, a in enumerate(arcs)):
+            raise AssertionError("arc positions do not invert the arc list")
+        if len(self._oslot) != len(arcs) or len(self._islot) != len(arcs):
+            raise AssertionError("slot lists are not aligned with the arc list")
+        heads = [[] for _ in range(self.n)]
+        tails = [[] for _ in range(self.n)]
+        for i, (u, v) in enumerate(arcs):
+            if self.out_list[u][self._oslot[i]] != v:
+                raise AssertionError(f"out-slot of arc {i} ({u}, {v}) is stale")
+            if self.in_list[v][self._islot[i]] != u:
+                raise AssertionError(f"in-slot of arc {i} ({u}, {v}) is stale")
+            heads[u].append(v)
+            tails[v].append(u)
+        for v in range(self.n):
+            if sorted(self.out_list[v]) != sorted(heads[v]):
+                raise AssertionError(f"out-list of {v} differs from the arcs")
+            if sorted(self.in_list[v]) != sorted(tails[v]):
+                raise AssertionError(f"in-list of {v} differs from the arcs")
+        if self.out_deg != [len(h) for h in heads] or self.in_deg != [
+            len(t) for t in tails
+        ]:
+            raise AssertionError("stored degrees differ from the arc list")
+        if 2 * self.anti != sum((v, u) in pos for u, v in arcs):
+            raise AssertionError("antiparallel count differs from a recount")
+
     # mutation: reserved for moves / constructors
 
     def _add_arc(self, u: int, v: int) -> None:
@@ -323,57 +372,59 @@ class Digraph:
             self.anti += 1
         self._pos[a] = len(self._arcs)
         self._arcs.append(a)
-        self._out_lpos[u][v] = len(self.out_list[u])
+        self._oslot.append(len(self.out_list[u]))
         self.out_list[u].append(v)
-        self._in_lpos[v][u] = len(self.in_list[v])
+        self._islot.append(len(self.in_list[v]))
         self.in_list[v].append(u)
         self.out_deg[u] += 1
         self.in_deg[v] += 1
 
     def _remove_arc(self, u: int, v: int) -> None:
-        a = (u, v)
-        if (v, u) in self._pos:
+        pos = self._pos
+        oslot = self._oslot
+        islot = self._islot
+        if (v, u) in pos:
             self.anti -= 1
-        i = self._pos.pop(a)
-        last = self._arcs.pop()
-        if last != a:
-            self._arcs[i] = last
-            self._pos[last] = i
+        i = pos.pop((u, v))
 
-        lpos = self._out_lpos[u]
+        # swap-with-last in u's out-list and v's in-list; the arc moved into
+        # the freed slot records its new slot
         ls = self.out_list[u]
-        j = lpos.pop(v)
+        j = oslot[i]
         tail = ls.pop()
-        if tail != v:
+        if j < len(ls):
             ls[j] = tail
-            lpos[tail] = j
-
-        lpos = self._in_lpos[v]
+            oslot[pos[(u, tail)]] = j
         ls = self.in_list[v]
-        j = lpos.pop(u)
+        j = islot[i]
         tail = ls.pop()
-        if tail != u:
+        if j < len(ls):
             ls[j] = tail
-            lpos[tail] = j
+            islot[pos[(tail, v)]] = j
+
+        # swap-with-last in the arc list, slots travelling with their arc
+        last = self._arcs.pop()
+        last_o = oslot.pop()
+        last_i = islot.pop()
+        if i < len(self._arcs):
+            self._arcs[i] = last
+            pos[last] = i
+            oslot[i] = last_o
+            islot[i] = last_i
 
         self.out_deg[u] -= 1
         self.in_deg[v] -= 1
-
-    def _replace_in_lists(self, changes) -> None:
-        for lists, lpos_all, x, old, new in changes:
-            lpos = lpos_all[x]
-            p = lpos.pop(old)
-            lpos[new] = p
-            lists[x][p] = new
 
     def _swap_arcs(self, a: int, b: int, c: int, d: int) -> None:
         """Replace arcs (a,b),(c,d) by (a,d),(c,b).
 
         Every endpoint keeps both degrees, so all four neighbor-list entries
-        are replaced in place.
+        are replaced in place: the tails keep their out-slots, and the two
+        arcs exchange in-slots.
         """
         pos = self._pos
         arcs = self._arcs
+        islot = self._islot
         i1 = pos.pop((a, b))
         i2 = pos.pop((c, d))
         pos[(a, d)] = i1
@@ -388,23 +439,26 @@ class Digraph:
             - ((b, a) in pos)
             - ((d, c) in pos)
         )
-        self._replace_in_lists(
-            (
-                (self.out_list, self._out_lpos, a, b, d),
-                (self.out_list, self._out_lpos, c, d, b),
-                (self.in_list, self._in_lpos, b, a, c),
-                (self.in_list, self._in_lpos, d, c, a),
-            )
-        )
+        oslot = self._oslot
+        self.out_list[a][oslot[i1]] = d
+        self.out_list[c][oslot[i2]] = b
+        j1, j2 = islot[i1], islot[i2]
+        self.in_list[b][j1] = c
+        self.in_list[d][j2] = a
+        islot[i1], islot[i2] = j2, j1
 
     def _reorient_triangle(self, u: int, v: int, w: int) -> None:
         """Reverse the arcs of the induced directed 3-cycle u -> v -> w -> u.
 
         Requires all three reversals absent beforehand (the reorientation
-        gate), which also keeps the antiparallel-pair count unchanged.
+        gate), which also keeps the antiparallel-pair count unchanged.  Each
+        vertex's list entries are replaced in place, and each reversed arc
+        takes over the slots its neighbors in the cycle held.
         """
         pos = self._pos
         arcs = self._arcs
+        oslot = self._oslot
+        islot = self._islot
         i1 = pos.pop((u, v))
         i2 = pos.pop((v, w))
         i3 = pos.pop((w, u))
@@ -414,16 +468,18 @@ class Digraph:
         arcs[i2] = (w, v)
         pos[(u, w)] = i3
         arcs[i3] = (u, w)
-        self._replace_in_lists(
-            (
-                (self.out_list, self._out_lpos, u, v, w),
-                (self.out_list, self._out_lpos, v, w, u),
-                (self.out_list, self._out_lpos, w, u, v),
-                (self.in_list, self._in_lpos, v, u, w),
-                (self.in_list, self._in_lpos, w, v, u),
-                (self.in_list, self._in_lpos, u, w, v),
-            )
-        )
+        o1, o2, o3 = oslot[i1], oslot[i2], oslot[i3]
+        j1, j2, j3 = islot[i1], islot[i2], islot[i3]
+        out_list = self.out_list
+        in_list = self.in_list
+        out_list[u][o1] = w
+        out_list[v][o2] = u
+        out_list[w][o3] = v
+        in_list[v][j1] = w
+        in_list[w][j2] = u
+        in_list[u][j3] = v
+        oslot[i1], oslot[i2], oslot[i3] = o2, o3, o1
+        islot[i1], islot[i2], islot[i3] = j3, j1, j2
 
 
 # ---------------------------------------------------------------------------

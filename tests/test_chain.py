@@ -146,25 +146,32 @@ def test_invariants_on_rejection_sampling_path():
 
 
 def test_index_structures_survive_long_runs():
-    g0 = realize_directed(DiDegreeSequence(((2, 2),) * 5))
-    res = run_chain(g0, ChainConfig(tau=5000, mode="full", seed=13))
-    g = res.graph
-    assert sorted(g._arcs) == sorted(g._pos)
-    assert sorted(g._pos.values()) == list(range(g.m))
-    for v in range(g.n):
-        assert sorted(g.out_list[v]) == sorted(x for (u, x) in g._arcs if u == v)
-        assert sorted(g.in_list[v]) == sorted(u for (u, x) in g._arcs if x == v)
-        assert g._out_lpos[v] == {x: i for i, x in enumerate(g.out_list[v])}
-        assert g._in_lpos[v] == {u: i for i, u in enumerate(g.in_list[v])}
-    assert g.anti == sum(1 for (u, v) in g._arcs if (v, u) in g._pos) // 2
-    assert g.degree_sequence() == g0.degree_sequence()
+    # hub_with_back_arc() forms and breaks antiparallel pairs; (2, 2) x 5
+    # has induced 3-cycles, so its full run reorients as well as swaps
+    for g0 in (realize_directed(DiDegreeSequence(((2, 2),) * 5)), hub_with_back_arc()):
+        res = run_chain(g0, ChainConfig(tau=5000, mode="full", seed=13))
+        assert res.moves > 0
+        g = res.graph
+        assert sorted(g._arcs) == sorted(g._pos)
+        assert sorted(g._pos.values()) == list(range(g.m))
+        for i, (u, v) in enumerate(g._arcs):
+            assert g.out_list[u][g._oslot[i]] == v
+            assert g.in_list[v][g._islot[i]] == u
+        for v in range(g.n):
+            assert sorted(g.out_list[v]) == sorted(x for (u, x) in g._arcs if u == v)
+            assert sorted(g.in_list[v]) == sorted(u for (u, x) in g._arcs if x == v)
+        assert g.anti == sum(1 for (u, v) in g._arcs if (v, u) in g._pos) // 2
+        assert g.degree_sequence() == g0.degree_sequence()
 
     u0 = realize_undirected(DegreeSequence((2, 2, 2, 2, 1, 1)))
     res = run_chain(u0, ChainConfig(tau=5000, mode="undirected", seed=13))
     g = res.graph
     assert sorted(g._edges) == sorted(g._pos)
+    assert all(g._pos[e] == i for i, e in enumerate(g._edges))
     for v in range(g.n):
-        assert g.adj[v] == {x for e in g._edges for x in e if v in e and x != v}
+        assert g.neighbors(v) == sorted(
+            x for e in g._edges for x in e if v in e and x != v
+        )
     assert g.degree_sequence() == u0.degree_sequence()
 
 

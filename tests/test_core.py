@@ -247,3 +247,123 @@ def test_edgelist_roundtrip():
         parse_edgelist("0 1\n")
     with pytest.raises(InvalidInputError):
         parse_edgelist("mixed n=3\n0 1\n")
+
+
+def _assert_matches_rebuilt(g):
+    """g's index structures agree with a graph rebuilt from its own list."""
+    if isinstance(g, Graph):
+        h = Graph(g.n, g.edges())
+        assert g._edges == h._edges
+        assert g._pos == h._pos
+        assert g.degree == h.degree
+        for v in range(g.n):
+            assert g.neighbors(v) == sorted(
+                x for e in g.edge_set() if v in e for x in e if x != v
+            )
+        g._check_index()
+        return
+    h = Digraph(g.n, g.arcs())
+    assert g._arcs == h._arcs
+    assert g._pos == h._pos
+    assert len(g._oslot) == len(g._islot) == g.m
+    for i, (u, v) in enumerate(g._arcs):
+        assert g.out_list[u][g._oslot[i]] == v
+        assert g.in_list[v][g._islot[i]] == u
+    for v in range(g.n):
+        assert sorted(g.out_list[v]) == sorted(h.out_list[v])
+        assert sorted(g.in_list[v]) == sorted(h.in_list[v])
+    assert (g.out_deg, g.in_deg, g.anti) == (h.out_deg, h.in_deg, h.anti)
+    g._check_index()
+
+
+def _directed_moves(g):
+    """Every applicable swap (a, b, c, d) and reorientation (u, v, w) of g."""
+    arcs, pos = sorted(g.arcs()), g._pos
+    swaps = [
+        (a, b, c, d)
+        for (a, b) in arcs
+        for (c, d) in arcs
+        if len({a, b, c, d}) == 4 and (a, d) not in pos and (c, b) not in pos
+    ]
+    triangles = [
+        (u, v, w)
+        for (u, v) in arcs
+        for w in range(g.n)
+        if w not in (u, v)
+        and (v, w) in pos
+        and (w, u) in pos
+        and not ({(v, u), (w, v), (u, w)} & pos.keys())
+    ]
+    return swaps, triangles
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_digraph_mutators_keep_index_structures(data):
+    # interleaved adds, removes, swaps and reorientations, each checked
+    # against a digraph rebuilt from the arc list; the start holds the
+    # induced 3-cycle 0 -> 1 -> 2 -> 0 so reorientations are on offer
+    n = data.draw(st.integers(4, 7))
+    ordered = [(u, v) for u in range(n) for v in range(n) if u != v]
+    cycle = [(0, 1), (1, 2), (2, 0)]
+    rest = [a for a in ordered if a not in cycle and a[::-1] not in cycle]
+    g = Digraph(n, cycle + data.draw(st.lists(st.sampled_from(rest), unique=True)))
+    for _ in range(data.draw(st.integers(1, 30))):
+        swaps, triangles = _directed_moves(g)
+        offers = [
+            (g._add_arc, [a for a in ordered if a not in g._pos]),
+            (g._remove_arc, sorted(g.arcs())),
+            (g._swap_arcs, swaps),
+            (g._reorient_triangle, triangles),
+        ]
+        mutate, args = data.draw(st.sampled_from([o for o in offers if o[1]]))
+        mutate(*data.draw(st.sampled_from(args)))
+        _assert_matches_rebuilt(g)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_graph_mutators_keep_index_structures(data):
+    n = data.draw(st.integers(4, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = Graph(n, data.draw(st.lists(st.sampled_from(pairs), min_size=n, unique=True)))
+    for _ in range(data.draw(st.integers(1, 30))):
+        edges = sorted(g.edges())
+        swaps = [
+            ((a, b), (c, d), tuple(sorted((a, c))), tuple(sorted((b, d))))
+            for (a, b) in edges
+            for (c, d) in edges
+            if len({a, b, c, d}) == 4
+            and not g.has_edge(a, c)
+            and not g.has_edge(b, d)
+        ]
+        offers = [
+            (g._add_edge, [e for e in pairs if e not in g._pos]),
+            (g._remove_edge, edges),
+            (g._swap_edges, swaps),
+        ]
+        mutate, args = data.draw(st.sampled_from([o for o in offers if o[1]]))
+        mutate(*data.draw(st.sampled_from(args)))
+        _assert_matches_rebuilt(g)
+
+
+def test_index_check_catches_a_stale_slot():
+    g = Digraph(4, [(0, 1), (0, 2), (3, 1), (2, 3)])
+    g._check_index()
+    bad = g.copy()
+    bad._oslot[0], bad._oslot[1] = bad._oslot[1], bad._oslot[0]
+    with pytest.raises(AssertionError, match="out-slot"):
+        bad._check_index()
+    bad = g.copy()
+    bad._islot[0], bad._islot[2] = bad._islot[2], bad._islot[0]
+    with pytest.raises(AssertionError, match="in-slot"):
+        bad._check_index()
+    bad = g.copy()
+    bad.anti = 1
+    with pytest.raises(AssertionError, match="antiparallel"):
+        bad._check_index()
+    u = Graph(3, [(0, 1), (1, 2)])
+    u._check_index()
+    u._pos[(0, 1)] = 1
+    with pytest.raises(AssertionError, match="positions"):
+        u._check_index()

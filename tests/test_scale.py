@@ -1,11 +1,14 @@
-"""No super-linear cliff: realize and recognize at n = 20 000, chains on a hub.
+"""No super-linear cliff: realize and recognize at n = 20 000, chains on a hub
+and on a sparse digraph with n = 10^5.
 
 With per-round re-sorting greedies, tail-sum feasibility tests and a scan
 over all vertex triples the cold-path instance takes minutes; the
 near-linear versions need seconds.  The hub-star chains would rebuild a
 pair list of 5 * 10^7 candidates per move if they materialized the rare
-pairs instead of drawing them by rejection.  The budget leaves a wide
-margin for a slow machine.
+pairs instead of drawing them by rejection.  The sparse chains check that a
+move costs O(1) whatever n is: a step that touched per-vertex state in
+proportion to n or m would take minutes.  The budget leaves a wide margin
+for a slow machine.
 """
 
 import random
@@ -13,7 +16,7 @@ import time
 
 from degswap.arcswap import recognize
 from degswap.chain import ChainConfig, run_chain, universe_for
-from degswap.core import DegreeSequence, DiDegreeSequence
+from degswap.core import DegreeSequence, DiDegreeSequence, Digraph
 from degswap.realize import realize_directed, realize_undirected
 from .conftest import hub_with_matching
 
@@ -70,3 +73,15 @@ def test_hub_star_chains_have_no_cliff():
         assert res.graph.degree_sequence() == g0.degree_sequence()
     elapsed = time.perf_counter() - start
     assert elapsed < BUDGET_S, f"hub-star chains took {elapsed:.1f} s"
+
+
+def test_sparse_chains_at_100000_vertices():
+    n, m, tau = 100_000, 500_000, 100_000
+    g0 = Digraph(n, sparse_pairs(random.Random(2015), n, m, directed=True))
+    start = time.perf_counter()
+    for mode in ("full", "plain"):
+        res = run_chain(g0, ChainConfig(tau=tau, mode=mode, seed=7))
+        assert res.moves > tau // 2, (mode, res.moves)
+        assert res.graph.degree_sequence() == g0.degree_sequence()
+    elapsed = time.perf_counter() - start
+    assert elapsed < BUDGET_S, f"sparse chains took {elapsed:.1f} s"
