@@ -37,12 +37,21 @@ otherwise from a list of the proper 2-paths, rebuilt after every move.
 Each mode has exactly one step loop (``_run_undirected``, ``_run_full``,
 ``_run_plain``).  Sampling, the public ``step_*`` functions, traces,
 invariant checks and the one-step fidelity check of
-:mod:`degswap.statespace` all run through it.  A loop takes a private
-``on_move(t, removed, added)`` hook, called after every move and never after
-a loop, with the step index and the edge/arc tuples taken out and put in.
-The hook may restore the graph through the graph's own mutators: the loop
-drops its proper 2-path list after every move and keeps no other draw
-state, so the next step sees the graph as the hook left it.
+:mod:`degswap.statespace` all run through it.  A loop takes the
+``random.Random`` itself and draws every fixed-bound integer inline from
+``rng.getrandbits``, one call per draw with the bound's bit length hoisted
+out of the loop.  It consumes the generator exactly as the per-draw
+rejection sampler ``_make_randbelow`` would, which it keeps only for the
+variable-size proper 2-path list, so walks and the final generator state
+depend on the draws alone.
+
+A loop also takes a private ``on_move(t, removed, added)`` hook, called
+after every move and never after a loop, with the step index and the
+edge/arc tuples taken out and put in.  The hook may restore the graph
+through the graph's own mutators: after every move, once the hook has
+returned, the loop drops its proper 2-path list and re-reads ``g.anti``
+(the only graph state its slot ranges depend on), so the next step sees the
+graph as the hook left it.
 """
 
 from __future__ import annotations
@@ -240,26 +249,46 @@ def _proper_stubs(g: Digraph) -> list[tuple[int, int, int]]:
 # ---------------------------------------------------------------------------
 # the step loops
 #
-# _run_<mode>(g, universe, rb, tau, on_move=None) runs tau steps on g in place
-# and returns the number of moves; on_move follows the module docstring.
+# _run_<mode>(g, universe, rng, tau, on_move=None) runs tau steps on g in
+# place and returns the number of moves; rng is the random.Random and
+# on_move follows the module docstring.  Each fixed-bound integer (the slot
+# count d, the m(m-1) ordered list-slot pairs and, in full, the n_2paths
+# stubs) is ``r = grb(k)`` with the bound's bit length k computed once, then
+# ``while r >= bound: r = grb(k)``: the getrandbits calls _make_randbelow
+# would make, in the same order.  _make_randbelow draws nothing for a bound
+# of 1, so d == 1 swaps grb for _zero; the other fixed bounds exceed 1
+# whenever they are drawn.
 
 
-def _run_undirected(g: Graph, universe, rb, tau: int, on_move=None) -> int:
+def _zero(k: int) -> int:
+    return 0
+
+
+def _run_undirected(g: Graph, universe, rng, tau: int, on_move=None) -> int:
     d = 2 * universe.n_pairs + 1
     loop_slot = d - 1
     pos = g._pos
     edges = g._edges
     swap = g._swap_edges
     m = len(edges)
-    mm = m * (m - 1)
+    m1 = m - 1
+    mm = m * m1
+    grb = rng.getrandbits
+    gd = grb if d > 1 else _zero
+    kd = (d - 1).bit_length()
+    km = (mm - 1).bit_length()
     moves = 0
     for t in range(tau):
-        slot = rb(d)
+        slot = gd(kd)
+        while slot >= d:
+            slot = gd(kd)
         if slot == loop_slot:
             continue  # padding loop: keeps per-slot probability at 1/walk_degree
         while True:
-            k = rb(mm)
-            i, j = divmod(k, m - 1)
+            r = grb(km)
+            while r >= mm:
+                r = grb(km)
+            i, j = divmod(r, m1)
             if j >= i:
                 j += 1
             e1 = edges[i]
@@ -283,21 +312,31 @@ def _run_undirected(g: Graph, universe, rb, tau: int, on_move=None) -> int:
     return moves
 
 
-def _run_plain(g: Digraph, universe, rb, tau: int, on_move=None) -> int:
+def _run_plain(g: Digraph, universe, rng, tau: int, on_move=None) -> int:
     d = universe.n_pairs + universe.n_2paths + 1
     loop_slot = d - 1
     pos = g._pos
     arcs = g._arcs
     swap = g._swap_arcs
     m = len(arcs)
-    mm = m * (m - 1)
+    m1 = m - 1
+    mm = m * m1
+    grb = rng.getrandbits
+    gd = grb if d > 1 else _zero
+    kd = (d - 1).bit_length()
+    km = (mm - 1).bit_length()
     moves = 0
     for t in range(tau):
-        if rb(d) == loop_slot:
+        slot = gd(kd)
+        while slot >= d:
+            slot = gd(kd)
+        if slot == loop_slot:
             continue  # padding loop
         while True:
-            k = rb(mm)
-            i, j = divmod(k, m - 1)
+            r = grb(km)
+            while r >= mm:
+                r = grb(km)
+            i, j = divmod(r, m1)
             if j >= i:
                 j += 1
             a, b = arcs[i]
@@ -315,7 +354,7 @@ def _run_plain(g: Digraph, universe, rb, tau: int, on_move=None) -> int:
     return moves
 
 
-def _run_full(g: Digraph, universe, rb, tau: int, on_move=None) -> int:
+def _run_full(g: Digraph, universe, rng, tau: int, on_move=None) -> int:
     n_pairs = universe.n_pairs
     n_2paths = universe.n_2paths
     # sink/source-only sequences (no 2-paths) carry one padding loop
@@ -323,23 +362,40 @@ def _run_full(g: Digraph, universe, rb, tau: int, on_move=None) -> int:
     cum = universe.twopath_cum
     pos = g._pos
     arcs = g._arcs
+    in_list = g.in_list
+    out_list = g.out_list
     swap = g._swap_arcs
     reorient = g._reorient_triangle
     m = len(arcs)
-    mm = m * (m - 1)
+    m1 = m - 1
+    mm = m * m1
+    grb = rng.getrandbits
+    gd = grb if d > 1 else _zero
+    kd = (d - 1).bit_length()
+    km = (mm - 1).bit_length()
+    ks = (n_2paths - 1).bit_length()
+    rb = _make_randbelow(rng)  # the proper 2-path list changes size
+    # slots [0, swap_end) draw a pair, [swap_end, loop_start) a 2-path; the
+    # rest are the padding loop or one loop per antiparallel pair (it admits
+    # no move).  Both bounds follow g.anti, re-read after every move and its
+    # hook.
+    anti = g.anti
+    swap_end = n_pairs + anti
+    loop_start = n_pairs + n_2paths - anti
     stubs = None  # proper 2-paths, materialized when rare; reset on every move
     moves = 0
     for t in range(tau):
-        slot = rb(d)
-        anti = g.anti
-        if slot >= n_pairs + n_2paths - anti:
-            # padding loop, or one loop slot per antiparallel pair (it
-            # admits no move)
+        slot = gd(kd)
+        while slot >= d:
+            slot = gd(kd)
+        if slot >= loop_start:
             continue
-        if slot < n_pairs + anti:
+        if slot < swap_end:
             while True:
-                k = rb(mm)
-                i, j = divmod(k, m - 1)
+                r = grb(km)
+                while r >= mm:
+                    r = grb(km)
+                i, j = divmod(r, m1)
                 if j >= i:
                     j += 1
                 a, b = arcs[i]
@@ -353,10 +409,19 @@ def _run_full(g: Digraph, universe, rb, tau: int, on_move=None) -> int:
             moves += 1
             if on_move is not None:
                 on_move(t, ((a, b), (c, dd)), ((a, dd), (c, b)))
+            anti = g.anti
+            swap_end = n_pairs + anti
+            loop_start = n_pairs + n_2paths - anti
             continue
         if not anti:
             # proper stubs are all stubs: index directly by cumulative weight
-            u, v, w = _stub_at(g, cum, slot - n_pairs)
+            r = slot - n_pairs
+            v = bisect_right(cum, r)
+            q = r - (cum[v - 1] if v else 0)
+            tails = in_list[v]
+            deg_in = len(tails)
+            u = tails[q % deg_in]
+            w = out_list[v][q // deg_in]
         elif m <= 8 or 10 * (n_2paths - 2 * anti) < n_2paths:
             # proper stubs are rare among all stubs: draw from the list
             if stubs is None:
@@ -365,7 +430,10 @@ def _run_full(g: Digraph, universe, rb, tau: int, on_move=None) -> int:
         else:
             # rejection over the stub universe
             while True:
-                u, v, w = _stub_at(g, cum, rb(n_2paths))
+                r = grb(ks)
+                while r >= n_2paths:
+                    r = grb(ks)
+                u, v, w = _stub_at(g, cum, r)
                 if u != w:
                     break
         # reorientation gate: the 2-path must close an induced directed
@@ -379,6 +447,9 @@ def _run_full(g: Digraph, universe, rb, tau: int, on_move=None) -> int:
         moves += 1
         if on_move is not None:
             on_move(t, ((u, v), (v, w), (w, u)), ((v, u), (w, v), (u, w)))
+        anti = g.anti
+        swap_end = n_pairs + anti
+        loop_start = n_pairs + n_2paths - anti
     return moves
 
 
@@ -406,19 +477,19 @@ def universe_for(g: Graph | Digraph, mode: str) -> MoveUniverse:
 def step_undirected(g: Graph, rng: random.Random, universe=None) -> bool:
     """One undirected chain step in place; True when the graph changed."""
     universe = universe or universe_for(g, MODE_UNDIRECTED)
-    return _run_undirected(g, universe, _make_randbelow(rng), 1) == 1
+    return _run_undirected(g, universe, rng, 1) == 1
 
 
 def step_directed_full(g: Digraph, rng: random.Random, universe=None) -> bool:
     """One swap-or-reorient step in place; True when the digraph changed."""
     universe = universe or universe_for(g, MODE_FULL)
-    return _run_full(g, universe, _make_randbelow(rng), 1) == 1
+    return _run_full(g, universe, rng, 1) == 1
 
 
 def step_directed_plain(g: Digraph, rng: random.Random, universe=None) -> bool:
     """One swap-only step in place; True when the digraph changed."""
     universe = universe or universe_for(g, MODE_PLAIN)
-    return _run_plain(g, universe, _make_randbelow(rng), 1) == 1
+    return _run_plain(g, universe, rng, 1) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +530,7 @@ def run_chain(
     """
     universe = universe_for(g0, cfg.mode)
     g = g0.copy()
-    rb = _make_randbelow(random.Random(cfg.seed))
+    rng = random.Random(cfg.seed)
     trace = [canonical_key(g)] if cfg.record_trace else None
     on_move = None
     if trace is not None or check_invariants:
@@ -476,7 +547,7 @@ def run_chain(
         if check_invariants:
             _check_invariants(g, universe, s0)
 
-    moves = _RUNS[cfg.mode](g, universe, rb, cfg.tau, on_move)
+    moves = _RUNS[cfg.mode](g, universe, rng, cfg.tau, on_move)
     if trace is not None:
         trace.extend([trace[-1]] * (cfg.tau + 1 - len(trace)))
     return ChainResult(g, moves, cfg.tau - moves, trace)

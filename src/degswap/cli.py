@@ -9,13 +9,12 @@ reproduce; pass ``--seed entropy`` to opt into randomness.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
-import secrets
 import sys
 from dataclasses import replace
 from typing import Optional
 
-from . import arcswap, statespace
 from .chain import DEFAULT_SEED, MODE_FULL, MODE_PLAIN, MODE_UNDIRECTED, ChainConfig, derive_seed, run_chain
 from .core import (
     DegreeSequence,
@@ -29,13 +28,37 @@ from .core import (
     parse_edgelist,
 )
 from .errors import InvalidInputError, RealizationError, ResourceLimitError
-from .generators import FAMILIES, FAMILY_EXAMPLE1, BlockedInstanceSpec, generate_blocked
+from .names import FAMILIES, FAMILY_EXAMPLE1, KINDS
 from .realize import realize_directed, realize_undirected
-from .stats import ensemble_stats, map_runs
 
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_RESOURCE = 3
+
+
+def _on_first_use(name: str):
+    """The package's submodule ``name``, executed on its first attribute access.
+
+    The module is registered in ``sys.modules`` (and on the package) at once,
+    so anything that looks it up there after ``import degswap.cli`` finds it,
+    but only a subcommand that uses it pays for loading it.
+    """
+    full = f"{__package__}.{name}"
+    module = sys.modules.get(full)
+    if module is None:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[full] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+# the recognizer, and the ensemble layer with its process pool; statespace,
+# generators and secrets are imported inside the subcommands that use them
+arcswap = _on_first_use("arcswap")
+stats = _on_first_use("stats")
 
 
 def _read_text(path: str) -> str:
@@ -47,6 +70,8 @@ def _read_text(path: str) -> str:
 
 def _parse_seed(text: str) -> int:
     if text == "entropy":
+        import secrets
+
         return secrets.randbits(63)
     try:
         return int(text)
@@ -119,6 +144,8 @@ def _mode_for(args, s) -> str:
 def _cmd_sample(args) -> int:
     if args.runs < 1:
         raise InvalidInputError("--runs must be >= 1")
+    if args.workers < 1:
+        raise InvalidInputError("--workers must be >= 1")
     if args.runs > 1 and args.format == "edgelist":
         raise InvalidInputError("--emit edgelist prints one graph; it needs --runs 1")
     g0, s = _load_graph_or_sequence(args)
@@ -152,7 +179,7 @@ def _cmd_sample(args) -> int:
     ]
     visits: dict[str, int] = {}
     moves = loops = 0
-    outcomes = map_runs(_sample_one, jobs, args.workers, chunksize=16)
+    outcomes = stats.map_runs(_sample_one, jobs, args.workers, chunksize=16)
     for key, mv, lp, final_pairs in outcomes:
         visits[key] = visits.get(key, 0) + 1
         moves += mv
@@ -212,6 +239,8 @@ def _cmd_recognize(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    from . import statespace
+
     s = _load_sequence(args)
     sg = statespace.build_state_graph(s, args.kind, max_n=args.max_n)
     props = statespace.check_properties(sg)
@@ -244,6 +273,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    from .generators import BlockedInstanceSpec, generate_blocked
+
     spec = BlockedInstanceSpec(
         blocks=args.blocks,
         family=args.family,
@@ -268,7 +299,7 @@ def _cmd_stats(args) -> int:
     mode = _mode_for(args, s)
     seed = _parse_seed(args.seed)
     cfg = ChainConfig(tau=args.tau, mode=mode, seed=seed)
-    report = ensemble_stats(s, cfg, args.runs, workers=args.workers)
+    report = stats.ensemble_stats(s, cfg, args.runs, workers=args.workers)
     payload = {
         "mode": mode,
         "tau": args.tau,
@@ -338,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sequence_args(p)
     p.add_argument(
         "--kind",
-        choices=[statespace.KIND_PSI, statespace.KIND_PHI, statespace.KIND_PHIBAR],
+        choices=KINDS,
         required=True,
     )
     p.add_argument("--max-n", type=int, default=None, help="enumeration bound override")
@@ -346,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("generate", help="emit a blocked instance")
-    p.add_argument("--family", choices=list(FAMILIES), default=FAMILY_EXAMPLE1)
+    p.add_argument("--family", choices=FAMILIES, default=FAMILY_EXAMPLE1)
     p.add_argument("--blocks", type=int, default=1)
     p.add_argument("--attachment-size", type=int, default=3)
     p.add_argument("--independent-size", type=int, default=2)

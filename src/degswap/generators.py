@@ -11,12 +11,12 @@ from dataclasses import dataclass
 
 from .core import Digraph
 from .errors import InvalidInputError
-
-FAMILY_EXAMPLE1 = "example1"
-FAMILY_ONE_DIRECTION = "one-direction"
-FAMILY_CLIQUE_PARTITION = "clique-partition"
-
-FAMILIES = (FAMILY_EXAMPLE1, FAMILY_ONE_DIRECTION, FAMILY_CLIQUE_PARTITION)
+from .names import (
+    FAMILIES,
+    FAMILY_CLIQUE_PARTITION,
+    FAMILY_EXAMPLE1,
+    FAMILY_ONE_DIRECTION,
+)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,6 @@ from .chain import (
     MODE_UNDIRECTED,
     MoveUniverse,
     _RUNS,
-    _make_randbelow,
     derive_seed,
     iter_nonadjacent_arc_pairs,
     iter_nonadjacent_edge_pairs,
@@ -44,10 +43,7 @@ from .core import (
     pair_index,
 )
 from .errors import InvalidInputError, ResourceLimitError
-
-KIND_PSI = "psi"
-KIND_PHI = "phi"
-KIND_PHIBAR = "phibar"
+from .names import KIND_PHI, KIND_PHIBAR, KIND_PSI
 
 _KIND_TO_MODE = {KIND_PSI: MODE_UNDIRECTED, KIND_PHI: MODE_FULL, KIND_PHIBAR: MODE_PLAIN}
 
@@ -569,7 +565,7 @@ def empirical_transition_check(
     max_sigma = 0.0
     for idx, key in enumerate(sg.keys):
         g = sg.realizations[key].copy()
-        rb = _make_randbelow(random.Random(derive_seed(seed, idx)))
+        rng = random.Random(derive_seed(seed, idx))
         counts: dict[CanonicalKey, int] = {}
         sig_dest: dict = {}
         if directed:
@@ -592,7 +588,7 @@ def empirical_transition_check(
             for u, v in removed:
                 add(u, v)
 
-        moves = run(g, universe, rb, steps_per_state, on_move)
+        moves = run(g, universe, rng, steps_per_state, on_move)
         counts[key] = steps_per_state - moves
 
         row = sg.transition_row(key)

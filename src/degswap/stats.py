@@ -10,6 +10,7 @@ one state-graph component, while unbiased sampling would give both 1/2.
 
 from __future__ import annotations
 
+import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -68,12 +69,15 @@ def _run_one(job):
 def map_runs(fn, jobs, workers: int, chunksize: int):
     """Yield ``fn(job)`` for each job, in job order, as the results arrive.
 
-    With ``workers > 1`` the jobs run on a process pool, so ``fn`` must be a
-    module-level function.  Callers aggregate while iterating, so no list of
+    The jobs run on a process pool of ``min(workers, len(jobs), CPUs)``
+    processes when that is more than one, so ``fn`` must be a module-level
+    function; the cap matters because a pool may start all of its processes
+    on the first submit.  Callers aggregate while iterating, so no list of
     all results is ever held.
     """
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    size = min(workers, len(jobs), os.cpu_count() or 1)
+    if size > 1:
+        with ProcessPoolExecutor(max_workers=size) as pool:
             yield from pool.map(fn, jobs, chunksize=chunksize)
     else:
         for job in jobs:
@@ -97,6 +101,8 @@ def ensemble_stats(
         raise InvalidInputError(f"mode {cfg.mode!r} does not fit the sequence kind")
     if runs < 1:
         raise InvalidInputError("runs must be >= 1")
+    if workers < 1:
+        raise InvalidInputError("workers must be >= 1")
 
     g0 = realize_directed(s) if directed else realize_undirected(s)
     g0_pairs = tuple(g0.arcs() if directed else g0.edges())

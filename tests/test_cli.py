@@ -296,3 +296,116 @@ def test_python_dash_m_runs_the_cli(capsys):
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert bad.returncode == 2 and "error" in json.loads(bad.stderr)
+
+
+def test_sample_and_stats_reject_nonpositive_workers(capsys):
+    for sub, extra in (("sample", ("--runs", "3")), ("stats", ("--runs", "3"))):
+        for workers in ("0", "-2"):
+            code, out, err = run_cli(
+                capsys, sub, "--degrees", "1/1 1/1 1/1", "--tau", "10",
+                *extra, "--workers", workers,
+            )
+            assert code == 2 and out == ""
+            assert "workers" in json.loads(err)["error"]
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, runs jobs in-process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        RecordingPool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs, chunksize=1):
+        return map(fn, jobs)
+
+
+def test_pool_size_is_capped_by_jobs_and_cpus(capsys, monkeypatch):
+    # a fork pool may start all max_workers processes on its first submit,
+    # so --workers 5000 must not size the pool; no real process starts here
+    monkeypatch.setattr("degswap.stats.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    args = ("--degrees", "1/1 1/1 1/1", "--mode", "full", "--tau", "20")
+    _, serial, _ = run_cli(capsys, "sample", *args, "--runs", "2", "--workers", "1")
+    monkeypatch.setattr("os.cpu_count", lambda: 64)
+    _, pooled, _ = run_cli(capsys, "sample", *args, "--runs", "2", "--workers", "5000")
+    assert pooled == serial
+    monkeypatch.setattr("os.cpu_count", lambda: 3)
+    for sub, runs in (("sample", "10"), ("stats", "4")):
+        assert run_cli(capsys, sub, *args, "--runs", runs, "--workers", "5000")[0] == 0
+    monkeypatch.setattr("os.cpu_count", lambda: None)
+    assert run_cli(capsys, "stats", *args, "--runs", "4", "--workers", "5000")[0] == 0
+    assert RecordingPool.sizes == [2, 3, 3]
+
+
+# module -> a name its code defines
+DEFERRED = {
+    "degswap.arcswap": "recognize",
+    "degswap.stats": "ensemble_stats",
+    "degswap.statespace": "build_state_graph",
+    "degswap.generators": "generate_blocked",
+    "degswap.moves": "try_2swap_directed",
+}
+
+LOADED_PROBE = """
+import contextlib, io, sys
+import degswap.cli
+
+def loaded():
+    # object.__getattribute__ reads a registered module's namespace without
+    # triggering its load
+    names = [name for name, attr in DEFERRED.items() if name in sys.modules
+             and attr in object.__getattribute__(sys.modules[name], "__dict__")]
+    names += [name for name in ("concurrent.futures.process", "secrets") if name in sys.modules]
+    return names
+
+print(loaded())
+with contextlib.redirect_stdout(io.StringIO()):
+    degswap.cli.main(["sample", "--degrees", "1 1 1 1", "--tau", "5"])
+print(loaded())
+with contextlib.redirect_stdout(io.StringIO()):
+    degswap.cli.main(["recognize", "--degrees", "1/1 1/1 1/1"])
+print(loaded())
+"""
+
+
+def test_import_loads_only_what_every_subcommand_needs():
+    # arcswap and stats are registered in sys.modules on import (a tracer
+    # may look them up there) but their code runs on first use; the rest
+    # is not imported at all until a subcommand asks for it
+    import os
+    import subprocess
+    import sys
+
+    import degswap
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(degswap.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", f"DEFERRED = {DEFERRED!r}\n" + LOADED_PROBE],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["[]", "[]", "['degswap.arcswap']"]
+
+
+def test_package_names_resolve_on_first_use():
+    import importlib
+
+    import degswap
+
+    for name in degswap.__all__:
+        home = importlib.import_module(f"degswap.{degswap._EXPORTS[name]}")
+        assert getattr(degswap, name) is getattr(home, name)
+    assert set(degswap.__all__) <= set(dir(degswap))
+    from degswap import arcswap, statespace
+
+    assert arcswap.recognize is degswap.recognize
+    assert statespace.KIND_PHI == "phi" and degswap.statespace is statespace

@@ -4,12 +4,14 @@ The reference functions below are the straightforward quadratic (and, for
 the triangle scan, cubic) versions: the feasibility tests recompute every
 tail sum, the greedies re-sort all vertices every round, the key ORs one
 shifted bit at a time, the scan visits all C(n, 3) triples, the breaking-walk
-search scans all n in-copies from every out-copy and the swap-only
-correction walks the full n(n-1) bias report.  The package's versions must
-agree with them exactly: the same violation strings, the same edge/arc
+search scans all n in-copies from every out-copy, the swap-only
+correction walks the full n(n-1) bias report and the step loops draw every
+integer through a per-draw ``_make_randbelow`` call.  The package's versions
+must agree with them exactly: the same violation strings, the same edge/arc
 lists in insertion order (chains and ensembles draw by list index), the
-same key bits, the same sorted triples, the same walk paths and the same
-corrected frequencies in the same order.
+same key bits, the same sorted triples, the same walk paths, the same
+corrected frequencies in the same order and, for the step loops, the same
+move counts and the same final generator state.
 """
 
 import collections
@@ -26,6 +28,16 @@ from degswap.arcswap import (
     detect_induced_cycle_sets,
     induced_3cycles,
 )
+from degswap.chain import (
+    MODE_FULL,
+    MODE_PLAIN,
+    MODE_UNDIRECTED,
+    _RUNS,
+    _make_randbelow,
+    _proper_stubs,
+    _stub_at,
+    universe_for,
+)
 from degswap.core import (
     DegreeSequence,
     DiDegreeSequence,
@@ -40,6 +52,7 @@ from degswap.realize import (
     _fulkerson_chen_violation,
     is_digraphical,
     is_graphical,
+    realize_directed,
 )
 from degswap.generators import BlockedInstanceSpec, generate_blocked
 from degswap.stats import correct_frozen_arcs, count_directed_3cycles
@@ -220,6 +233,143 @@ def ref_corrected_frequency(s, g0, freq):
 
 # ---------------------------------------------------------------------------
 # comparison helpers
+
+
+def ref_run_undirected(g, universe, rb, tau, on_move=None):
+    d = 2 * universe.n_pairs + 1
+    loop_slot = d - 1
+    pos = g._pos
+    edges = g._edges
+    swap = g._swap_edges
+    m = len(edges)
+    mm = m * (m - 1)
+    moves = 0
+    for t in range(tau):
+        slot = rb(d)
+        if slot == loop_slot:
+            continue
+        while True:
+            k = rb(mm)
+            i, j = divmod(k, m - 1)
+            if j >= i:
+                j += 1
+            e1 = edges[i]
+            e2 = edges[j]
+            a, b = e1
+            c, dd = e2
+            if a != c and a != dd and b != c and b != dd:
+                break
+        if slot & 1:
+            f1 = (a, dd) if a < dd else (dd, a)
+            f2 = (b, c) if b < c else (c, b)
+        else:
+            f1 = (a, c) if a < c else (c, a)
+            f2 = (b, dd) if b < dd else (dd, b)
+        if f1 in pos or f2 in pos:
+            continue
+        swap(e1, e2, f1, f2)
+        moves += 1
+        if on_move is not None:
+            on_move(t, (e1, e2), (f1, f2))
+    return moves
+
+
+def ref_run_plain(g, universe, rb, tau, on_move=None):
+    d = universe.n_pairs + universe.n_2paths + 1
+    loop_slot = d - 1
+    pos = g._pos
+    arcs = g._arcs
+    swap = g._swap_arcs
+    m = len(arcs)
+    mm = m * (m - 1)
+    moves = 0
+    for t in range(tau):
+        if rb(d) == loop_slot:
+            continue
+        while True:
+            k = rb(mm)
+            i, j = divmod(k, m - 1)
+            if j >= i:
+                j += 1
+            a, b = arcs[i]
+            c, dd = arcs[j]
+            if a != c and b != dd:
+                break
+        if a == dd or b == c:
+            continue
+        if (a, dd) in pos or (c, b) in pos:
+            continue
+        swap(a, b, c, dd)
+        moves += 1
+        if on_move is not None:
+            on_move(t, ((a, b), (c, dd)), ((a, dd), (c, b)))
+    return moves
+
+
+def ref_run_full(g, universe, rb, tau, on_move=None):
+    n_pairs = universe.n_pairs
+    n_2paths = universe.n_2paths
+    d = n_pairs + n_2paths + (1 if n_2paths == 0 else 0)
+    cum = universe.twopath_cum
+    pos = g._pos
+    arcs = g._arcs
+    swap = g._swap_arcs
+    reorient = g._reorient_triangle
+    m = len(arcs)
+    mm = m * (m - 1)
+    stubs = None
+    moves = 0
+    for t in range(tau):
+        slot = rb(d)
+        anti = g.anti
+        if slot >= n_pairs + n_2paths - anti:
+            continue
+        if slot < n_pairs + anti:
+            while True:
+                k = rb(mm)
+                i, j = divmod(k, m - 1)
+                if j >= i:
+                    j += 1
+                a, b = arcs[i]
+                c, dd = arcs[j]
+                if a != c and a != dd and b != c and b != dd:
+                    break
+            if (a, dd) in pos or (c, b) in pos:
+                continue
+            swap(a, b, c, dd)
+            stubs = None
+            moves += 1
+            if on_move is not None:
+                on_move(t, ((a, b), (c, dd)), ((a, dd), (c, b)))
+            continue
+        if not anti:
+            u, v, w = _stub_at(g, cum, slot - n_pairs)
+        elif m <= 8 or 10 * (n_2paths - 2 * anti) < n_2paths:
+            if stubs is None:
+                stubs = _proper_stubs(g)
+            u, v, w = stubs[rb(len(stubs))]
+        else:
+            while True:
+                u, v, w = _stub_at(g, cum, rb(n_2paths))
+                if u != w:
+                    break
+        if w <= u or w <= v:
+            continue
+        if (w, u) not in pos or (v, u) in pos or (w, v) in pos or (u, w) in pos:
+            continue
+        reorient(u, v, w)
+        stubs = None
+        moves += 1
+        if on_move is not None:
+            on_move(t, ((u, v), (v, w), (w, u)), ((v, u), (w, v), (u, w)))
+    return moves
+
+
+REF_RUNS = {
+    MODE_UNDIRECTED: ref_run_undirected,
+    MODE_FULL: ref_run_full,
+    MODE_PLAIN: ref_run_plain,
+}
 
 
 def check_undirected(s):
@@ -482,3 +632,76 @@ def test_frozen_arc_correction_matches_bias_report():
         checked += 1
         corrected += got is not None
     assert checked == 63 and corrected >= 3
+
+
+def stub_branch(g, universe):
+    """The branch ``_run_full`` takes for a 2-path slot in g's current state."""
+    anti = g.anti
+    if not anti:
+        return "inline"
+    n_2paths = universe.n_2paths
+    if g.m <= 8 or 10 * (n_2paths - 2 * anti) < n_2paths:
+        return "list"
+    return "rejection"
+
+
+def loop_cases():
+    """(label, start graph) pairs covering every branch of the inline draws."""
+    rng = random.Random(SEED + 7)
+    twocycles = [(2 * i + d, 2 * i + 1 - d) for i in range(20) for d in (0, 1)]
+    yield "d=1 undirected", Graph(2, [(0, 1)])
+    yield "d=1 directed", Digraph(2, [(0, 1)])
+    yield "m=2 undirected", Graph(4, [(0, 1), (2, 3)])
+    yield "m=2 directed", Digraph(4, [(0, 1), (2, 3)])
+    yield "3-cycle", Digraph(3, [(0, 1), (1, 2), (2, 0)])
+    yield "bidirected triangle", Digraph(3, [(u, v) for u in range(3) for v in range(3) if u != v])
+    yield "2-cycles and a triangle", Digraph(43, twocycles + [(40, 41), (41, 42), (42, 40)])
+    yield "random antiparallel", random_digraph(rng, 12, 0.5, 0.3)
+    yield "random sparse", random_digraph(rng, 20, 0.15, 0.0)
+    yield "near-complete", realize_directed(DiDegreeSequence([(6, 6)] * 8))
+    yield "star and matching", Graph(15, [(0, v) for v in range(1, 9)] + [(9, 10), (11, 12), (13, 14)])
+    yield "random graph", random_graph(rng, 14, 0.4)
+
+
+def run_loop(run, g0, universe, rng, undo):
+    """Final pair list, move count and move log of one run from a copy of g0.
+
+    With ``undo`` the hook logs each move and then restores the graph, as the
+    fidelity check of degswap.statespace does.
+    """
+    g = g0.copy()
+    log = []
+    hook = None
+    if undo:
+        if isinstance(g, Graph):
+            add, remove = g._add_edge, g._remove_edge
+        else:
+            add, remove = g._add_arc, g._remove_arc
+
+        def hook(t, removed, added):
+            log.append((t, removed, added))
+            for u, v in added:
+                remove(u, v)
+            for u, v in removed:
+                add(u, v)
+
+    moves = run(g, universe, rng, 2000, hook)
+    return (g.edges() if isinstance(g, Graph) else g.arcs()), moves, log
+
+
+def test_inline_draw_loops_match_randbelow_loops():
+    # equal graphs and seeds: the same walk, move count and generator state,
+    # bare and with a hook that undoes every move
+    branches = set()
+    for label, g0 in loop_cases():
+        modes = (MODE_UNDIRECTED,) if isinstance(g0, Graph) else (MODE_FULL, MODE_PLAIN)
+        for mode, seed, undo in itertools.product(modes, range(3), (False, True)):
+            universe = universe_for(g0, mode)
+            if mode == MODE_FULL:
+                branches.add(stub_branch(g0, universe))
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            got = run_loop(_RUNS[mode], g0, universe, rng, undo)
+            want = run_loop(REF_RUNS[mode], g0, universe, _make_randbelow(ref_rng), undo)
+            assert got == want, (label, mode, seed, undo)
+            assert rng.getstate() == ref_rng.getstate(), (label, mode, seed, undo)
+    assert branches == {"inline", "list", "rejection"}
