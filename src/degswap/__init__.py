@@ -58,17 +58,10 @@ _NAMES = {
     "errors": (
         "InternalInconsistencyError",
         "InvalidInputError",
-        "InvalidMoveError",
         "RealizationError",
         "ResourceLimitError",
     ),
     "generators": ("BlockedInstanceSpec", "generate_blocked"),
-    "moves": (
-        "swap_alternating_cycle",
-        "try_2swap_directed",
-        "try_2swap_undirected",
-        "try_reorient_3cycle",
-    ),
     "realize": (
         "RealizabilityReport",
         "is_digraphical",

@@ -169,10 +169,9 @@ class MoveUniverse:
         Constancy check: ``pairs - anti == n_pairs`` and
         ``stubs == n_2paths`` on every realization of the sequence.
         """
+        pairs = sum(1 for _ in iter_nonadjacent_pairs(g))
         if isinstance(g, Graph):
-            pairs = sum(1 for _ in iter_nonadjacent_edge_pairs(g))
             return pairs, 0, 0
-        pairs = sum(1 for _ in iter_nonadjacent_arc_pairs(g))
         twopaths = sum(x * y for x, y in zip(g.out_deg, g.in_deg))
         return pairs, twopaths, g.anti
 
@@ -195,20 +194,11 @@ def _directed_counts(s: DiDegreeSequence) -> tuple[int, int, int]:
     return m, n_pairs, n_2paths
 
 
-def iter_nonadjacent_edge_pairs(g: Graph):
-    """All unordered pairs of edges with four distinct endpoints, list order."""
-    edges = g.edges()
-    for i, (a, b) in enumerate(edges):
-        for c, d in edges[i + 1 :]:
-            if a != c and a != d and b != c and b != d:
-                yield (a, b), (c, d)
-
-
-def iter_nonadjacent_arc_pairs(g: Digraph):
-    """All unordered pairs of arcs with four distinct endpoints, list order."""
-    arcs = g.arcs()
-    for i, (a, b) in enumerate(arcs):
-        for c, d in arcs[i + 1 :]:
+def iter_nonadjacent_pairs(g: Graph | Digraph):
+    """All unordered pairs of edges/arcs with four distinct endpoints, list order."""
+    pairs = g.edges() if isinstance(g, Graph) else g.arcs()
+    for i, (a, b) in enumerate(pairs):
+        for c, d in pairs[i + 1 :]:
             if a != c and a != d and b != c and b != d:
                 yield (a, b), (c, d)
 

@@ -101,16 +101,6 @@ def _emit(payload: str) -> None:
     sys.stdout.write(payload if payload.endswith("\n") else payload + "\n")
 
 
-def _sample_one(job):
-    """One independent chain for the sample fan-out (top level: picklable)."""
-    kind, n, pairs, cfg = job
-    g0 = Graph(n, pairs) if kind == "undirected" else Digraph(n, pairs)
-    result = run_chain(g0, cfg)
-    g = result.graph
-    out_pairs = tuple(g.edges() if isinstance(g, Graph) else g.arcs())
-    return canonical_key(g).hex(), result.moves, result.loops, out_pairs
-
-
 def _graph_json(g: Graph | Digraph) -> dict:
     pairs = g.edges() if isinstance(g, Graph) else g.arcs()
     return {
@@ -179,7 +169,7 @@ def _cmd_sample(args) -> int:
     ]
     visits: dict[str, int] = {}
     moves = loops = 0
-    outcomes = stats.map_runs(_sample_one, jobs, args.workers, chunksize=16)
+    outcomes = stats.map_runs(stats.run_one, jobs, args.workers, chunksize=16)
     for key, mv, lp, final_pairs in outcomes:
         visits[key] = visits.get(key, 0) + 1
         moves += mv

@@ -4,9 +4,9 @@ Vertices are the integers ``0 .. n-1`` throughout.  Graphs are simple and
 labeled: no loops, no parallel edges; digraphs additionally allow a pair of
 antiparallel arcs ``(u, v)`` and ``(v, u)``.
 
-Graph and Digraph values are mutable only through the operations in
-:mod:`degswap.moves`; a value that is no longer being stepped can be shared
-freely across threads.
+Graph and Digraph values change only through their private mutators, which
+the step loops of :mod:`degswap.chain` call; a value that is no longer
+being stepped can be shared freely across threads.
 """
 
 from __future__ import annotations

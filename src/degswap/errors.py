@@ -5,14 +5,6 @@ class InvalidInputError(ValueError):
     """Malformed or mutually inconsistent arguments (CLI exit code 2)."""
 
 
-class InvalidMoveError(InvalidInputError):
-    """A move was attempted on edges/arcs that do not qualify for it.
-
-    This signals a caller bug, not a chain loop: loops are a property of
-    the chain's selection universe, never of malformed calls.
-    """
-
-
 class RealizationError(InvalidInputError):
     """A degree sequence admits no realization.
 

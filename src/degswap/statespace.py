@@ -14,7 +14,6 @@ regular by construction and its transition row is ``1/walk_degree`` per slot.
 from __future__ import annotations
 
 import itertools
-import os
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -27,11 +26,11 @@ from .chain import (
     MoveUniverse,
     _RUNS,
     derive_seed,
-    iter_nonadjacent_arc_pairs,
-    iter_nonadjacent_edge_pairs,
+    iter_nonadjacent_pairs,
     iter_role_disjoint_arc_pairs,
 )
 from .core import (
+    UNDIRECTED,
     CanonicalKey,
     DegreeSequence,
     DiDegreeSequence,
@@ -49,17 +48,6 @@ _KIND_TO_MODE = {KIND_PSI: MODE_UNDIRECTED, KIND_PHI: MODE_FULL, KIND_PHIBAR: MO
 
 DEFAULT_MAX_N_UNDIRECTED = 8
 DEFAULT_MAX_N_DIRECTED = 6
-MAX_N_ENV_VAR = "DEGSWAP_MAX_ENUM_N"
-
-
-def _default_bound(directed: bool) -> int:
-    env = os.environ.get(MAX_N_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise InvalidInputError(f"bad {MAX_N_ENV_VAR}={env!r}") from exc
-    return DEFAULT_MAX_N_DIRECTED if directed else DEFAULT_MAX_N_UNDIRECTED
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +64,10 @@ def enumerate_realization_keys(
     is checked eagerly, before the first key is produced.
     """
     directed = isinstance(s, DiDegreeSequence)
-    bound = max_n if max_n is not None else _default_bound(directed)
+    if max_n is not None:
+        bound = max_n
+    else:
+        bound = DEFAULT_MAX_N_DIRECTED if directed else DEFAULT_MAX_N_UNDIRECTED
     if s.n > bound:
         raise ResourceLimitError(f"n={s.n} exceeds enumeration bound {bound}")
     return _enum_directed_keys(s) if directed else _enum_undirected_keys(s)
@@ -226,7 +217,7 @@ def build_state_graph(
         nloops = 0
         if kind == KIND_PSI:
             pos = g._pos
-            for (a, b), (c, d) in iter_nonadjacent_edge_pairs(g):
+            for (a, b), (c, d) in iter_nonadjacent_pairs(g):
                 for f1, f2 in (
                     (_ordered(a, c), _ordered(b, d)),
                     (_ordered(a, d), _ordered(b, c)),
@@ -234,28 +225,16 @@ def build_state_graph(
                     if f1 in pos or f2 in pos:
                         nloops += 1
                     else:
-                        mask = (
-                            (1 << pair_index(n, a, b))
-                            | (1 << pair_index(n, c, d))
-                            | (1 << pair_index(n, *f1))
-                            | (1 << pair_index(n, *f2))
-                        )
-                        dest = CanonicalKey(key.kind, n, key.bits ^ mask)
+                        dest = _destination(key, ((a, b), (c, d)), (f1, f2))
                         out[dest] = out.get(dest, 0) + 1
             nloops += 1  # one padding loop per state
         elif kind == KIND_PHI:
             pos = g._pos
-            for (a, b), (c, d) in iter_nonadjacent_arc_pairs(g):
+            for (a, b), (c, d) in iter_nonadjacent_pairs(g):
                 if (a, d) in pos or (c, b) in pos:
                     nloops += 1
                 else:
-                    mask = (
-                        (1 << arc_index(n, a, b))
-                        | (1 << arc_index(n, c, d))
-                        | (1 << arc_index(n, a, d))
-                        | (1 << arc_index(n, c, b))
-                    )
-                    dest = CanonicalKey(key.kind, n, key.bits ^ mask)
+                    dest = _destination(key, ((a, b), (c, d)), ((a, d), (c, b)))
                     out[dest] = out.get(dest, 0) + 1
             for v in range(n):
                 for u in g.in_list[v]:
@@ -274,15 +253,11 @@ def build_state_graph(
                             and (w, v) not in pos
                             and (u, w) not in pos
                         ):
-                            mask = (
-                                (1 << arc_index(n, u, v))
-                                | (1 << arc_index(n, v, w))
-                                | (1 << arc_index(n, w, u))
-                                | (1 << arc_index(n, v, u))
-                                | (1 << arc_index(n, w, v))
-                                | (1 << arc_index(n, u, w))
+                            dest = _destination(
+                                key,
+                                ((u, v), (v, w), (w, u)),
+                                ((v, u), (w, v), (u, w)),
                             )
-                            dest = CanonicalKey(key.kind, n, key.bits ^ mask)
                             out[dest] = out.get(dest, 0) + 1
                         else:
                             nloops += 1
@@ -299,13 +274,7 @@ def build_state_graph(
                 ):
                     nloops += 1
                 else:
-                    mask = (
-                        (1 << arc_index(n, a, b))
-                        | (1 << arc_index(n, c, d))
-                        | (1 << arc_index(n, a, d))
-                        | (1 << arc_index(n, c, b))
-                    )
-                    dest = CanonicalKey(key.kind, n, key.bits ^ mask)
+                    dest = _destination(key, ((a, b), (c, d)), ((a, d), (c, b)))
                     out[dest] = out.get(dest, 0) + 1
             nloops += 1  # one padding loop per state
         arcs[key] = out
@@ -316,6 +285,15 @@ def build_state_graph(
 
 def _ordered(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
+
+
+def _destination(key: CanonicalKey, removed, added) -> CanonicalKey:
+    """The state a move reaches from ``key``: each removed and added pair flips."""
+    index = pair_index if key.kind == UNDIRECTED else arc_index
+    mask = 0
+    for u, v in (*removed, *added):
+        mask |= 1 << index(key.n, u, v)
+    return CanonicalKey(key.kind, key.n, key.bits ^ mask)
 
 
 def rule_a_neighbors(sg: StateGraph) -> dict[CanonicalKey, set[CanonicalKey]]:
@@ -557,9 +535,7 @@ def empirical_transition_check(
         sg = build_state_graph(s, kind)
     run = _RUNS[_KIND_TO_MODE[kind]]
     universe = sg.universe
-    n = sg.n
     directed = kind != KIND_PSI
-    index = arc_index if directed else pair_index
 
     failures = []
     max_sigma = 0.0
@@ -577,11 +553,7 @@ def empirical_transition_check(
             res = (removed, added)
             dest = sig_dest.get(res)
             if dest is None:
-                mask = 0
-                for u, v in removed + added:
-                    mask |= 1 << index(n, u, v)
-                dest = CanonicalKey(key.kind, n, key.bits ^ mask)
-                sig_dest[res] = dest
+                dest = sig_dest[res] = _destination(key, removed, added)
             counts[dest] = counts.get(dest, 0) + 1
             for u, v in added:
                 remove(u, v)

@@ -18,7 +18,7 @@ from typing import Optional
 
 from . import arcswap
 from .chain import MODE_UNDIRECTED, ChainConfig, derive_seed, run_chain
-from .core import DegreeSequence, DiDegreeSequence, Digraph, Graph, canonical_key
+from .core import UNDIRECTED, DegreeSequence, DiDegreeSequence, Digraph, Graph, canonical_key
 from .errors import InvalidInputError
 from .realize import realize_directed, realize_undirected
 
@@ -58,12 +58,19 @@ def correct_frozen_arcs(
     }
 
 
-def _run_one(job):
-    """One chain from the shipped start graph (top level: picklable)."""
-    directed, n, g0_pairs, cfg = job
-    g0 = Digraph(n, g0_pairs) if directed else Graph(n, g0_pairs)
-    g = run_chain(g0, cfg).graph
-    return tuple(sorted(g.arcs() if directed else g.edges()))
+def run_one(job):
+    """One chain of an ensemble: ``(key_hex, moves, loops, sorted_final_pairs)``.
+
+    ``job`` is ``(kind, n, g0_pairs, cfg)``, with ``kind`` the graph kind of
+    the start graph.  Both ``stats`` and ``sample --runs`` fan this out
+    through :func:`map_runs`, so it is module-level (picklable).
+    """
+    kind, n, g0_pairs, cfg = job
+    g0 = Graph(n, g0_pairs) if kind == UNDIRECTED else Digraph(n, g0_pairs)
+    result = run_chain(g0, cfg)
+    g = result.graph
+    pairs = g.edges() if kind == UNDIRECTED else g.arcs()
+    return canonical_key(g).hex(), result.moves, result.loops, tuple(sorted(pairs))
 
 
 def map_runs(fn, jobs, workers: int, chunksize: int):
@@ -107,19 +114,18 @@ def ensemble_stats(
     g0 = realize_directed(s) if directed else realize_undirected(s)
     g0_pairs = tuple(g0.arcs() if directed else g0.edges())
     jobs = [
-        (directed, s.n, g0_pairs, ChainConfig(cfg.tau, cfg.mode, derive_seed(cfg.seed, i)))
+        (g0.kind, s.n, g0_pairs, ChainConfig(cfg.tau, cfg.mode, derive_seed(cfg.seed, i)))
         for i in range(runs)
     ]
 
     arc_counts: Counter = Counter()
     key_counts: Counter = Counter()
     motifs: Optional[Counter] = Counter() if directed else None
-    for pairs in map_runs(_run_one, jobs, workers, chunksize=64):
+    for key, _, _, pairs in map_runs(run_one, jobs, workers, chunksize=64):
         arc_counts.update(pairs)
-        g = Digraph(s.n, pairs) if directed else Graph(s.n, pairs)
-        key_counts[canonical_key(g).hex()] += 1
+        key_counts[key] += 1
         if directed:
-            motifs[count_directed_3cycles(g)] += 1
+            motifs[count_directed_3cycles(Digraph(s.n, pairs))] += 1
 
     freq = {arc: c / runs for arc, c in sorted(arc_counts.items())}
 

@@ -10,7 +10,14 @@ import math
 
 import pytest
 
-from degswap.core import DegreeSequence, DiDegreeSequence, Digraph, Graph, arc_index
+from degswap.core import (
+    AlternatingCycle,
+    DegreeSequence,
+    DiDegreeSequence,
+    Digraph,
+    Graph,
+    arc_index,
+)
 
 
 def subset_enum_undirected(s: DegreeSequence) -> list[frozenset]:
@@ -71,6 +78,35 @@ def oracle_cycle_sets(s: DiDegreeSequence, keys) -> list[tuple[int, int, int]]:
         if not cand:
             break
     return [t for (t, _, _, _) in cand]
+
+
+def swap_alternating_cycle(g: Graph | Digraph, c: AlternatingCycle):
+    """Flip presence along an alternating cycle in place; returns g.
+
+    One side of the cycle must be fully present and the other fully absent
+    (either side, so the flip is an involution).  The walks of
+    ``find_breaking_walk`` are checked by flipping them with this, which
+    shares no code with the chain's moves.
+    """
+    if c.kind != g.kind:
+        raise AssertionError(f"cycle kind {c.kind} does not match the graph")
+    if isinstance(g, Graph):
+        has, add, remove = g.has_edge, g._add_edge, g._remove_edge
+    else:
+        has, add, remove = g.has_arc, g._add_arc, g._remove_arc
+    left_in = [has(*e) for e in c.left]
+    right_in = [has(*e) for e in c.right]
+    if all(left_in) and not any(right_in):
+        present, absent = c.left, c.right
+    elif all(right_in) and not any(left_in):
+        present, absent = c.right, c.left
+    else:
+        raise AssertionError("cycle does not alternate present/absent in this graph")
+    for e in present:
+        remove(*e)
+    for e in absent:
+        add(*e)
+    return g
 
 
 def chi2_sf(x: float, df: int) -> float:

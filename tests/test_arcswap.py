@@ -5,9 +5,13 @@ import pytest
 from degswap import arcswap
 from degswap.core import DiDegreeSequence, Digraph, symmetric_difference
 from degswap.errors import InternalInconsistencyError, InvalidInputError, RealizationError
-from degswap.moves import swap_alternating_cycle
 from degswap.statespace import enumerate_realization_keys
-from .conftest import all_digraphical_sequences, mobile_blocked_instance, oracle_cycle_sets
+from .conftest import (
+    all_digraphical_sequences,
+    mobile_blocked_instance,
+    oracle_cycle_sets,
+    swap_alternating_cycle,
+)
 
 
 def _is_simple_symmetric(sd):

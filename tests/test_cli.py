@@ -351,7 +351,6 @@ DEFERRED = {
     "degswap.stats": "ensemble_stats",
     "degswap.statespace": "build_state_graph",
     "degswap.generators": "generate_blocked",
-    "degswap.moves": "try_2swap_directed",
 }
 
 LOADED_PROBE = """
@@ -409,3 +408,28 @@ def test_package_names_resolve_on_first_use():
 
     assert arcswap.recognize is degswap.recognize
     assert statespace.KIND_PHI == "phi" and degswap.statespace is statespace
+
+
+def test_submodule_table_matches_package_files():
+    # a module added to or deleted from the package must show in the table
+    import os
+
+    import degswap
+
+    here = os.path.dirname(degswap.__file__)
+    files = {f[:-3] for f in os.listdir(here) if f.endswith(".py")}
+    assert degswap._SUBMODULES == files - {"__init__", "__main__"}
+
+
+def test_stats_and_sample_runs_share_one_job(capsys):
+    # both commands fan out the same per-run job, so equal degrees, mode,
+    # tau, seed and run count give equal visit frequencies
+    for degrees, mode in (("1/1 1/1 1/1 1/1", "full"), ("1 1 1 1 2 2", "undirected")):
+        args = ("--degrees", degrees, "--mode", mode, "--tau", "300", "--seed", "5")
+        code, stats_out, _ = run_cli(capsys, "stats", *args, "--runs", "40")
+        assert code == 0
+        code, sample_out, _ = run_cli(capsys, "sample", *args, "--runs", "40")
+        assert code == 0
+        visits = json.loads(stats_out)["visit_frequency"]
+        assert len(visits) > 1
+        assert json.loads(sample_out)["visit_frequency"] == visits

@@ -18,8 +18,8 @@ from degswap.core import (
     symmetric_difference,
 )
 from degswap.errors import InvalidInputError
-from degswap.moves import swap_alternating_cycle
 from degswap.statespace import enumerate_realizations
+from .conftest import swap_alternating_cycle
 
 
 def test_sequence_validation():

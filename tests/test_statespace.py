@@ -1,5 +1,4 @@
 import dataclasses
-import os
 from statistics import NormalDist
 
 import pytest
@@ -8,7 +7,6 @@ from degswap import arcswap
 from degswap.core import DegreeSequence, DiDegreeSequence, canonical_key
 from degswap.errors import ResourceLimitError
 from degswap.statespace import (
-    MAX_N_ENV_VAR,
     build_state_graph,
     check_diameter_bounds,
     check_properties,
@@ -51,11 +49,6 @@ def test_enumerate_resource_limit():
         enumerate_realizations(DiDegreeSequence(((1, 1),) * 7))
     # explicit override wins
     assert len(enumerate_realizations(DiDegreeSequence(((0, 0),) * 7), max_n=7)) == 1
-    os.environ[MAX_N_ENV_VAR] = "7"
-    try:
-        assert len(enumerate_realizations(DiDegreeSequence(((0, 0),) * 7))) == 1
-    finally:
-        del os.environ[MAX_N_ENV_VAR]
 
 
 def test_psi_matchings():
