@@ -12,10 +12,9 @@ import argparse
 import importlib.util
 import json
 import sys
-from dataclasses import replace
 from typing import Optional
 
-from .chain import DEFAULT_SEED, MODE_FULL, MODE_PLAIN, MODE_UNDIRECTED, ChainConfig, derive_seed, run_chain
+from .chain import DEFAULT_SEED, MODE_FULL, MODE_PLAIN, MODE_UNDIRECTED, ChainConfig, run_chain
 from .core import (
     DegreeSequence,
     DiDegreeSequence,
@@ -162,23 +161,7 @@ def _cmd_sample(args) -> int:
         )
         return EXIT_OK
 
-    pairs = tuple(g0.edges() if isinstance(g0, Graph) else g0.arcs())
-    jobs = [
-        (g0.kind, g0.n, pairs, replace(cfg, seed=derive_seed(seed, i)))
-        for i in range(args.runs)
-    ]
-    visits: dict[str, int] = {}
-    moves = loops = 0
-    outcomes = stats.map_runs(stats.run_one, jobs, args.workers, chunksize=16)
-    for key, mv, lp, final_pairs in outcomes:
-        visits[key] = visits.get(key, 0) + 1
-        moves += mv
-        loops += lp
-    final = (
-        Graph(g0.n, final_pairs)
-        if g0.kind == "undirected"
-        else Digraph(g0.n, final_pairs)
-    )
+    total = stats.run_ensemble(g0, cfg, args.runs, args.workers)
     _emit(
         json.dumps(
             {
@@ -186,12 +169,12 @@ def _cmd_sample(args) -> int:
                 "tau": args.tau,
                 "seed": seed,
                 "runs": args.runs,
-                "moves": moves,
-                "loops": loops,
+                "moves": total.moves,
+                "loops": args.runs * args.tau - total.moves,
                 "visit_frequency": {
-                    k: v / args.runs for k, v in sorted(visits.items())
+                    k: v / args.runs for k, v in sorted(total.keys.items())
                 },
-                "final": _graph_json(final),
+                "final": _graph_json(type(g0)(g0.n, total.last)),
             },
             indent=2,
         )
@@ -282,14 +265,11 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    if args.edgelist is not None:
-        s = parse_edgelist(_read_text(args.edgelist)).degree_sequence()
-    else:
-        s = _load_sequence(args)
+    g0, s = _load_graph_or_sequence(args)
     mode = _mode_for(args, s)
     seed = _parse_seed(args.seed)
     cfg = ChainConfig(tau=args.tau, mode=mode, seed=seed)
-    report = stats.ensemble_stats(s, cfg, args.runs, workers=args.workers)
+    report = stats.ensemble_stats(s, cfg, args.runs, workers=args.workers, g0=g0)
     payload = {
         "mode": mode,
         "tau": args.tau,

@@ -1,19 +1,21 @@
 """Ensemble statistics over many independent chain runs.
 
-Runs K chains with split seeds, then aggregates per-arc presence
-frequencies and the induced-directed-3-cycle (motif) count distribution of
-the sampled realizations.  For swap-only sampling of a non-arc-swap
-sequence, the per-arc frequencies are additionally bias-corrected: arcs of
-induced cycle sets sit frozen at frequency 1 (their reversals at 0) inside
-one state-graph component, while unbiased sampling would give both 1/2.
+Runs K chains from one start graph with split seeds, one block of runs per
+worker process, then aggregates per-arc presence frequencies and the
+induced-directed-3-cycle (motif) count distribution of the sampled
+realizations.  For swap-only sampling of a non-arc-swap sequence, the
+per-arc frequencies are additionally bias-corrected: arcs of induced cycle
+sets sit frozen at frequency 1 (their reversals at 0) inside one
+state-graph component, while unbiased sampling would give both 1/2.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from . import arcswap
@@ -58,37 +60,78 @@ def correct_frozen_arcs(
     }
 
 
-def run_one(job):
-    """One chain of an ensemble: ``(key_hex, moves, loops, sorted_final_pairs)``.
+@dataclass
+class Ensemble:
+    """Counts merged over a block of an ensemble's runs, or over all of them."""
 
-    ``job`` is ``(kind, n, g0_pairs, cfg)``, with ``kind`` the graph kind of
-    the start graph.  Both ``stats`` and ``sample --runs`` fan this out
-    through :func:`map_runs`, so it is module-level (picklable).
+    keys: Counter = field(default_factory=Counter)  # canonical key hex -> runs
+    arcs: Counter = field(default_factory=Counter)  # final pair -> runs (tally)
+    motifs: Counter = field(default_factory=Counter)  # induced 3-cycles -> runs (tally)
+    moves: int = 0  # each of the runs' tau steps is a move or a loop
+    last: Optional[tuple] = None  # sorted final pairs of run ``runs - 1``
+
+    def merge(self, later: "Ensemble") -> "Ensemble":
+        """Add the counts of the block that follows this one."""
+        for name in ("keys", "arcs", "motifs"):
+            getattr(self, name).update(getattr(later, name))
+        self.moves += later.moves
+        self.last = later.last
+        return self
+
+
+_pool_g0 = None  # a pool process's start graph, built once by its initializer
+
+
+def _build_pool_g0(graph_type: type, n: int, pairs: tuple) -> None:
+    global _pool_g0
+    _pool_g0 = graph_type(n, pairs)
+
+
+def _run_block(block, g0=None) -> Ensemble:
+    """Runs ``lo .. hi - 1`` of ``block = (lo, hi, cfg, runs, tally)``, merged.
+
+    ``run_chain`` (config as second positional argument) and
+    ``count_directed_3cycles`` are module globals: a tracer that rebinds
+    them sees every run, in pool processes too.
     """
-    kind, n, g0_pairs, cfg = job
-    g0 = Graph(n, g0_pairs) if kind == UNDIRECTED else Digraph(n, g0_pairs)
-    result = run_chain(g0, cfg)
-    g = result.graph
-    pairs = g.edges() if kind == UNDIRECTED else g.arcs()
-    return canonical_key(g).hex(), result.moves, result.loops, tuple(sorted(pairs))
+    lo, hi, cfg, runs, tally = block
+    g0 = _pool_g0 if g0 is None else g0
+    directed = g0.kind != UNDIRECTED
+    out = Ensemble()
+    for i in range(lo, hi):
+        result = run_chain(g0, ChainConfig(cfg.tau, cfg.mode, derive_seed(cfg.seed, i)))
+        g = result.graph
+        out.keys[canonical_key(g).hex()] += 1
+        out.moves += result.moves
+        pairs = g.arcs() if directed else g.edges()
+        if tally:
+            out.arcs.update(pairs)
+            if directed:
+                out.motifs[count_directed_3cycles(g)] += 1
+        if i == runs - 1:
+            out.last = tuple(sorted(pairs))
+    return out
 
 
-def map_runs(fn, jobs, workers: int, chunksize: int):
-    """Yield ``fn(job)`` for each job, in job order, as the results arrive.
+def run_ensemble(
+    g0: Graph | Digraph, cfg: ChainConfig, runs: int, workers: int, tally: bool = False
+) -> Ensemble:
+    """Chains ``0 .. runs - 1`` from g0, chain ``i`` seeded ``derive_seed(cfg.seed, i)``.
 
-    The jobs run on a process pool of ``min(workers, len(jobs), CPUs)``
-    processes when that is more than one, so ``fn`` must be a module-level
-    function; the cap matters because a pool may start all of its processes
-    on the first submit.  Callers aggregate while iterating, so no list of
-    all results is ever held.
+    ``tally`` adds the arc and motif counts.  The runs are cut into ``size =
+    min(workers, runs, CPUs)`` contiguous blocks, one per process; the cap
+    matters because a fork pool starts all of its processes at once.  g0's
+    pairs reach each pool process once, through its initializer, and each
+    block sends back one merged :class:`Ensemble`.
     """
-    size = min(workers, len(jobs), os.cpu_count() or 1)
-    if size > 1:
-        with ProcessPoolExecutor(max_workers=size) as pool:
-            yield from pool.map(fn, jobs, chunksize=chunksize)
-    else:
-        for job in jobs:
-            yield fn(job)
+    size = min(workers, runs, os.cpu_count() or 1)
+    blocks = [(runs * b // size, runs * (b + 1) // size, cfg, runs, tally) for b in range(size)]
+    if size == 1:
+        return _run_block(blocks[0], g0)
+    init = (type(g0), g0.n, tuple(g0.edges() if g0.kind == UNDIRECTED else g0.arcs()))
+    with ProcessPoolExecutor(size, initializer=_build_pool_g0, initargs=init) as pool:
+        # in block order, so ``last`` ends up from the last block
+        return functools.reduce(Ensemble.merge, pool.map(_run_block, blocks))
 
 
 def ensemble_stats(
@@ -96,12 +139,12 @@ def ensemble_stats(
     cfg: ChainConfig,
     runs: int,
     workers: int = 1,
+    g0: Optional[Graph | Digraph] = None,
 ) -> StatsReport:
-    """Aggregate K independent chains; deterministic in (cfg.seed, runs).
+    """Aggregate K independent chains from g0; deterministic in (g0, cfg.seed, runs).
 
-    g0 is realized once; every chain starts from its insertion-ordered pair
-    list.  Chain ``index`` uses the split seed ``derive_seed(cfg.seed,
-    index)``, so the aggregate is independent of worker scheduling.
+    g0 defaults to the greedy realization of ``s``; a given g0 must realize
+    ``s``.  The aggregate does not depend on ``workers``.
     """
     directed = isinstance(s, DiDegreeSequence)
     if directed == (cfg.mode == MODE_UNDIRECTED):
@@ -111,23 +154,10 @@ def ensemble_stats(
     if workers < 1:
         raise InvalidInputError("workers must be >= 1")
 
-    g0 = realize_directed(s) if directed else realize_undirected(s)
-    g0_pairs = tuple(g0.arcs() if directed else g0.edges())
-    jobs = [
-        (g0.kind, s.n, g0_pairs, ChainConfig(cfg.tau, cfg.mode, derive_seed(cfg.seed, i)))
-        for i in range(runs)
-    ]
-
-    arc_counts: Counter = Counter()
-    key_counts: Counter = Counter()
-    motifs: Optional[Counter] = Counter() if directed else None
-    for key, _, _, pairs in map_runs(run_one, jobs, workers, chunksize=64):
-        arc_counts.update(pairs)
-        key_counts[key] += 1
-        if directed:
-            motifs[count_directed_3cycles(Digraph(s.n, pairs))] += 1
-
-    freq = {arc: c / runs for arc, c in sorted(arc_counts.items())}
+    if g0 is None:
+        g0 = realize_directed(s) if directed else realize_undirected(s)
+    total = run_ensemble(g0, cfg, runs, workers, tally=True)
+    freq = {arc: c / runs for arc, c in sorted(total.arcs.items())}
 
     corrected = None
     if directed and cfg.mode == "plain":
@@ -136,7 +166,7 @@ def ensemble_stats(
     return StatsReport(
         runs=runs,
         arc_frequency=freq,
-        motif_counts=motifs,
+        motif_counts=total.motifs if directed else None,
         corrected_frequency=corrected,
-        final_keys=key_counts,
+        final_keys=total.keys,
     )

@@ -208,20 +208,34 @@ def test_enumerate_max_n_override(capsys):
 
 
 def test_sample_workers_match_serial(capsys):
-    args = (
-        "sample",
-        "--degrees",
-        "1/1 1/1 1/1 1/1",
-        "--mode",
-        "plain",
-        "--tau",
-        "200",
-        "--runs",
-        "12",
+    # stdout does not depend on how the runs are split over pool processes
+    for sub, degrees, mode in (
+        ("sample", "1/1 1/1 1/1 1/1", "plain"),
+        ("stats", "1/1 1/1 1/1 1/1", "full"),
+        ("stats", "3/3 3/3 3/3 5/5 5/5 1/1 1/1", "plain"),
+        ("stats", "1 1 1 1 2 2", "undirected"),
+    ):
+        for runs in ("3", "10", "12"):
+            args = (sub, "--degrees", degrees, "--mode", mode, "--tau", "200", "--runs", runs)
+            code, serial, _ = run_cli(capsys, *args, "--workers", "1")
+            assert code == 0
+            _, parallel, _ = run_cli(capsys, *args, "--workers", "2")
+            assert serial == parallel
+
+
+def test_stats_starts_from_the_given_edgelist(tmp_path, capsys):
+    # 0->2->1->0 is a frozen state of the swap-only chain; a re-realized
+    # start would be the other orientation, 0->1->2->0
+    path = tmp_path / "cycle.txt"
+    path.write_text("directed n=3\n0 2\n2 1\n1 0\n")
+    code, out, _ = run_cli(
+        capsys, "stats", "--edgelist", str(path), "--mode", "plain", "--runs", "5"
     )
-    _, serial, _ = run_cli(capsys, *args, "--workers", "1")
-    _, parallel, _ = run_cli(capsys, *args, "--workers", "2")
-    assert serial == parallel
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["arc_frequency"] == {"0 2": 1.0, "1 0": 1.0, "2 1": 1.0}
+    assert payload["motif_counts"] == {"1": 5}
+    assert set(payload["corrected_frequency"].values()) == {0.5}
 
 
 def test_entropy_seed_runs(capsys):
@@ -310,12 +324,17 @@ def test_sample_and_stats_reject_nonpositive_workers(capsys):
 
 
 class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its size, runs jobs in-process."""
+    """Stands in for ProcessPoolExecutor: records its size, runs jobs in-process.
+
+    Like a pool process, it calls the initializer before the first job.
+    """
 
     sizes: list = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer=None, initargs=()):
         RecordingPool.sizes.append(max_workers)
+        self.initializer = initializer
+        self.initargs = initargs
 
     def __enter__(self):
         return self
@@ -324,6 +343,8 @@ class RecordingPool:
         return False
 
     def map(self, fn, jobs, chunksize=1):
+        if self.initializer is not None:
+            self.initializer(*self.initargs)
         return map(fn, jobs)
 
 

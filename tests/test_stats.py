@@ -1,9 +1,10 @@
 import pytest
 
-from degswap.chain import ChainConfig
+from degswap.chain import ChainConfig, derive_seed, run_chain
 from degswap.core import DegreeSequence, DiDegreeSequence, Digraph
 from degswap.errors import InvalidInputError
-from degswap.stats import count_directed_3cycles, ensemble_stats
+from degswap.realize import realize_directed
+from degswap.stats import count_directed_3cycles, ensemble_stats, run_ensemble
 from .conftest import mobile_blocked_instance
 
 
@@ -68,9 +69,43 @@ def test_mode_mismatch():
 
 
 def test_workers_agree_with_serial():
-    s = DiDegreeSequence(((1, 1),) * 3)
-    cfg = ChainConfig(tau=300, mode="full", seed=17)
-    serial = ensemble_stats(s, cfg, runs=24, workers=1)
-    parallel = ensemble_stats(s, cfg, runs=24, workers=2)
-    assert serial.arc_frequency == parallel.arc_frequency
-    assert serial.final_keys == parallel.final_keys
+    # 5 and 24 runs split into two blocks, one per pool process; 1 run
+    # takes the serial path either way
+    cases = [
+        (DiDegreeSequence(((1, 1),) * 3), ChainConfig(tau=300, mode="full", seed=17)),
+        (mobile_blocked_instance().degree_sequence(), ChainConfig(tau=300, mode="plain", seed=17)),
+        (DegreeSequence((1, 1, 1, 1, 2, 2)), ChainConfig(tau=300, mode="undirected", seed=17)),
+    ]
+    for s, cfg in cases:
+        for runs in (1, 5, 24):
+            serial = ensemble_stats(s, cfg, runs=runs, workers=1)
+            parallel = ensemble_stats(s, cfg, runs=runs, workers=2)
+            assert serial.arc_frequency == parallel.arc_frequency
+            assert serial.final_keys == parallel.final_keys
+            assert serial.motif_counts == parallel.motif_counts
+            assert serial.corrected_frequency == parallel.corrected_frequency
+            assert (serial.motif_counts is None) == (cfg.mode == "undirected")
+            assert (serial.corrected_frequency is None) == (cfg.mode != "plain")
+
+
+def test_one_run_chain_call_per_run_in_index_order(monkeypatch):
+    # the benchmark's trace counts chains by wrapping ``degswap.stats.run_chain``
+    # and reads tau from its second positional argument
+    calls = []
+
+    def counting(*args, **kwargs):
+        assert len(args) == 2 and not kwargs
+        calls.append(args[1])
+        return run_chain(*args)
+
+    monkeypatch.setattr("degswap.stats.run_chain", counting)
+    s = DiDegreeSequence(((1, 1),) * 4)
+    cfg = ChainConfig(tau=40, mode="full", seed=23)
+    g0 = realize_directed(s)
+    for call in (
+        lambda: ensemble_stats(s, cfg, runs=7, workers=1),
+        lambda: run_ensemble(g0, cfg, runs=7, workers=1),
+    ):
+        calls.clear()
+        call()
+        assert calls == [ChainConfig(40, "full", derive_seed(23, i)) for i in range(7)]
