@@ -45,6 +45,23 @@ rejection sampler ``_make_randbelow`` would, which it keeps only for the
 variable-size proper 2-path list, so walks and the final generator state
 depend on the draws alone.
 
+Dense input walks the complement.  A 2-swap of G is a 2-swap of its
+complement H, and a reorientation of an induced directed 3-cycle of G is
+the reverse reorientation in H, so the state graph of the complement
+sequence, mapped through H -> complement(H), has exactly the move arcs of
+the state graph of the sequence, each once.  When more pairs are present
+than absent, :func:`run_chain` computes the complement sequence's walk
+degree from the degrees alone (O(n)); if it is below g0's walk degree d,
+the run steps the complement under its own universe but draws each slot
+from d, every slot past the complement's elements being a loop, and
+complements the result back.  Each move arc keeps probability exactly 1/d,
+so the transition matrix is the direct walk's at a fraction of the step
+cost: a near-complete digraph, whose direct steps are almost all gate
+rejections, becomes a sparse one whose steps are almost all padding loops.
+Sparse input pays one integer comparison, and ties stay on the direct
+walk.  A switched run draws differently from a direct one, so its output
+for a given seed differs; a run that does not switch draws as before.
+
 A loop also takes a private ``on_move(t, removed, added)`` hook, called
 after every move and never after a loop, with the step index and the
 edge/arc tuples taken out and put in.  The hook may restore the graph
@@ -239,24 +256,28 @@ def _proper_stubs(g: Digraph) -> list[tuple[int, int, int]]:
 # ---------------------------------------------------------------------------
 # the step loops
 #
-# _run_<mode>(g, universe, rng, tau, on_move=None) runs tau steps on g in
-# place and returns the number of moves; rng is the random.Random and
-# on_move follows the module docstring.  Each fixed-bound integer (the slot
-# count d, the m(m-1) ordered list-slot pairs and, in full, the n_2paths
-# stubs) is ``r = grb(k)`` with the bound's bit length k computed once, then
-# ``while r >= bound: r = grb(k)``: the getrandbits calls _make_randbelow
-# would make, in the same order.  _make_randbelow draws nothing for a bound
-# of 1, so d == 1 swaps grb for _zero; the other fixed bounds exceed 1
-# whenever they are drawn.
+# _run_<mode>(g, universe, rng, tau, on_move=None, walk_degree=None) runs
+# tau steps on g in place and returns the number of moves; rng is the
+# random.Random and on_move follows the module docstring.  The slot count d
+# is walk_degree, by default the universe's own; every slot past the
+# universe's elements is a loop, so a larger d pads the walk with loops.
+# Each fixed-bound integer (the slot count d, the m(m-1) ordered list-slot
+# pairs and, in full, the n_2paths stubs) is ``r = grb(k)`` with the bound's
+# bit length k computed once, then ``while r >= bound: r = grb(k)``: the
+# getrandbits calls _make_randbelow would make, in the same order.
+# _make_randbelow draws nothing for a bound of 1, so d == 1 swaps grb for
+# _zero; the other fixed bounds exceed 1 whenever they are drawn.
 
 
 def _zero(k: int) -> int:
     return 0
 
 
-def _run_undirected(g: Graph, universe, rng, tau: int, on_move=None) -> int:
-    d = 2 * universe.n_pairs + 1
-    loop_slot = d - 1
+def _run_undirected(
+    g: Graph, universe, rng, tau: int, on_move=None, walk_degree=None
+) -> int:
+    loop_start = 2 * universe.n_pairs
+    d = loop_start + 1 if walk_degree is None else walk_degree
     pos = g._pos
     edges = g._edges
     swap = g._swap_edges
@@ -272,7 +293,7 @@ def _run_undirected(g: Graph, universe, rng, tau: int, on_move=None) -> int:
         slot = gd(kd)
         while slot >= d:
             slot = gd(kd)
-        if slot == loop_slot:
+        if slot >= loop_start:
             continue  # padding loop: keeps per-slot probability at 1/walk_degree
         while True:
             r = grb(km)
@@ -302,9 +323,11 @@ def _run_undirected(g: Graph, universe, rng, tau: int, on_move=None) -> int:
     return moves
 
 
-def _run_plain(g: Digraph, universe, rng, tau: int, on_move=None) -> int:
-    d = universe.n_pairs + universe.n_2paths + 1
-    loop_slot = d - 1
+def _run_plain(
+    g: Digraph, universe, rng, tau: int, on_move=None, walk_degree=None
+) -> int:
+    loop_start = universe.n_pairs + universe.n_2paths
+    d = loop_start + 1 if walk_degree is None else walk_degree
     pos = g._pos
     arcs = g._arcs
     swap = g._swap_arcs
@@ -320,7 +343,7 @@ def _run_plain(g: Digraph, universe, rng, tau: int, on_move=None) -> int:
         slot = gd(kd)
         while slot >= d:
             slot = gd(kd)
-        if slot == loop_slot:
+        if slot >= loop_start:
             continue  # padding loop
         while True:
             r = grb(km)
@@ -344,11 +367,13 @@ def _run_plain(g: Digraph, universe, rng, tau: int, on_move=None) -> int:
     return moves
 
 
-def _run_full(g: Digraph, universe, rng, tau: int, on_move=None) -> int:
+def _run_full(
+    g: Digraph, universe, rng, tau: int, on_move=None, walk_degree=None
+) -> int:
     n_pairs = universe.n_pairs
     n_2paths = universe.n_2paths
     # sink/source-only sequences (no 2-paths) carry one padding loop
-    d = n_pairs + n_2paths + (1 if n_2paths == 0 else 0)
+    d = universe.walk_degree if walk_degree is None else walk_degree
     cum = universe.twopath_cum
     pos = g._pos
     arcs = g._arcs
@@ -450,18 +475,37 @@ _RUNS = {
 }
 
 
+_UNIVERSES = {
+    MODE_UNDIRECTED: MoveUniverse.undirected,
+    MODE_FULL: MoveUniverse.directed_full,
+    MODE_PLAIN: MoveUniverse.directed_plain,
+}
+
+
 def universe_for(g: Graph | Digraph, mode: str) -> MoveUniverse:
     if mode == MODE_UNDIRECTED:
         if not isinstance(g, Graph):
             raise InvalidInputError("undirected mode needs an undirected graph")
-        return MoveUniverse.undirected(g.degree_sequence())
-    if not isinstance(g, Digraph):
+    elif not isinstance(g, Digraph):
         raise InvalidInputError(f"{mode} mode needs a digraph")
-    if mode == MODE_FULL:
-        return MoveUniverse.directed_full(g.degree_sequence())
-    if mode == MODE_PLAIN:
-        return MoveUniverse.directed_plain(g.degree_sequence())
-    raise InvalidInputError(f"unknown mode {mode!r}")
+    elif mode not in _UNIVERSES:
+        raise InvalidInputError(f"unknown mode {mode!r}")
+    return _UNIVERSES[mode](g.degree_sequence())
+
+
+def complement_universe(g: Graph | Digraph, universe: MoveUniverse):
+    """The universe of g's complement when its walk degree is smaller, else None.
+
+    Only a dense g, with more present than absent pairs, can qualify; the
+    test then costs O(n), from the complement degrees alone.  Ties stay on
+    the direct walk.
+    """
+    n = g.n
+    grid = n * (n - 1) // 2 if universe.kind == MODE_UNDIRECTED else n * (n - 1)
+    if 2 * universe.m <= grid:
+        return None
+    bar = _UNIVERSES[universe.kind](g.degree_sequence().complement())
+    return bar if bar.walk_degree < universe.walk_degree else None
 
 
 def step_undirected(g: Graph, rng: random.Random, universe=None) -> bool:
@@ -498,6 +542,9 @@ class ChainConfig:
             raise InvalidInputError("tau must be >= 0")
         if self.mode not in _RUNS:
             raise InvalidInputError(f"unknown mode {self.mode!r}")
+        if self.seed < 0:
+            # random.Random(-s) is random.Random(s): two seeds, one walk
+            raise InvalidInputError("seed must be >= 0")
 
 
 @dataclass
@@ -511,33 +558,49 @@ class ChainResult:
 def run_chain(
     g0: Graph | Digraph, cfg: ChainConfig, check_invariants: bool = False
 ) -> ChainResult:
-    """Run tau steps from a copy of g0; deterministic given (g0, seed).
+    """Run tau steps from g0; deterministic given (g0, seed).
+
+    The run walks a copy of g0, or g0's complement when that walk is shorter
+    (:func:`complement_universe`), padded to g0's walk degree and
+    complemented back at the end; the two have the same transition matrix.
 
     With ``check_invariants`` the start state and the state after every move
-    check the graph's index structures against its edge/arc list, then
-    re-derive the degree sequence and the universe counts and assert
-    constancy (a loop leaves the graph, and so the counts, unchanged).
+    check the walked graph's index structures against its edge/arc list,
+    then re-derive its degree sequence and universe counts and assert
+    constancy (a loop leaves the graph, and so the counts, unchanged).  A
+    trace records g0's side: the complement of each key on a complement
+    walk.
     """
     universe = universe_for(g0, cfg.mode)
-    g = g0.copy()
+    walked = complement_universe(g0, universe)
+    if walked is None:
+        walked, g, key = universe, g0.copy(), canonical_key
+    else:
+        g = g0.complement()
+
+        def key(h):
+            return canonical_key(h).complement()
+
     rng = random.Random(cfg.seed)
-    trace = [canonical_key(g)] if cfg.record_trace else None
+    trace = [key(g)] if cfg.record_trace else None
     on_move = None
     if trace is not None or check_invariants:
-        s0 = g0.degree_sequence()
+        s0 = g.degree_sequence()
 
         def on_move(t, removed, added):
             if trace is not None:
                 # loop steps repeat the previous key: entry t + 1 is step t
                 trace.extend([trace[-1]] * (t - len(trace) + 1))
-                trace.append(canonical_key(g))
+                trace.append(key(g))
             if check_invariants:
-                _check_invariants(g, universe, s0)
+                _check_invariants(g, walked, s0)
 
         if check_invariants:
-            _check_invariants(g, universe, s0)
+            _check_invariants(g, walked, s0)
 
-    moves = _RUNS[cfg.mode](g, universe, rng, cfg.tau, on_move)
+    moves = _RUNS[cfg.mode](g, walked, rng, cfg.tau, on_move, universe.walk_degree)
+    if walked is not universe:
+        g = g.complement()
     if trace is not None:
         trace.extend([trace[-1]] * (cfg.tau + 1 - len(trace)))
     return ChainResult(g, moves, cfg.tau - moves, trace)

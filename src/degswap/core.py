@@ -54,6 +54,11 @@ class DegreeSequence:
         """Edge count of any realization (total degree halved)."""
         return self.total // 2
 
+    def complement(self) -> "DegreeSequence":
+        """Degrees of the complement of a realization: n - 1 - d each."""
+        n = self.n
+        return DegreeSequence(n - 1 - d for d in self.degrees)
+
     def __iter__(self) -> Iterator[int]:
         return iter(self.degrees)
 
@@ -88,6 +93,11 @@ class DiDegreeSequence:
     def m(self) -> int:
         """Arc count of any realization (the common out/in total)."""
         return sum(self.outs)
+
+    def complement(self) -> "DiDegreeSequence":
+        """Degrees of the complement of a realization: (n - 1 - a, n - 1 - b) each."""
+        n = self.n
+        return DiDegreeSequence((n - 1 - a, n - 1 - b) for a, b in self.pairs)
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
         return iter(self.pairs)
@@ -163,6 +173,16 @@ class Graph:
         g.degree = list(self.degree)
         g._edges = list(self._edges)
         g._pos = dict(self._pos)
+        return g
+
+    def complement(self) -> "Graph":
+        """The graph of exactly the absent pairs, in lexicographic order: O(n^2)."""
+        n, pos = self.n, self._pos
+        g = Graph(n)
+        for u in range(n):
+            for v in range(u + 1, n):
+                if (u, v) not in pos:
+                    g._add_edge(u, v)
         return g
 
     def __eq__(self, other) -> bool:
@@ -317,6 +337,16 @@ class Digraph:
         g._pos = dict(self._pos)
         g._oslot = list(self._oslot)
         g._islot = list(self._islot)
+        return g
+
+    def complement(self) -> "Digraph":
+        """The digraph of exactly the absent arcs, in lexicographic order: O(n^2)."""
+        n, pos = self.n, self._pos
+        g = Digraph(n)
+        for u in range(n):
+            for v in range(n):
+                if u != v and (u, v) not in pos:
+                    g._add_arc(u, v)
         return g
 
     def __eq__(self, other) -> bool:
@@ -505,6 +535,11 @@ class CanonicalKey:
 
     def hex(self) -> str:
         return format(self.bits, "x")
+
+    def complement(self) -> "CanonicalKey":
+        """Key of the complement graph: every grid bit flipped."""
+        size = self.n * (self.n - 1) // (2 if self.kind == UNDIRECTED else 1)
+        return CanonicalKey(self.kind, self.n, self.bits ^ ((1 << size) - 1))
 
 
 def pair_index(n: int, u: int, v: int) -> int:

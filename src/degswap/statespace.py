@@ -25,9 +25,11 @@ from .chain import (
     MODE_UNDIRECTED,
     MoveUniverse,
     _RUNS,
+    _UNIVERSES,
     derive_seed,
     iter_nonadjacent_pairs,
     iter_role_disjoint_arc_pairs,
+    universe_for,
 )
 from .core import (
     UNDIRECTED,
@@ -201,12 +203,7 @@ def build_state_graph(
     keys = sorted(canonical_key(g) for g in graphs)
     realizations = {canonical_key(g): g for g in graphs}
 
-    if kind == KIND_PSI:
-        universe = MoveUniverse.undirected(s)
-    elif kind == KIND_PHI:
-        universe = MoveUniverse.directed_full(s)
-    else:
-        universe = MoveUniverse.directed_plain(s)
+    universe = _UNIVERSES[_KIND_TO_MODE[kind]](s)
 
     arcs: dict[CanonicalKey, dict[CanonicalKey, int]] = {}
     loops: dict[CanonicalKey, int] = {}
@@ -523,24 +520,32 @@ def empirical_transition_check(
     seed: int = 0,
     sg: Optional[StateGraph] = None,
     tolerance_sigmas: float = 4.0,
+    complement: bool = False,
 ) -> ComparisonReport:
     """Single chain steps from every state vs. the explicit transition row.
 
     Runs ``steps_per_state`` one-step trials from each enumerated state
     through the sampling loop, undoing every move as it happens, and checks
     each destination count against its binomial expectation within
-    ``tolerance_sigmas``.
+    ``tolerance_sigmas``.  With ``complement`` each trial steps the state's
+    complement under the complement sequence's universe, padded to the
+    state graph's walk degree, as :func:`degswap.chain.run_chain` walks a
+    dense input.  A move flips its removed and added pairs alike, so the
+    complement's move names the state's destination directly.
     """
     if sg is None:
         sg = build_state_graph(s, kind)
-    run = _RUNS[_KIND_TO_MODE[kind]]
-    universe = sg.universe
+    mode = _KIND_TO_MODE[kind]
+    run = _RUNS[mode]
+    walk_degree = sg.universe.walk_degree
     directed = kind != KIND_PSI
 
     failures = []
     max_sigma = 0.0
     for idx, key in enumerate(sg.keys):
-        g = sg.realizations[key].copy()
+        g = sg.realizations[key]
+        g = g.complement() if complement else g.copy()
+        universe = universe_for(g, mode) if complement else sg.universe
         rng = random.Random(derive_seed(seed, idx))
         counts: dict[CanonicalKey, int] = {}
         sig_dest: dict = {}
@@ -560,7 +565,7 @@ def empirical_transition_check(
             for u, v in removed:
                 add(u, v)
 
-        moves = run(g, universe, rng, steps_per_state, on_move)
+        moves = run(g, universe, rng, steps_per_state, on_move, walk_degree)
         counts[key] = steps_per_state - moves
 
         row = sg.transition_row(key)

@@ -226,6 +226,32 @@ def test_criterion_3_structural_theorems(structural_sweep):
         )
 
 
+def test_complement_map_preserves_move_arcs(structural_sweep):
+    # G -> complement(G) maps the state graph of the complement sequence
+    # onto the sequence's own, move arc for move arc, each arc once: the
+    # premise of run_chain's padded complement walk on dense input
+    entries, psi_entries, _ = structural_sweep
+    t0 = time.perf_counter()
+    cases = [(e["sequence"], kind) for e in entries for kind in ("phi", "phibar")]
+    cases += [(e["sequence"], "psi") for e in psi_entries]
+    with_moves = 0
+    for s, kind in cases:
+        sg = build_state_graph(s, kind)
+        bar = build_state_graph(s.complement(), kind)
+        assert {k.complement() for k in bar.keys} == set(sg.keys), (kind, s)
+        arcs = {(x, y) for x, row in sg.arcs.items() for y in row}
+        mapped = {
+            (x.complement(), y.complement()) for x, row in bar.arcs.items() for y in row
+        }
+        assert mapped == arcs, (kind, s)
+        for h in (sg, bar):
+            assert all(m == 1 for row in h.arcs.values() for m in row.values()), (kind, s)
+        with_moves += bool(arcs)
+    assert len(cases) > 1900 and with_moves > 700
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 10.0, f"runtime {elapsed:.2f}s exceeds 10s"
+
+
 def test_criterion_4_diameter_bounds(structural_sweep):
     entries, psi_entries, sweep_elapsed = structural_sweep
     t0 = time.perf_counter()

@@ -5,13 +5,15 @@ import pytest
 from degswap.chain import (
     ChainConfig,
     MoveUniverse,
+    complement_universe,
     derive_seed,
     run_chain,
     step_directed_full,
     step_directed_plain,
     step_undirected,
+    universe_for,
 )
-from degswap.core import DegreeSequence, DiDegreeSequence, canonical_key
+from degswap.core import DegreeSequence, DiDegreeSequence, Digraph, Graph, canonical_key
 from degswap.errors import InvalidInputError
 from degswap.generators import BlockedInstanceSpec, generate_blocked
 from degswap.realize import realize_directed, realize_undirected
@@ -49,6 +51,8 @@ def test_chain_config_validation():
         ChainConfig(tau=-1, mode="plain")
     with pytest.raises(InvalidInputError):
         ChainConfig(tau=1, mode="sideways")
+    with pytest.raises(InvalidInputError):
+        ChainConfig(tau=1, mode="plain", seed=-5)
 
 
 def test_mode_kind_mismatch():
@@ -91,6 +95,95 @@ def _rejection_path_cases():
     ]
 
 
+def _complement_walk_cases():
+    # dense inputs whose complement walk is shorter: run_chain walks the
+    # complement, padded to the input's walk degree
+    return [
+        (realize_undirected(DegreeSequence((3, 3, 3, 3, 2, 2))), "undirected"),
+        (realize_directed(DiDegreeSequence(((2, 2),) * 4)), "full"),
+        (realize_directed(DiDegreeSequence(((3, 3),) * 5)), "full"),
+        (realize_directed(DiDegreeSequence(((3, 3),) * 5)), "plain"),
+    ]
+
+
+def test_dense_inputs_walk_the_complement():
+    for g0, mode in _complement_walk_cases():
+        u = universe_for(g0, mode)
+        bar = complement_universe(g0, u)
+        assert bar is not None and bar.walk_degree < u.walk_degree, mode
+        assert bar == universe_for(g0.complement(), mode)
+    # ties stay on the direct walk: as many absent pairs as present ones
+    # (the 3-cycle, example1), and equal walk degrees (K3 and, under full,
+    # the bidirected pair: complete graphs whose empty complements share
+    # their walk degree 1)
+    ties = [
+        (realize_directed(DiDegreeSequence(((1, 1),) * 3)), "full"),
+        (generate_blocked(BlockedInstanceSpec(blocks=1)), "plain"),
+        (realize_undirected(DegreeSequence((2, 2, 2))), "undirected"),
+        (Digraph(2, [(0, 1), (1, 0)]), "full"),
+    ]
+    for g0, mode in ties:
+        assert complement_universe(g0, universe_for(g0, mode)) is None, (g0, mode)
+    # sparse inputs never build the complement sequence
+    g0 = realize_undirected(DegreeSequence((1, 1, 1, 1)))
+    assert complement_universe(g0, universe_for(g0, "undirected")) is None
+
+
+def test_complete_and_one_short_inputs_loop_on_the_complement():
+    # m-bar = 0 and m-bar = 1: the complement walk has no element at all,
+    # every padded slot is a loop, and the result is the start graph
+    complete_graph = Graph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
+    complete_digraph = Digraph(4, [(u, v) for u in range(4) for v in range(4) if u != v])
+    one_short_graph = Graph(5, complete_graph.edges()[1:])
+    one_short_digraph = Digraph(4, complete_digraph.arcs()[1:])
+    for g0, modes in (
+        (complete_graph, ("undirected",)),
+        (one_short_graph, ("undirected",)),
+        (complete_digraph, ("full", "plain")),
+        (one_short_digraph, ("full", "plain")),
+    ):
+        for mode in modes:
+            u = universe_for(g0, mode)
+            assert complement_universe(g0, u).walk_degree == 1 < u.walk_degree
+            cfg = ChainConfig(tau=300, mode=mode, seed=2, record_trace=True)
+            res = run_chain(g0, cfg, check_invariants=True)
+            assert res.graph == g0 and res.graph is not g0
+            assert (res.moves, res.loops) == (0, 300)
+            assert set(res.trace) == {canonical_key(g0)}
+            res.graph._check_index()
+
+
+def test_switched_runs_step_with_the_direct_row():
+    # tau = 1 through run_chain itself, from one state per mode: the run pads
+    # the complement walk to the input's walk degree (unpadded, the loop
+    # share would drop from 1 - k/d to 1 - k/d-bar)
+    from degswap.statespace import build_state_graph
+
+    runs = 8000
+    for seed, (s, kind, mode) in enumerate(
+        (
+            (DegreeSequence((3, 3, 2, 2, 2)), "psi", "undirected"),
+            (DiDegreeSequence(((2, 2),) * 4), "phi", "full"),
+            (DiDegreeSequence(((2, 2),) * 4), "phibar", "plain"),
+        ),
+        start=81,
+    ):
+        sg = build_state_graph(s, kind)
+        key = sg.keys[0]
+        g0 = sg.realizations[key]
+        assert complement_universe(g0, sg.universe) is not None
+        counts = {}
+        for i in range(runs):
+            cfg = ChainConfig(tau=1, mode=mode, seed=derive_seed(seed, i))
+            dest = canonical_key(run_chain(g0, cfg).graph)
+            counts[dest] = counts.get(dest, 0) + 1
+        row = sg.transition_row(key)
+        assert set(counts) <= set(row), mode
+        for dest, p in row.items():
+            sigma = abs(counts.get(dest, 0) - runs * p) / (runs * p * (1 - p)) ** 0.5
+            assert sigma <= 4.0, (mode, dest, counts.get(dest, 0), runs * p)
+
+
 def test_move_hook_leaves_the_walk_unchanged():
     # traces and invariant checks ride on the sampling loop's per-move hook;
     # installing it must not change a single draw
@@ -102,7 +195,7 @@ def test_move_hook_leaves_the_walk_unchanged():
         (realize_directed(DiDegreeSequence(((1, 1),) * 4)), "plain"),
         (realize_directed(DiDegreeSequence(((2, 1), (1, 2), (1, 1), (1, 1)))), "full"),
         (realize_directed(DiDegreeSequence(((2, 2), (2, 2), (1, 1), (1, 1)))), "plain"),
-    ] + _rejection_path_cases()
+    ] + _rejection_path_cases() + _complement_walk_cases()
     for g0, mode in cases:
         for seed in range(4):
             cfg = ChainConfig(tau=600, mode=mode, seed=seed)
@@ -306,3 +399,27 @@ def test_rare_pair_long_walks_are_uniform():
         chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
         assert chi2_sf(chi2, df=states - 1) > 0.01, (mode, chi2)
         assert res.graph.degree_sequence() == g0.degree_sequence()
+
+
+def test_complement_walk_is_uniform():
+    # the nine realizations of (2, 2) x 4 are the complements of those of
+    # (1, 1) x 4; run_chain walks them on the complement, padded from walk
+    # degree 6 to 20, and must sample them uniformly
+    from degswap.statespace import enumerate_realization_keys
+    from .conftest import chi2_sf
+
+    s = DiDegreeSequence(((2, 2),) * 4)
+    keys = sorted(enumerate_realization_keys(s))
+    assert len(keys) == 9
+    g0 = realize_directed(s)
+    assert complement_universe(g0, universe_for(g0, "full")) is not None
+    counts = {}
+    runs, tau = 3000, 1200
+    for i in range(runs):
+        r = run_chain(g0, ChainConfig(tau=tau, mode="full", seed=derive_seed(79, i)))
+        assert r.graph.degree_sequence() == s
+        bits = canonical_key(r.graph).bits
+        counts[bits] = counts.get(bits, 0) + 1
+    expected = runs / 9
+    chi2 = sum((counts.get(k, 0) - expected) ** 2 / expected for k in keys)
+    assert chi2_sf(chi2, df=8) > 0.01, (sorted(counts.values()), chi2)

@@ -253,6 +253,19 @@ def test_entropy_seed_runs(capsys):
     assert json.loads(out)["moves"] >= 0
 
 
+def test_negative_seed_exits_2(capsys):
+    # random.Random(-5) is random.Random(5): a negative seed would silently
+    # repeat the walk of its absolute value
+    for sub in ("sample", "stats"):
+        code, out, err = run_cli(
+            capsys, sub, "--degrees", "1 1 1 1", "--tau", "10", "--seed", "-5"
+        )
+        assert code == 2 and out == ""
+        assert "seed" in json.loads(err)["error"]
+    code, _, _ = run_cli(capsys, "sample", "--degrees", "1 1 1 1", "--seed", "5")
+    assert code == 0
+
+
 def test_sample_rejects_nonpositive_runs(capsys):
     for runs in ("0", "-3"):
         code, out, err = run_cli(

@@ -4,6 +4,7 @@ from statistics import NormalDist
 import pytest
 
 from degswap import arcswap
+from degswap.chain import complement_universe
 from degswap.core import DegreeSequence, DiDegreeSequence, canonical_key
 from degswap.errors import ResourceLimitError
 from degswap.statespace import (
@@ -158,6 +159,27 @@ def test_empirical_transition_check_small():
         DiDegreeSequence(((2, 2),) * 3), "phi", steps_per_state=2000, seed=8
     )
     assert rep.ok and rep.max_abs_sigma == 0.0
+
+
+def test_complement_walk_matches_the_direct_rows():
+    # one padded complement step from every state against the direct
+    # transition row: the switched run_chain path has the direct kernel.
+    # (3, 3) x 5 has 44 states, antiparallel pairs in its complements and,
+    # under phi, 3-cycle reorientations; the psi sequence has 54 states.
+    cases = [
+        (DegreeSequence((3, 3, 3, 3, 2, 2)), "psi", 20000),
+        (DiDegreeSequence(((3, 3),) * 5), "phi", 40000),
+        (DiDegreeSequence(((3, 3),) * 5), "phibar", 40000),
+    ]
+    for seed, (s, kind, steps) in enumerate(cases, start=51):
+        sg = build_state_graph(s, kind)
+        g = sg.realizations[sg.keys[0]]
+        bar = complement_universe(g, sg.universe)
+        assert bar is not None and bar.walk_degree < sg.universe.walk_degree
+        rep = empirical_transition_check(
+            s, kind, steps_per_state=steps, seed=seed, sg=sg, complement=True
+        )
+        assert rep.ok, (kind, rep.failures[:5])
 
 
 def test_empirical_transition_check_rejection_paths():
