@@ -13,15 +13,14 @@ graph (see :mod:`degswap.statespace`): each state's walk degree counts one
 slot per selectable element plus the padding loop its state-graph rule adds.
 Loops are real steps; the graph just does not change.
 
-Antiparallel arc pairs need one bookkeeping subtlety to keep the universe
-size state-independent: a pair {(u,v),(v,u)} is a single adjacent arc pair
-but contributes two degenerate in/out stub 2-paths (u,v,u) and (v,u,v), so
-raw per-state counts drift by the number of such pairs.  The full walk
-therefore treats each antiparallel pair as exactly one selectable element (a
-loop; no swap or reorientation can use it), which makes every state's
-universe exactly ``n_pairs + n_2paths``.  The plain walk, having no 2-path
-category, draws from the pairs with distinct tails and distinct heads (the
-same count), looping on the members that do not admit a swap.
+Both directed walks draw from one pair universe: the arc pairs with
+distinct tails and distinct heads.  A state with ``anti`` antiparallel
+pairs holds ``n_pairs + anti`` vertex-disjoint pairs, ``n_2paths - 2 * anti``
+head-to-tail pairs (a proper 2-path u -> v -> w, u != w) and ``anti``
+antiparallel pairs, so every state holds exactly ``n_pairs + n_2paths``.
+``plain`` 2-swaps a vertex-disjoint pair and loops on the rest; ``full``
+also reorients a proper 2-path when it closes an induced directed 3-cycle,
+and an antiparallel pair admits neither move.
 
 A universe pair is drawn by rejection: two distinct edge/arc list slots
 uniformly, redrawn until they form a universe pair.  The loop keeps no
@@ -30,20 +29,14 @@ expected tries per draw: a few on most input, about 13 around the hub of a
 star with a matching beside it, and m / 2 on a star plus one edge.  A loop
 draws a pair only when its universe holds one, so the redraw ends.
 
-The 2-paths of ``full`` are indexed directly by cumulative weight when no
-antiparallel pair exists, by rejection when proper 2-paths are common, and
-otherwise from a list of the proper 2-paths, rebuilt after every move.
-
-Each mode has exactly one step loop (``_run_undirected``, ``_run_full``,
-``_run_plain``).  Sampling, the public ``step_*`` functions, traces,
-invariant checks and the one-step fidelity check of
-:mod:`degswap.statespace` all run through it.  A loop takes the
-``random.Random`` itself and draws every fixed-bound integer inline from
-``rng.getrandbits``, one call per draw with the bound's bit length hoisted
-out of the loop.  It consumes the generator exactly as the per-draw
-rejection sampler ``_make_randbelow`` would, which it keeps only for the
-variable-size proper 2-path list, so walks and the final generator state
-depend on the draws alone.
+There is one step loop per graph kind (``_run_undirected`` and
+``_run_directed``, which serves ``full`` and ``plain``).  Sampling, the
+public ``step_*`` functions, traces, invariant checks and the one-step
+fidelity check of :mod:`degswap.statespace` all run through it.  A loop
+takes the ``random.Random`` itself and draws every integer below a fixed
+bound from ``rng.getrandbits`` by rejection, one call per draw with the
+bound's bit length hoisted out of the loop, so walks and the final
+generator state depend on the draws alone.
 
 Dense input walks the complement.  A 2-swap of G is a 2-swap of its
 complement H, and a reorientation of an induced directed 3-cycle of G is
@@ -65,18 +58,15 @@ for a given seed differs; a run that does not switch draws as before.
 A loop also takes a private ``on_move(t, removed, added)`` hook, called
 after every move and never after a loop, with the step index and the
 edge/arc tuples taken out and put in.  The hook may restore the graph
-through the graph's own mutators: after every move, once the hook has
-returned, the loop drops its proper 2-path list and re-reads ``g.anti``
-(the only graph state its slot ranges depend on), so the next step sees the
-graph as the hook left it.
+through the graph's own mutators: the loop keeps no graph-derived state,
+so the next step sees the graph as the hook left it.
 """
 
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from .core import (
     CanonicalKey,
@@ -105,22 +95,6 @@ def derive_seed(base: int, index: int) -> int:
     return x ^ (x >> 31)
 
 
-def _make_randbelow(rng: random.Random) -> Callable[[int], int]:
-    """Exactly uniform integer in [0, n) via rejection on getrandbits."""
-    grb = rng.getrandbits
-
-    def randbelow(n: int) -> int:
-        if n <= 1:
-            return 0
-        k = (n - 1).bit_length()
-        r = grb(k)
-        while r >= n:
-            r = grb(k)
-        return r
-
-    return randbelow
-
-
 # ---------------------------------------------------------------------------
 # the selection universe
 
@@ -134,19 +108,18 @@ class MoveUniverse:
     """Constant-size selection universe of one chain step.
 
     The counts depend on the degree sequence only; that constancy makes the
-    walk degree uniform across states.  Directed counts are antiparallel
-    corrected: a state with ``anti`` antiparallel pairs has
-    ``n_pairs + anti`` vertex-disjoint arc pairs, ``n_2paths`` in/out stub
-    2-paths of which ``2 * anti`` are degenerate, and the degenerate pair
-    collapses to one loop element, so the total is always
-    ``n_pairs + n_2paths``.
+    walk degree uniform across states.  ``n_2paths`` counts the in/out stub
+    2-paths (u, v, w), degenerate ones (u == w) included.  A directed state
+    with ``anti`` antiparallel pairs has ``n_pairs + anti`` vertex-disjoint
+    arc pairs, so the directed ``n_pairs`` may be negative, while its pairs
+    with distinct tails and distinct heads, the directed walks' universe,
+    number exactly ``n_pairs + n_2paths`` (see the module docstring).
     """
 
     kind: str
     m: int
     n_pairs: int
     n_2paths: int
-    twopath_cum: Optional[tuple[int, ...]]
 
     @staticmethod
     def undirected(s: DegreeSequence) -> "MoveUniverse":
@@ -154,22 +127,15 @@ class MoveUniverse:
         n_pairs = _choose2(m) - sum(_choose2(d) for d in s.degrees)
         if n_pairs < 0:
             raise InvalidInputError("degree sequence admits no simple graph")
-        return MoveUniverse(MODE_UNDIRECTED, m, n_pairs, 0, None)
+        return MoveUniverse(MODE_UNDIRECTED, m, n_pairs, 0)
 
     @staticmethod
     def directed_full(s: DiDegreeSequence) -> "MoveUniverse":
-        m, n_pairs, n_2paths = _directed_counts(s)
-        cum = []
-        acc = 0
-        for a, b in s.pairs:
-            acc += a * b
-            cum.append(acc)
-        return MoveUniverse(MODE_FULL, m, n_pairs, n_2paths, tuple(cum))
+        return MoveUniverse(MODE_FULL, *_directed_counts(s))
 
     @staticmethod
     def directed_plain(s: DiDegreeSequence) -> "MoveUniverse":
-        m, n_pairs, n_2paths = _directed_counts(s)
-        return MoveUniverse(MODE_PLAIN, m, n_pairs, n_2paths, None)
+        return MoveUniverse(MODE_PLAIN, *_directed_counts(s))
 
     @property
     def walk_degree(self) -> int:
@@ -180,17 +146,16 @@ class MoveUniverse:
             return self.n_pairs + self.n_2paths + (1 if self.n_2paths == 0 else 0)
         return self.n_pairs + self.n_2paths + 1
 
-    def counts_on(self, g: Graph | Digraph) -> tuple[int, int, int]:
-        """Direct (disjoint pairs, stub 2-paths, antiparallel) counts on g.
+    def counts_on(self, g: Graph | Digraph) -> tuple[int, int]:
+        """Direct (universe pairs, stub 2-paths) counts on g.
 
-        Constancy check: ``pairs - anti == n_pairs`` and
+        Constancy check: ``pairs == n_pairs + n_2paths`` and
         ``stubs == n_2paths`` on every realization of the sequence.
         """
-        pairs = sum(1 for _ in iter_nonadjacent_pairs(g))
         if isinstance(g, Graph):
-            return pairs, 0, 0
-        twopaths = sum(x * y for x, y in zip(g.out_deg, g.in_deg))
-        return pairs, twopaths, g.anti
+            return sum(1 for _ in iter_nonadjacent_pairs(g)), 0
+        pairs = sum(1 for _ in iter_role_disjoint_arc_pairs(g))
+        return pairs, sum(x * y for x, y in zip(g.out_deg, g.in_deg))
 
 
 def _directed_counts(s: DiDegreeSequence) -> tuple[int, int, int]:
@@ -223,8 +188,8 @@ def iter_nonadjacent_pairs(g: Graph | Digraph):
 def iter_role_disjoint_arc_pairs(g: Digraph):
     """Arc pairs with distinct tails and distinct heads, list order.
 
-    The plain walk's pair universe: antiparallel and head-to-tail pairs are
-    members (they loop), and the count is the same in every realization.
+    The directed walks' pair universe: head-to-tail and antiparallel pairs
+    are members, and the count is the same in every realization.
     """
     arcs = g.arcs()
     for i, (a, b) in enumerate(arcs):
@@ -233,40 +198,19 @@ def iter_role_disjoint_arc_pairs(g: Digraph):
                 yield (a, b), (c, d)
 
 
-def _stub_at(g, cum, r):
-    """The r-th in/out stub 2-path under the fixed cumulative weights."""
-    v = bisect_right(cum, r)
-    q = r - (cum[v - 1] if v else 0)
-    in_list = g.in_list[v]
-    deg_in = len(in_list)
-    return in_list[q % deg_in], v, g.out_list[v][q // deg_in]
-
-
-def _proper_stubs(g: Digraph) -> list[tuple[int, int, int]]:
-    """All non-degenerate in/out stub 2-paths (u, v, w), u != w."""
-    return [
-        (u, v, w)
-        for v in range(g.n)
-        for u in g.in_list[v]
-        for w in g.out_list[v]
-        if u != w
-    ]
-
-
 # ---------------------------------------------------------------------------
 # the step loops
 #
-# _run_<mode>(g, universe, rng, tau, on_move=None, walk_degree=None) runs
+# _run_<kind>(g, universe, rng, tau, on_move=None, walk_degree=None) runs
 # tau steps on g in place and returns the number of moves; rng is the
 # random.Random and on_move follows the module docstring.  The slot count d
 # is walk_degree, by default the universe's own; every slot past the
 # universe's elements is a loop, so a larger d pads the walk with loops.
-# Each fixed-bound integer (the slot count d, the m(m-1) ordered list-slot
-# pairs and, in full, the n_2paths stubs) is ``r = grb(k)`` with the bound's
-# bit length k computed once, then ``while r >= bound: r = grb(k)``: the
-# getrandbits calls _make_randbelow would make, in the same order.
-# _make_randbelow draws nothing for a bound of 1, so d == 1 swaps grb for
-# _zero; the other fixed bounds exceed 1 whenever they are drawn.
+# Each fixed-bound integer (the slot count d and the m(m-1) ordered
+# list-slot pairs) is ``r = grb(k)`` with the bound's bit length k computed
+# once, then ``while r >= bound: r = grb(k)``.  A bound of 1 draws nothing,
+# so d == 1 swaps grb for _zero; the pair bound exceeds 1 whenever a pair
+# is drawn.
 
 
 def _zero(k: int) -> int:
@@ -323,14 +267,16 @@ def _run_undirected(
     return moves
 
 
-def _run_plain(
+def _run_directed(
     g: Digraph, universe, rng, tau: int, on_move=None, walk_degree=None
 ) -> int:
+    full = universe.kind == MODE_FULL
     loop_start = universe.n_pairs + universe.n_2paths
-    d = loop_start + 1 if walk_degree is None else walk_degree
+    d = universe.walk_degree if walk_degree is None else walk_degree
     pos = g._pos
     arcs = g._arcs
     swap = g._swap_arcs
+    reorient = g._reorient_triangle
     m = len(arcs)
     m1 = m - 1
     mm = m * m1
@@ -357,7 +303,24 @@ def _run_plain(
             if a != c and b != dd:
                 break
         if a == dd or b == c:
-            continue  # head-to-tail or antiparallel pair: no swap exists
+            # head-to-tail or antiparallel pair: no swap exists.  Under full
+            # a proper 2-path u -> v -> w reorients when it closes an induced
+            # directed 3-cycle and w carries the strictly largest index.
+            if not full or (a == dd and b == c):
+                continue
+            if b == c:
+                u, v, w = a, b, dd
+            else:
+                u, v, w = c, a, b
+            if w <= u or w <= v:
+                continue
+            if (w, u) not in pos or (v, u) in pos or (w, v) in pos or (u, w) in pos:
+                continue
+            reorient(u, v, w)
+            moves += 1
+            if on_move is not None:
+                on_move(t, ((u, v), (v, w), (w, u)), ((v, u), (w, v), (u, w)))
+            continue
         if (a, dd) in pos or (c, b) in pos:
             continue
         swap(a, b, c, dd)
@@ -367,111 +330,10 @@ def _run_plain(
     return moves
 
 
-def _run_full(
-    g: Digraph, universe, rng, tau: int, on_move=None, walk_degree=None
-) -> int:
-    n_pairs = universe.n_pairs
-    n_2paths = universe.n_2paths
-    # sink/source-only sequences (no 2-paths) carry one padding loop
-    d = universe.walk_degree if walk_degree is None else walk_degree
-    cum = universe.twopath_cum
-    pos = g._pos
-    arcs = g._arcs
-    in_list = g.in_list
-    out_list = g.out_list
-    swap = g._swap_arcs
-    reorient = g._reorient_triangle
-    m = len(arcs)
-    m1 = m - 1
-    mm = m * m1
-    grb = rng.getrandbits
-    gd = grb if d > 1 else _zero
-    kd = (d - 1).bit_length()
-    km = (mm - 1).bit_length()
-    ks = (n_2paths - 1).bit_length()
-    rb = _make_randbelow(rng)  # the proper 2-path list changes size
-    # slots [0, swap_end) draw a pair, [swap_end, loop_start) a 2-path; the
-    # rest are the padding loop or one loop per antiparallel pair (it admits
-    # no move).  Both bounds follow g.anti, re-read after every move and its
-    # hook.
-    anti = g.anti
-    swap_end = n_pairs + anti
-    loop_start = n_pairs + n_2paths - anti
-    stubs = None  # proper 2-paths, materialized when rare; reset on every move
-    moves = 0
-    for t in range(tau):
-        slot = gd(kd)
-        while slot >= d:
-            slot = gd(kd)
-        if slot >= loop_start:
-            continue
-        if slot < swap_end:
-            while True:
-                r = grb(km)
-                while r >= mm:
-                    r = grb(km)
-                i, j = divmod(r, m1)
-                if j >= i:
-                    j += 1
-                a, b = arcs[i]
-                c, dd = arcs[j]
-                if a != c and a != dd and b != c and b != dd:
-                    break
-            if (a, dd) in pos or (c, b) in pos:
-                continue
-            swap(a, b, c, dd)
-            stubs = None
-            moves += 1
-            if on_move is not None:
-                on_move(t, ((a, b), (c, dd)), ((a, dd), (c, b)))
-            anti = g.anti
-            swap_end = n_pairs + anti
-            loop_start = n_pairs + n_2paths - anti
-            continue
-        if not anti:
-            # proper stubs are all stubs: index directly by cumulative weight
-            r = slot - n_pairs
-            v = bisect_right(cum, r)
-            q = r - (cum[v - 1] if v else 0)
-            tails = in_list[v]
-            deg_in = len(tails)
-            u = tails[q % deg_in]
-            w = out_list[v][q // deg_in]
-        elif m <= 8 or 10 * (n_2paths - 2 * anti) < n_2paths:
-            # proper stubs are rare among all stubs: draw from the list
-            if stubs is None:
-                stubs = _proper_stubs(g)
-            u, v, w = stubs[rb(len(stubs))]
-        else:
-            # rejection over the stub universe
-            while True:
-                r = grb(ks)
-                while r >= n_2paths:
-                    r = grb(ks)
-                u, v, w = _stub_at(g, cum, r)
-                if u != w:
-                    break
-        # reorientation gate: the 2-path must close an induced directed
-        # 3-cycle and its endpoint must carry the strictly largest index
-        if w <= u or w <= v:
-            continue
-        if (w, u) not in pos or (v, u) in pos or (w, v) in pos or (u, w) in pos:
-            continue
-        reorient(u, v, w)
-        stubs = None
-        moves += 1
-        if on_move is not None:
-            on_move(t, ((u, v), (v, w), (w, u)), ((v, u), (w, v), (u, w)))
-        anti = g.anti
-        swap_end = n_pairs + anti
-        loop_start = n_pairs + n_2paths - anti
-    return moves
-
-
 _RUNS = {
     MODE_UNDIRECTED: _run_undirected,
-    MODE_FULL: _run_full,
-    MODE_PLAIN: _run_plain,
+    MODE_FULL: _run_directed,
+    MODE_PLAIN: _run_directed,
 }
 
 
@@ -517,13 +379,13 @@ def step_undirected(g: Graph, rng: random.Random, universe=None) -> bool:
 def step_directed_full(g: Digraph, rng: random.Random, universe=None) -> bool:
     """One swap-or-reorient step in place; True when the digraph changed."""
     universe = universe or universe_for(g, MODE_FULL)
-    return _run_full(g, universe, rng, 1) == 1
+    return _run_directed(g, universe, rng, 1) == 1
 
 
 def step_directed_plain(g: Digraph, rng: random.Random, universe=None) -> bool:
     """One swap-only step in place; True when the digraph changed."""
     universe = universe or universe_for(g, MODE_PLAIN)
-    return _run_plain(g, universe, rng, 1) == 1
+    return _run_directed(g, universe, rng, 1) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -610,8 +472,8 @@ def _check_invariants(g, universe: MoveUniverse, s0) -> None:
     g._check_index()
     if g.degree_sequence() != s0:
         raise AssertionError("degree sequence drifted")
-    pairs, twopaths, anti = universe.counts_on(g)
-    if pairs - anti != universe.n_pairs:
-        raise AssertionError("corrected pair count drifted")
-    if universe.kind != MODE_UNDIRECTED and twopaths != universe.n_2paths:
+    pairs, stubs = universe.counts_on(g)
+    if pairs != universe.n_pairs + universe.n_2paths:
+        raise AssertionError("universe pair count drifted")
+    if stubs != universe.n_2paths:
         raise AssertionError("2-path count drifted")

@@ -252,8 +252,7 @@ class Digraph:
     ``_pos``; per-vertex head lists ``out_list`` and tail lists ``in_list``,
     so a chain step can index a uniform out-arc or in-arc in O(1); and two
     int lists aligned with ``_arcs``: arc i = (u, v) sits at
-    ``out_list[u][_oslot[i]]`` and ``in_list[v][_islot[i]]``.  ``anti``
-    counts the antiparallel pairs.
+    ``out_list[u][_oslot[i]]`` and ``in_list[v][_islot[i]]``.
 
     A swap writes two ``_arcs`` slots, four list entries and exchanges two
     ``_islot`` entries; a reorientation writes three ``_arcs`` slots, six
@@ -268,7 +267,6 @@ class Digraph:
         "in_deg",
         "out_list",
         "in_list",
-        "anti",
         "_arcs",
         "_pos",
         "_oslot",
@@ -285,7 +283,6 @@ class Digraph:
         self.in_deg = [0] * n
         self.out_list: list[list[int]] = [[] for _ in range(n)]
         self.in_list: list[list[int]] = [[] for _ in range(n)]
-        self.anti = 0  # antiparallel arc pairs {(u,v),(v,u)} currently present
         self._arcs: list[tuple[int, int]] = []
         self._pos: dict[tuple[int, int], int] = {}
         self._oslot: list[int] = []
@@ -332,7 +329,6 @@ class Digraph:
         g.in_deg = list(self.in_deg)
         g.out_list = [list(ls) for ls in self.out_list]
         g.in_list = [list(ls) for ls in self.in_list]
-        g.anti = self.anti
         g._arcs = list(self._arcs)
         g._pos = dict(self._pos)
         g._oslot = list(self._oslot)
@@ -366,7 +362,7 @@ class Digraph:
 
         Checks that ``_pos`` inverts ``_arcs``, that each arc's two slots
         point back at it, that the per-vertex lists hold exactly the arcs'
-        heads and tails, and that ``anti`` and the degrees match a recount.
+        heads and tails, and that the degrees match a recount.
         """
         arcs, pos = self._arcs, self._pos
         if len(pos) != len(arcs) or any(pos.get(a) != i for i, a in enumerate(arcs)):
@@ -391,15 +387,11 @@ class Digraph:
             len(t) for t in tails
         ]:
             raise AssertionError("stored degrees differ from the arc list")
-        if 2 * self.anti != sum((v, u) in pos for u, v in arcs):
-            raise AssertionError("antiparallel count differs from a recount")
 
     # mutation: reserved for moves / constructors
 
     def _add_arc(self, u: int, v: int) -> None:
         a = (u, v)
-        if (v, u) in self._pos:
-            self.anti += 1
         self._pos[a] = len(self._arcs)
         self._arcs.append(a)
         self._oslot.append(len(self.out_list[u]))
@@ -413,8 +405,6 @@ class Digraph:
         pos = self._pos
         oslot = self._oslot
         islot = self._islot
-        if (v, u) in pos:
-            self.anti -= 1
         i = pos.pop((u, v))
 
         # swap-with-last in u's out-list and v's in-list; the arc moved into
@@ -461,14 +451,6 @@ class Digraph:
         arcs[i1] = (a, d)
         pos[(c, b)] = i2
         arcs[i2] = (c, b)
-        # none of the four reversals is among the swapped arcs, so their
-        # presence can be read off after the surgery
-        self.anti += (
-            ((d, a) in pos)
-            + ((b, c) in pos)
-            - ((b, a) in pos)
-            - ((d, c) in pos)
-        )
         oslot = self._oslot
         self.out_list[a][oslot[i1]] = d
         self.out_list[c][oslot[i2]] = b
@@ -481,9 +463,8 @@ class Digraph:
         """Reverse the arcs of the induced directed 3-cycle u -> v -> w -> u.
 
         Requires all three reversals absent beforehand (the reorientation
-        gate), which also keeps the antiparallel-pair count unchanged.  Each
-        vertex's list entries are replaced in place, and each reversed arc
-        takes over the slots its neighbors in the cycle held.
+        gate).  Each vertex's list entries are replaced in place, and each
+        reversed arc takes over the slots its neighbors in the cycle held.
         """
         pos = self._pos
         arcs = self._arcs

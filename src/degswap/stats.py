@@ -156,6 +156,8 @@ def ensemble_stats(
 
     if g0 is None:
         g0 = realize_directed(s) if directed else realize_undirected(s)
+    elif g0.degree_sequence() != s:
+        raise InvalidInputError("g0 does not realize the sequence")
     total = run_ensemble(g0, cfg, runs, workers, tally=True)
     freq = {arc: c / runs for arc, c in sorted(total.arcs.items())}
 

@@ -1,8 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from degswap.chain import (
+    _RUNS,
     ChainConfig,
     MoveUniverse,
     complement_universe,
@@ -17,7 +19,7 @@ from degswap.core import DegreeSequence, DiDegreeSequence, Digraph, Graph, canon
 from degswap.errors import InvalidInputError
 from degswap.generators import BlockedInstanceSpec, generate_blocked
 from degswap.realize import realize_directed, realize_undirected
-from degswap.statespace import enumerate_realizations
+from degswap.statespace import build_state_graph, enumerate_realizations
 from degswap import arcswap
 from .conftest import hub_with_back_arc, hub_with_matching, mobile_blocked_instance
 
@@ -41,8 +43,8 @@ def test_universe_constancy_over_realizations():
         s = DiDegreeSequence(pairs)
         u = MoveUniverse.directed_full(s)
         for g in enumerate_realizations(s):
-            disjoint, stubs, anti = u.counts_on(g)
-            assert disjoint - anti == u.n_pairs
+            role_disjoint, stubs = u.counts_on(g)
+            assert role_disjoint == u.n_pairs + u.n_2paths
             assert stubs == u.n_2paths
 
 
@@ -184,6 +186,115 @@ def test_switched_runs_step_with_the_direct_row():
             assert sigma <= 4.0, (mode, dest, counts.get(dest, 0), runs * p)
 
 
+class _Scripted:
+    """A generator whose getrandbits returns the scripted values, last first."""
+
+    def __init__(self):
+        self.values = []
+
+    def getrandbits(self, k):
+        r = self.values.pop()
+        assert r >> k == 0
+        return r
+
+
+def _exact_rows(sg, mode, complement=False):
+    """The loop's exact one-step row from every state of sg, as Fractions.
+
+    A step from each state (with ``complement``, from its complement under
+    the complement's own universe, padded to sg's walk degree d, as
+    run_chain walks a dense input) draws a slot, then one accepted ordered
+    list-slot pair; every (slot, pair) outcome weighs 1/d x 1/(accepted
+    ordered pairs).  The slots past the universe's elements draw no pair and
+    are scored once; with d == 1 the one slot is not drawn.  The element
+    slots run as one scripted run per state whose hook undoes each move by
+    its inverse move, which restores the list order the pair draw indexes.
+    """
+    run = _RUNS[mode]
+    d = sg.universe.walk_degree
+    rng = _Scripted()
+    rows = {}
+    for key in sg.keys:
+        g = sg.realizations[key]
+        g = g.complement() if complement else g.copy()
+        u = universe_for(g, mode)
+        counts = {}
+        dests = {}
+
+        def undo(t, removed, added):
+            dest = dests.get((removed, added))
+            if dest is None:
+                dest = canonical_key(g)
+                dest = dests[removed, added] = dest.complement() if complement else dest
+            counts[dest] = counts.get(dest, 0) + 1
+            if isinstance(g, Graph):
+                g._swap_edges(*added, *removed)
+            elif len(removed) == 3:
+                (x, y), (_, z), _ = removed
+                g._reorient_triangle(x, z, y)
+            else:
+                (a, b), (c, e) = added
+                g._swap_arcs(a, b, c, e)
+
+        if isinstance(g, Graph):
+            items, elements = g.edges(), 2 * u.n_pairs
+        else:
+            items, elements = g.arcs(), u.n_pairs + u.n_2paths
+        before = list(items)
+        m = len(items)
+        accepted = [
+            i * (m - 1) + j - (j > i)
+            for i, (a, b) in enumerate(items)
+            for j, (c, e) in enumerate(items)
+            if i != j
+            and (len({a, b, c, e}) == 4 if isinstance(g, Graph) else a != c and b != e)
+        ]
+        script = [
+            x for slot in range(elements) for r in accepted
+            for x in ((slot, r) if d > 1 else (r,))
+        ]
+        steps = elements * len(accepted)
+        rng.values = script[::-1]
+        moves = run(g, u, rng, steps, undo, d)
+        assert not rng.values and items == before
+        counts[key] = steps - moves
+        if d > elements:
+            rng.values = [elements] if d > 1 else []
+            assert run(g, u, rng, 1, undo, d) == 0 and not rng.values
+            counts[key] += (d - elements) * len(accepted)
+        total = d * len(accepted)
+        rows[key] = {dest: Fraction(c, total) for dest, c in counts.items()}
+    return rows
+
+
+def test_one_step_kernel_is_the_state_graph_row_exactly():
+    # every slot and every accepted pair draw of one step from every state,
+    # against transition_row in exact arithmetic: each move arc weighs 1/d
+    direct = [
+        (DiDegreeSequence(((2, 2),) * 5), ("phi", "phibar")),  # 216 states
+        (DiDegreeSequence(((1, 1),) * 2), ("phi", "phibar")),  # n_pairs = -1
+        (DiDegreeSequence(((1, 0), (0, 1), (1, 0), (0, 1))), ("phi", "phibar")),
+        (DegreeSequence((2, 2, 2, 2, 1, 1)), ("psi",)),
+    ]
+    switched = [
+        (DiDegreeSequence(((3, 3),) * 5), ("phi", "phibar")),
+        (DegreeSequence((3, 3, 3, 3, 2, 2)), ("psi",)),
+    ]
+    modes = {"psi": "undirected", "phi": "full", "phibar": "plain"}
+    for complement, cases in ((False, direct), (True, switched)):
+        for s, kinds in cases:
+            for kind in kinds:
+                sg = build_state_graph(s, kind)
+                d = sg.universe.walk_degree
+                rows = _exact_rows(sg, modes[kind], complement)
+                for key in sg.keys:
+                    want = {dest: Fraction(c, d) for dest, c in sg.arcs[key].items()}
+                    want[key] = Fraction(sg.loops[key], d)
+                    assert {k: float(p) for k, p in want.items()} == sg.transition_row(key)
+                    got = {dest: p for dest, p in rows[key].items() if p}
+                    assert got == {dest: p for dest, p in want.items() if p}, (s, kind)
+
+
 def test_move_hook_leaves_the_walk_unchanged():
     # traces and invariant checks ride on the sampling loop's per-move hook;
     # installing it must not change a single draw
@@ -253,7 +364,6 @@ def test_index_structures_survive_long_runs():
         for v in range(g.n):
             assert sorted(g.out_list[v]) == sorted(x for (u, x) in g._arcs if u == v)
             assert sorted(g.in_list[v]) == sorted(u for (u, x) in g._arcs if x == v)
-        assert g.anti == sum(1 for (u, v) in g._arcs if (v, u) in g._pos) // 2
         assert g.degree_sequence() == g0.degree_sequence()
 
     u0 = realize_undirected(DegreeSequence((2, 2, 2, 2, 1, 1)))

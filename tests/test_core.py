@@ -39,8 +39,7 @@ def test_graph_validation():
         Graph(3, [(0, 1), (1, 0)])  # duplicate after normalization
     with pytest.raises(InvalidInputError):
         Graph(2, [(0, 2)])
-    g = Digraph(3, [(0, 1), (1, 0)])  # antiparallel arcs are fine
-    assert g.anti == 1
+    Digraph(3, [(0, 1), (1, 0)])  # antiparallel arcs are fine
     with pytest.raises(InvalidInputError):
         Digraph(3, [(0, 1), (0, 1)])
 
@@ -272,7 +271,7 @@ def _assert_matches_rebuilt(g):
     for v in range(g.n):
         assert sorted(g.out_list[v]) == sorted(h.out_list[v])
         assert sorted(g.in_list[v]) == sorted(h.in_list[v])
-    assert (g.out_deg, g.in_deg, g.anti) == (h.out_deg, h.in_deg, h.anti)
+    assert (g.out_deg, g.in_deg) == (h.out_deg, h.in_deg)
     g._check_index()
 
 
@@ -357,10 +356,6 @@ def test_index_check_catches_a_stale_slot():
     bad = g.copy()
     bad._islot[0], bad._islot[2] = bad._islot[2], bad._islot[0]
     with pytest.raises(AssertionError, match="in-slot"):
-        bad._check_index()
-    bad = g.copy()
-    bad.anti = 1
-    with pytest.raises(AssertionError, match="antiparallel"):
         bad._check_index()
     u = Graph(3, [(0, 1), (1, 2)])
     u._check_index()

@@ -6,7 +6,7 @@ tail sum, the greedies re-sort all vertices every round, the key ORs one
 shifted bit at a time, the scan visits all C(n, 3) triples, the breaking-walk
 search scans all n in-copies from every out-copy, the swap-only
 correction walks the full n(n-1) bias report and the step loops draw every
-integer through a per-draw ``_make_randbelow`` call.  The package's versions
+integer through a per-draw ``make_randbelow`` call.  The package's versions
 must agree with them exactly: the same violation strings, the same edge/arc
 lists in insertion order (chains and ensembles draw by list index), the
 same key bits, the same sorted triples, the same walk paths, the same
@@ -33,9 +33,6 @@ from degswap.chain import (
     MODE_PLAIN,
     MODE_UNDIRECTED,
     _RUNS,
-    _make_randbelow,
-    _proper_stubs,
-    _stub_at,
     universe_for,
 )
 from degswap.core import (
@@ -235,6 +232,22 @@ def ref_corrected_frequency(s, g0, freq):
 # comparison helpers
 
 
+def make_randbelow(rng):
+    """Exactly uniform integer in [0, n) via rejection on getrandbits."""
+    grb = rng.getrandbits
+
+    def randbelow(n):
+        if n <= 1:
+            return 0
+        k = (n - 1).bit_length()
+        r = grb(k)
+        while r >= n:
+            r = grb(k)
+        return r
+
+    return randbelow
+
+
 def ref_run_undirected(g, universe, rb, tau, on_move=None):
     d = 2 * universe.n_pairs + 1
     loop_slot = d - 1
@@ -307,61 +320,48 @@ def ref_run_plain(g, universe, rb, tau, on_move=None):
 
 
 def ref_run_full(g, universe, rb, tau, on_move=None):
-    n_pairs = universe.n_pairs
-    n_2paths = universe.n_2paths
-    d = n_pairs + n_2paths + (1 if n_2paths == 0 else 0)
-    cum = universe.twopath_cum
+    # ref_run_plain, padded only when there are no 2-paths, and sending each
+    # proper 2-path to the reorientation gate
+    loop_start = universe.n_pairs + universe.n_2paths
+    d = loop_start + (universe.n_2paths == 0)
     pos = g._pos
     arcs = g._arcs
     swap = g._swap_arcs
     reorient = g._reorient_triangle
     m = len(arcs)
     mm = m * (m - 1)
-    stubs = None
     moves = 0
     for t in range(tau):
-        slot = rb(d)
-        anti = g.anti
-        if slot >= n_pairs + n_2paths - anti:
+        if rb(d) >= loop_start:
             continue
-        if slot < n_pairs + anti:
-            while True:
-                k = rb(mm)
-                i, j = divmod(k, m - 1)
-                if j >= i:
-                    j += 1
-                a, b = arcs[i]
-                c, dd = arcs[j]
-                if a != c and a != dd and b != c and b != dd:
-                    break
-            if (a, dd) in pos or (c, b) in pos:
+        while True:
+            k = rb(mm)
+            i, j = divmod(k, m - 1)
+            if j >= i:
+                j += 1
+            a, b = arcs[i]
+            c, dd = arcs[j]
+            if a != c and b != dd:
+                break
+        if a == dd and b == c:
+            continue
+        if b == c or a == dd:
+            u, v, w = (a, b, dd) if b == c else (c, a, b)
+            if w <= u or w <= v:
                 continue
-            swap(a, b, c, dd)
-            stubs = None
+            if (w, u) not in pos or (v, u) in pos or (w, v) in pos or (u, w) in pos:
+                continue
+            reorient(u, v, w)
             moves += 1
             if on_move is not None:
-                on_move(t, ((a, b), (c, dd)), ((a, dd), (c, b)))
+                on_move(t, ((u, v), (v, w), (w, u)), ((v, u), (w, v), (u, w)))
             continue
-        if not anti:
-            u, v, w = _stub_at(g, cum, slot - n_pairs)
-        elif m <= 8 or 10 * (n_2paths - 2 * anti) < n_2paths:
-            if stubs is None:
-                stubs = _proper_stubs(g)
-            u, v, w = stubs[rb(len(stubs))]
-        else:
-            while True:
-                u, v, w = _stub_at(g, cum, rb(n_2paths))
-                if u != w:
-                    break
-        if w <= u or w <= v:
+        if (a, dd) in pos or (c, b) in pos:
             continue
-        if (w, u) not in pos or (v, u) in pos or (w, v) in pos or (u, w) in pos:
-            continue
-        reorient(u, v, w)
-        stubs = None
+        swap(a, b, c, dd)
         moves += 1
         if on_move is not None:
-            on_move(t, ((u, v), (v, w), (w, u)), ((v, u), (w, v), (u, w)))
+            on_move(t, ((a, b), (c, dd)), ((a, dd), (c, b)))
     return moves
 
 
@@ -634,17 +634,6 @@ def test_frozen_arc_correction_matches_bias_report():
     assert checked == 63 and corrected >= 3
 
 
-def stub_branch(g, universe):
-    """The branch ``_run_full`` takes for a 2-path slot in g's current state."""
-    anti = g.anti
-    if not anti:
-        return "inline"
-    n_2paths = universe.n_2paths
-    if g.m <= 8 or 10 * (n_2paths - 2 * anti) < n_2paths:
-        return "list"
-    return "rejection"
-
-
 def loop_cases():
     """(label, start graph) pairs covering every branch of the inline draws."""
     rng = random.Random(SEED + 7)
@@ -692,16 +681,12 @@ def run_loop(run, g0, universe, rng, undo):
 def test_inline_draw_loops_match_randbelow_loops():
     # equal graphs and seeds: the same walk, move count and generator state,
     # bare and with a hook that undoes every move
-    branches = set()
     for label, g0 in loop_cases():
         modes = (MODE_UNDIRECTED,) if isinstance(g0, Graph) else (MODE_FULL, MODE_PLAIN)
         for mode, seed, undo in itertools.product(modes, range(3), (False, True)):
             universe = universe_for(g0, mode)
-            if mode == MODE_FULL:
-                branches.add(stub_branch(g0, universe))
             rng, ref_rng = random.Random(seed), random.Random(seed)
             got = run_loop(_RUNS[mode], g0, universe, rng, undo)
-            want = run_loop(REF_RUNS[mode], g0, universe, _make_randbelow(ref_rng), undo)
+            want = run_loop(REF_RUNS[mode], g0, universe, make_randbelow(ref_rng), undo)
             assert got == want, (label, mode, seed, undo)
             assert rng.getstate() == ref_rng.getstate(), (label, mode, seed, undo)
-    assert branches == {"inline", "list", "rejection"}

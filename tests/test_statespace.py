@@ -183,10 +183,19 @@ def test_complement_walk_matches_the_direct_rows():
 
 
 def test_empirical_transition_check_rejection_paths():
-    # 216 states, antiparallel-carrying realizations, m > 8: the step draws
-    # pairs and proper 2-paths by rejection and must still match every row
+    # 216 states, some with antiparallel pairs, m = 10: every step draws its
+    # arc pair by rejection and must match every row, swaps, reorientations
+    # and loops alike.  The 2856 cells are checked at the Bonferroni
+    # tolerance, as in the rare-pairs test below.
+    s = DiDegreeSequence(((2, 2),) * 5)
+    sg = build_state_graph(s, "phi")
     rep = empirical_transition_check(
-        DiDegreeSequence(((2, 2),) * 5), "phi", steps_per_state=2000, seed=21
+        s,
+        "phi",
+        steps_per_state=4000,
+        seed=21,
+        sg=sg,
+        tolerance_sigmas=_bonferroni_sigmas(sg),
     )
     assert rep.ok, rep.failures[:5]
 

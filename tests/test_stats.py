@@ -68,6 +68,17 @@ def test_mode_mismatch():
         )
 
 
+def test_given_g0_must_realize_the_sequence():
+    cfg = ChainConfig(tau=10, mode="full", seed=1)
+    s = DiDegreeSequence(((1, 1),) * 3)
+    with pytest.raises(InvalidInputError, match="does not realize"):
+        ensemble_stats(s, cfg, runs=2, g0=Digraph(4, [(0, 1), (2, 3)]))
+    with pytest.raises(InvalidInputError, match="does not realize"):
+        ensemble_stats(s, cfg, runs=2, g0=Digraph(3, [(0, 2), (2, 1)]))
+    report = ensemble_stats(s, cfg, runs=2, g0=Digraph(3, [(0, 2), (2, 1), (1, 0)]))
+    assert report.runs == 2
+
+
 def test_workers_agree_with_serial():
     # 5 and 24 runs split into two blocks, one per pool process; 1 run
     # takes the serial path either way
