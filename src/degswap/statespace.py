@@ -13,7 +13,9 @@ regular by construction and its transition row is ``1/walk_degree`` per slot.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -519,15 +521,18 @@ def empirical_transition_check(
     steps_per_state: int,
     seed: int = 0,
     sg: Optional[StateGraph] = None,
-    tolerance_sigmas: float = 4.0,
+    alpha: float = 0.001,
     complement: bool = False,
 ) -> ComparisonReport:
     """Single chain steps from every state vs. the explicit transition row.
 
     Runs ``steps_per_state`` one-step trials from each enumerated state
     through the sampling loop, undoing every move as it happens, and checks
-    each destination count against its binomial expectation within
-    ``tolerance_sigmas``.  With ``complement`` each trial steps the state's
+    each destination count against its exact binomial acceptance interval
+    (:func:`binomial_interval`).  ``alpha`` is family-wise: each of the
+    cells with 0 < p < 1 gets ``alpha / cells``, so an exact sampler fails
+    the check with chance at most ``alpha``; a cell with p = 0 or p = 1 must
+    hit its count exactly.  With ``complement`` each trial steps the state's
     complement under the complement sequence's universe, padded to the
     state graph's walk degree, as :func:`degswap.chain.run_chain` walks a
     dense input.  A move flips its removed and added pairs alike, so the
@@ -539,6 +544,9 @@ def empirical_transition_check(
     run = _RUNS[mode]
     walk_degree = sg.universe.walk_degree
     directed = kind != KIND_PSI
+    rows = {key: sg.transition_row(key) for key in sg.keys}
+    cells = sum(1 for row in rows.values() for p in row.values() if 0.0 < p < 1.0)
+    alpha_cell = alpha / max(cells, 1)
 
     failures = []
     max_sigma = 0.0
@@ -568,23 +576,57 @@ def empirical_transition_check(
         moves = run(g, universe, rng, steps_per_state, on_move, walk_degree)
         counts[key] = steps_per_state - moves
 
-        row = sg.transition_row(key)
-        seen = set(counts) | set(row)
-        for dest in seen:
+        row = rows[key]
+        for dest in set(counts) | set(row):
             p = row.get(dest, 0.0)
             obs = counts.get(dest, 0)
             expected = steps_per_state * p
-            var = steps_per_state * p * (1.0 - p)
-            if var == 0.0:
-                if obs != expected:
-                    failures.append((key.hex(), dest.hex(), obs, expected, float("inf")))
-                continue
-            sigma = abs(obs - expected) / var**0.5
-            max_sigma = max(max_sigma, sigma)
-            if sigma > tolerance_sigmas:
+            sigma = float("inf")
+            if 0.0 < p < 1.0:
+                sigma = abs(obs - expected) / (expected * (1.0 - p)) ** 0.5
+                max_sigma = max(max_sigma, sigma)
+            lo, hi = binomial_interval(steps_per_state, p, alpha_cell)
+            if not lo <= obs <= hi:
                 failures.append((key.hex(), dest.hex(), obs, expected, sigma))
 
     return ComparisonReport(kind, steps_per_state, max_sigma, failures)
+
+
+@functools.lru_cache(maxsize=None)
+def binomial_interval(n: int, p: float, alpha: float) -> tuple[int, int]:
+    """The narrowest count interval [lo, hi] whose two tails each hold <= alpha / 2.
+
+    For a Binomial(n, p) count X: P(X < lo) <= alpha / 2 < P(X <= lo) and
+    P(X > hi) <= alpha / 2 < P(X >= hi), exactly, not under a normal
+    approximation, whose tails are too thin for small p.  The pmf is
+    evaluated through ``math.lgamma`` outward from the mean until its terms
+    are negligible against alpha, and each tail is summed from its far end
+    inward.  p = 0 and p = 1 give the single count 0 or n.
+    """
+    if p <= 0.0:
+        return 0, 0
+    if p >= 1.0:
+        return n, n
+    half = alpha / 2
+    head = math.lgamma(n + 1)
+    lp, lq = math.log(p), math.log1p(-p)
+    mean = int(n * p)
+
+    def bound(ks) -> int:
+        terms = []
+        for k in ks:
+            x = math.exp(head - math.lgamma(k + 1) - math.lgamma(n - k + 1) + k * lp + (n - k) * lq)
+            terms.append(x)
+            if x < half * 1e-12:
+                break
+        tail = 0.0  # mass beyond ks[i], the far side of the mean
+        for i in range(len(terms) - 1, -1, -1):
+            if tail + terms[i] > half:
+                return ks[i]
+            tail += terms[i]
+        return ks[0]
+
+    return bound(range(mean, -1, -1)), bound(range(mean, n + 1))
 
 
 # ---------------------------------------------------------------------------

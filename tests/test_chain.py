@@ -158,8 +158,9 @@ def test_complete_and_one_short_inputs_loop_on_the_complement():
 def test_switched_runs_step_with_the_direct_row():
     # tau = 1 through run_chain itself, from one state per mode: the run pads
     # the complement walk to the input's walk degree (unpadded, the loop
-    # share would drop from 1 - k/d to 1 - k/d-bar)
-    from degswap.statespace import build_state_graph
+    # share would drop from 1 - k/d to 1 - k/d-bar); each row's cells are
+    # checked at family-wise alpha = 0.001 on exact binomial tails
+    from degswap.statespace import binomial_interval, build_state_graph
 
     runs = 8000
     for seed, (s, kind, mode) in enumerate(
@@ -182,8 +183,8 @@ def test_switched_runs_step_with_the_direct_row():
         row = sg.transition_row(key)
         assert set(counts) <= set(row), mode
         for dest, p in row.items():
-            sigma = abs(counts.get(dest, 0) - runs * p) / (runs * p * (1 - p)) ** 0.5
-            assert sigma <= 4.0, (mode, dest, counts.get(dest, 0), runs * p)
+            lo, hi = binomial_interval(runs, p, 0.001 / len(row))
+            assert lo <= counts.get(dest, 0) <= hi, (mode, dest, counts.get(dest, 0), runs * p)
 
 
 class _Scripted:

@@ -1,6 +1,4 @@
 import dataclasses
-from statistics import NormalDist
-
 import pytest
 
 from degswap import arcswap
@@ -185,49 +183,22 @@ def test_complement_walk_matches_the_direct_rows():
 def test_empirical_transition_check_rejection_paths():
     # 216 states, some with antiparallel pairs, m = 10: every step draws its
     # arc pair by rejection and must match every row, swaps, reorientations
-    # and loops alike.  The 2856 cells are checked at the Bonferroni
-    # tolerance, as in the rare-pairs test below.
+    # and loops alike, at the default family-wise alpha over its 2856 cells
     s = DiDegreeSequence(((2, 2),) * 5)
     sg = build_state_graph(s, "phi")
-    rep = empirical_transition_check(
-        s,
-        "phi",
-        steps_per_state=4000,
-        seed=21,
-        sg=sg,
-        tolerance_sigmas=_bonferroni_sigmas(sg),
-    )
+    rep = empirical_transition_check(s, "phi", steps_per_state=4000, seed=21, sg=sg)
     assert rep.ok, rep.failures[:5]
-
-
-def _bonferroni_sigmas(sg, alpha=0.001):
-    """Tolerance at which a correct sampler fails one check with chance alpha.
-
-    Every cell of every transition row is tested; under the normal
-    approximation each fails with chance 2 * (1 - Phi(z)), so z is the
-    Bonferroni bound over all the cells.
-    """
-    cells = sum(len(sg.transition_row(key)) for key in sg.keys)
-    return NormalDist().inv_cdf(1 - alpha / (2 * cells))
 
 
 def test_empirical_transition_check_rare_pairs():
     # m > 8 around a hub: universe pairs are under a tenth of all slot pairs,
-    # so each pair draw takes many redraws.  The psi check has 9471 cells and
-    # tolerance 5.32 sigma, the 21-state ones 441 cells and 4.73 sigma; with
-    # the binomial counts' exact tails (skewed for p = 1/41) the six checks
-    # together fail a correct sampler with chance about 1.3 %.
+    # so each pair draw takes many redraws.  Each check fails a correct
+    # sampler with chance at most 0.001 (the default family-wise alpha over
+    # its cells, from exact binomial tails), the six together at most 0.006.
     s = hub_with_matching(20, 1).degree_sequence()
     sg = build_state_graph(s, "psi", max_n=23)
     assert sg.node_count == 231
-    rep = empirical_transition_check(
-        s,
-        "psi",
-        steps_per_state=2000,
-        seed=31,
-        sg=sg,
-        tolerance_sigmas=_bonferroni_sigmas(sg),
-    )
+    rep = empirical_transition_check(s, "psi", steps_per_state=2000, seed=31, sg=sg)
     assert rep.ok, rep.failures[:5]
     cases = [
         (hub_with_matching(20, 1, "out"), "phi", 21),
@@ -241,12 +212,7 @@ def test_empirical_transition_check_rare_pairs():
         sg = build_state_graph(s, kind, max_n=23)
         assert sg.node_count == states
         rep = empirical_transition_check(
-            s,
-            kind,
-            steps_per_state=5000,
-            seed=seed,
-            sg=sg,
-            tolerance_sigmas=_bonferroni_sigmas(sg),
+            s, kind, steps_per_state=5000, seed=seed, sg=sg
         )
         assert rep.ok, (kind, rep.failures[:5])
 
