@@ -29,9 +29,11 @@ _NAMES = {
     "chain": (
         "DEFAULT_SEED",
         "ChainConfig",
+        "ChainPlan",
         "ChainResult",
         "MoveUniverse",
         "derive_seed",
+        "plan_chain",
         "run_chain",
         "step_directed_full",
         "step_directed_plain",

@@ -38,6 +38,17 @@ bound from ``rng.getrandbits`` by rejection, one call per draw with the
 bound's bit length hoisted out of the loop, so walks and the final
 generator state depend on the draws alone.
 
+A step's slot comes from a window (:func:`step_window`): one draw below
+d^W decides up to W steps, the run of loop slots and the first element
+slot after it, with exactly the probabilities of W independent uniform
+slots; the window is exact because slot draws do not depend on the graph.
+W grows with the expected run of loops between elements and is 1 on every
+direct walk, where the window is the one-slot draw and walks are as
+before.  Only a padded complement walk (below) with at least twice as
+many loop slots as elements gets W > 1, and so prints a different walk
+for a given seed; it pays one draw per element step or per W loop steps
+instead of one per step.  A universe without elements draws nothing.
+
 Dense input walks the complement.  A 2-swap of G is a 2-swap of its
 complement H, and a reorientation of an induced directed 3-cycle of G is
 the reverse reorientation in H, so the state graph of the complement
@@ -53,7 +64,10 @@ cost: a near-complete digraph, whose direct steps are almost all gate
 rejections, becomes a sparse one whose steps are almost all padding loops.
 Sparse input pays one integer comparison, and ties stay on the direct
 walk.  A switched run draws differently from a direct one, so its output
-for a given seed differs; a run that does not switch draws as before.
+for a given seed differs; a run that does not switch draws as before.  A
+:class:`ChainPlan` holds a run's set-up: both universes, the switch, the
+complement start graph and the window.  An ensemble builds it once for
+all of its runs.
 
 A loop also takes a private ``on_move(t, removed, added)`` hook, called
 after every move and never after a loop, with the step index and the
@@ -65,7 +79,9 @@ so the next step sees the graph as the hook left it.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional
 
 from .core import (
@@ -138,6 +154,13 @@ class MoveUniverse:
         return MoveUniverse(MODE_PLAIN, *_directed_counts(s))
 
     @property
+    def elements(self) -> int:
+        """Selectable elements: slots below this draw a pair, the rest loop."""
+        if self.kind == MODE_UNDIRECTED:
+            return 2 * self.n_pairs
+        return self.n_pairs + self.n_2paths
+
+    @property
     def walk_degree(self) -> int:
         """Out-degree of every state of the matching state graph."""
         if self.kind == MODE_UNDIRECTED:
@@ -199,18 +222,90 @@ def iter_role_disjoint_arc_pairs(g: Digraph):
 
 
 # ---------------------------------------------------------------------------
+# the slot window
+#
+# A step draws one of d slots uniformly; the first L (the universe's
+# elements) draw a pair and the other q = d - L are loops.  A window draws
+# the slots of up to W steps at once: one integer r below d^W, read as W
+# base-d digits, most significant first, of which only the first element
+# slot and the run of loop slots before it are used.  Outcome k < W (k
+# loops, then an element step) holds q^k * L * d^(W-1-k) of the d^W values
+# and outcome W (W loops) holds q^W, exactly the counts of W independent
+# uniform slots; cum[k] is the cumulative count through outcome k, and
+# within outcome k, (r - cum[k-1]) // (q^k * d^(W-1-k)) is the element's
+# slot, uniform in [0, L).  The digits past the element are dropped and the
+# next step draws a fresh window: slot draws do not depend on the graph, so
+# the walk is the one-slot-per-step walk with the same transition matrix.
+#
+# W = 1 leaves the table [L] and the draw is the one-slot draw itself, so a
+# direct walk (q <= 1) draws exactly as a per-step slot draw does.  W grows
+# with the expected run of loops q / L, up to _MAX_WINDOW, so only a walk
+# padded well past its elements (a dense input's complement walk) gets
+# W > 1.  There one draw replaces about min(W, d / L) slot draws.
+
+_MAX_WINDOW = 64
+
+
+@dataclass(frozen=True)
+class StepWindow:
+    """The exact windowed slot draw of a walk with d slots, L of them elements.
+
+    ``bound`` is d^W; a draw r below ``fast`` is the element slot r itself
+    (``fast`` is L when W == 1, else 0), and ``cum`` and ``units`` decode
+    the rest (see :meth:`decode`).
+    """
+
+    width: int
+    bound: int
+    fast: int
+    cum: tuple[int, ...]
+    units: tuple[int, ...]
+
+    def decode(self, r: int) -> tuple[int, int]:
+        """(k, slot): k loop steps, then an element step with that slot.
+
+        k == width means the window is all loops, and slot is -1.
+        """
+        k = bisect_right(self.cum, r)
+        if k == self.width:
+            return k, -1
+        return k, (r - (self.cum[k - 1] if k else 0)) // self.units[k]
+
+
+def step_window(d: int, elements: int) -> StepWindow:
+    """The window of a walk with d slots, the first ``elements`` of them elements.
+
+    W is the expected run of loops between elements, q // L, clamped to
+    [1, _MAX_WINDOW]; W = 1 whenever q < 2L, so every direct walk (q <= 1)
+    gets the one-slot draw.  A walk without elements never draws.
+    """
+    q = d - elements
+    width = max(1, min(_MAX_WINDOW, q // elements)) if elements else 1
+    units = tuple(q**k * d ** (width - 1 - k) for k in range(width))
+    cum = tuple(accumulate(elements * u for u in units))
+    return StepWindow(width, d**width, elements if width == 1 else 0, cum, units)
+
+
+# ---------------------------------------------------------------------------
 # the step loops
 #
-# _run_<kind>(g, universe, rng, tau, on_move=None, walk_degree=None) runs
-# tau steps on g in place and returns the number of moves; rng is the
-# random.Random and on_move follows the module docstring.  The slot count d
-# is walk_degree, by default the universe's own; every slot past the
-# universe's elements is a loop, so a larger d pads the walk with loops.
-# Each fixed-bound integer (the slot count d and the m(m-1) ordered
+# _run_<kind>(g, universe, rng, tau, on_move=None, walk_degree=None,
+# window=None) runs tau steps on g in place and returns the number of moves;
+# rng is the random.Random and on_move follows the module docstring.  The
+# slot count d is walk_degree, by default the universe's own; every slot
+# past the universe's elements is a loop, so a larger d pads the walk with
+# loops.  window is step_window(d, elements) unless given; a universe
+# without elements returns at once, drawing nothing.
+#
+# Each fixed-bound integer (the window's d^W and the m(m-1) ordered
 # list-slot pairs) is ``r = grb(k)`` with the bound's bit length k computed
 # once, then ``while r >= bound: r = grb(k)``.  A bound of 1 draws nothing,
 # so d == 1 swaps grb for _zero; the pair bound exceeds 1 whenever a pair
-# is drawn.
+# is drawn.  With W == 1 a draw at or past fast == L is a loop slot and
+# continues at once, and one below is the slot; with W > 1 every draw is
+# decoded, and the loop steps of the window are skipped on the step
+# iterator, in C, so a padded walk pays one draw per element step or per
+# W loop steps.
 
 
 def _zero(k: int) -> int:
@@ -218,10 +313,14 @@ def _zero(k: int) -> int:
 
 
 def _run_undirected(
-    g: Graph, universe, rng, tau: int, on_move=None, walk_degree=None
+    g: Graph, universe, rng, tau: int, on_move=None, walk_degree=None, window=None
 ) -> int:
-    loop_start = 2 * universe.n_pairs
+    loop_start = universe.elements
     d = loop_start + 1 if walk_degree is None else walk_degree
+    if window is None:
+        window = step_window(d, loop_start)
+    if not loop_start:
+        return 0
     pos = g._pos
     edges = g._edges
     swap = g._swap_edges
@@ -229,16 +328,32 @@ def _run_undirected(
     m1 = m - 1
     mm = m * m1
     grb = rng.getrandbits
-    gd = grb if d > 1 else _zero
-    kd = (d - 1).bit_length()
+    dw = window.bound
+    gw = grb if dw > 1 else _zero
+    kw = (dw - 1).bit_length()
     km = (mm - 1).bit_length()
+    fast = window.fast
+    last = window.cum[-1]
+    w1 = window.width - 1
+    decode = window.decode
     moves = 0
-    for t in range(tau):
-        slot = gd(kd)
-        while slot >= d:
-            slot = gd(kd)
-        if slot >= loop_start:
-            continue  # padding loop: keeps per-slot probability at 1/walk_degree
+    steps = iter(range(tau))
+    skip_to = steps.__setstate__  # the next step index, in O(1)
+    for t in steps:
+        slot = gw(kw)
+        while slot >= dw:
+            slot = gw(kw)
+        if slot >= fast:
+            if slot >= last:  # padding loops: keep per-slot probability at 1/walk_degree
+                if w1:
+                    skip_to(t + w1 + 1)
+                continue
+            k, slot = decode(slot)
+            if k:
+                t += k
+                if t >= tau:
+                    break
+                skip_to(t + 1)
         while True:
             r = grb(km)
             while r >= mm:
@@ -268,11 +383,15 @@ def _run_undirected(
 
 
 def _run_directed(
-    g: Digraph, universe, rng, tau: int, on_move=None, walk_degree=None
+    g: Digraph, universe, rng, tau: int, on_move=None, walk_degree=None, window=None
 ) -> int:
     full = universe.kind == MODE_FULL
-    loop_start = universe.n_pairs + universe.n_2paths
+    loop_start = universe.elements
     d = universe.walk_degree if walk_degree is None else walk_degree
+    if window is None:
+        window = step_window(d, loop_start)
+    if not loop_start:
+        return 0
     pos = g._pos
     arcs = g._arcs
     swap = g._swap_arcs
@@ -281,16 +400,32 @@ def _run_directed(
     m1 = m - 1
     mm = m * m1
     grb = rng.getrandbits
-    gd = grb if d > 1 else _zero
-    kd = (d - 1).bit_length()
+    dw = window.bound
+    gw = grb if dw > 1 else _zero
+    kw = (dw - 1).bit_length()
     km = (mm - 1).bit_length()
+    fast = window.fast
+    last = window.cum[-1]
+    w1 = window.width - 1
+    decode = window.decode
     moves = 0
-    for t in range(tau):
-        slot = gd(kd)
-        while slot >= d:
-            slot = gd(kd)
-        if slot >= loop_start:
-            continue  # padding loop
+    steps = iter(range(tau))
+    skip_to = steps.__setstate__  # the next step index, in O(1)
+    for t in steps:
+        slot = gw(kw)
+        while slot >= dw:
+            slot = gw(kw)
+        if slot >= fast:
+            if slot >= last:  # padding loops
+                if w1:
+                    skip_to(t + w1 + 1)
+                continue
+            k, slot = decode(slot)
+            if k:
+                t += k
+                if t >= tau:
+                    break
+                skip_to(t + 1)
         while True:
             r = grb(km)
             while r >= mm:
@@ -417,14 +552,48 @@ class ChainResult:
     trace: Optional[list[CanonicalKey]]
 
 
+@dataclass(frozen=True)
+class ChainPlan:
+    """What every run from one start graph in one mode shares.
+
+    ``universe`` is g0's; ``walked`` is the universe the loop steps under,
+    the complement's when ``complement`` is set; ``start`` is the graph each
+    run copies, g0 or its complement; ``window`` is the walk's slot window.
+    """
+
+    g0: Graph | Digraph
+    mode: str
+    universe: MoveUniverse
+    walked: MoveUniverse
+    complement: bool
+    start: Graph | Digraph
+    window: StepWindow
+
+
+def plan_chain(g0: Graph | Digraph, mode: str) -> ChainPlan:
+    """The set-up of every run from g0 in ``mode``, for :func:`run_chain`.
+
+    Costs O(n + m), or O(n^2) for the complement of a dense g0; an
+    ensemble builds it once and shares it across its runs.
+    """
+    universe = universe_for(g0, mode)
+    bar = complement_universe(g0, universe)
+    walked = universe if bar is None else bar
+    start = g0 if bar is None else g0.complement()
+    window = step_window(universe.walk_degree, walked.elements)
+    return ChainPlan(g0, mode, universe, walked, bar is not None, start, window)
+
+
 def run_chain(
-    g0: Graph | Digraph, cfg: ChainConfig, check_invariants: bool = False
+    g0: Graph | Digraph | ChainPlan, cfg: ChainConfig, check_invariants: bool = False
 ) -> ChainResult:
     """Run tau steps from g0; deterministic given (g0, seed).
 
-    The run walks a copy of g0, or g0's complement when that walk is shorter
-    (:func:`complement_universe`), padded to g0's walk degree and
-    complemented back at the end; the two have the same transition matrix.
+    g0 may be given as its :func:`plan_chain` for ``cfg.mode``, which walks
+    exactly as g0 itself does.  The run walks a copy of g0, or g0's
+    complement when that walk is shorter (:func:`complement_universe`),
+    padded to g0's walk degree and complemented back at the end; the two
+    have the same transition matrix.
 
     With ``check_invariants`` the start state and the state after every move
     check the walked graph's index structures against its edge/arc list,
@@ -433,15 +602,18 @@ def run_chain(
     trace records g0's side: the complement of each key on a complement
     walk.
     """
-    universe = universe_for(g0, cfg.mode)
-    walked = complement_universe(g0, universe)
-    if walked is None:
-        walked, g, key = universe, g0.copy(), canonical_key
-    else:
-        g = g0.complement()
+    plan = g0 if isinstance(g0, ChainPlan) else plan_chain(g0, cfg.mode)
+    if plan.mode != cfg.mode:
+        raise InvalidInputError(f"a {plan.mode} plan cannot run mode {cfg.mode!r}")
+    walked = plan.walked
+    g = plan.start.copy()
+    if plan.complement:
 
         def key(h):
             return canonical_key(h).complement()
+
+    else:
+        key = canonical_key
 
     rng = random.Random(cfg.seed)
     trace = [key(g)] if cfg.record_trace else None
@@ -460,8 +632,9 @@ def run_chain(
         if check_invariants:
             _check_invariants(g, walked, s0)
 
-    moves = _RUNS[cfg.mode](g, walked, rng, cfg.tau, on_move, universe.walk_degree)
-    if walked is not universe:
+    d = plan.universe.walk_degree
+    moves = _RUNS[cfg.mode](g, walked, rng, cfg.tau, on_move, d, plan.window)
+    if plan.complement:
         g = g.complement()
     if trace is not None:
         trace.extend([trace[-1]] * (cfg.tau + 1 - len(trace)))

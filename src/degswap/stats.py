@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import arcswap
-from .chain import MODE_UNDIRECTED, ChainConfig, derive_seed, run_chain
+from .chain import MODE_UNDIRECTED, ChainConfig, derive_seed, plan_chain, run_chain
 from .core import UNDIRECTED, DegreeSequence, DiDegreeSequence, Digraph, Graph, canonical_key
 from .errors import InvalidInputError
 from .realize import realize_directed, realize_undirected
@@ -90,16 +90,19 @@ def _build_pool_g0(graph_type: type, n: int, pairs: tuple) -> None:
 def _run_block(block, g0=None) -> Ensemble:
     """Runs ``lo .. hi - 1`` of ``block = (lo, hi, cfg, runs, tally)``, merged.
 
-    ``run_chain`` (config as second positional argument) and
-    ``count_directed_3cycles`` are module globals: a tracer that rebinds
-    them sees every run, in pool processes too.
+    The block plans its runs once (:func:`degswap.chain.plan_chain`) and
+    hands the plan to one ``run_chain`` call per run.  ``run_chain``
+    (config as second positional argument) and ``count_directed_3cycles``
+    are module globals: a tracer that rebinds them sees every run, in pool
+    processes too.
     """
     lo, hi, cfg, runs, tally = block
     g0 = _pool_g0 if g0 is None else g0
     directed = g0.kind != UNDIRECTED
+    plan = plan_chain(g0, cfg.mode)
     out = Ensemble()
     for i in range(lo, hi):
-        result = run_chain(g0, ChainConfig(cfg.tau, cfg.mode, derive_seed(cfg.seed, i)))
+        result = run_chain(plan, ChainConfig(cfg.tau, cfg.mode, derive_seed(cfg.seed, i)))
         g = result.graph
         out.keys[canonical_key(g).hex()] += 1
         out.moves += result.moves

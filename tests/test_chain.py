@@ -1,4 +1,7 @@
+import itertools
 import random
+import types
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,7 +12,9 @@ from degswap.chain import (
     MoveUniverse,
     complement_universe,
     derive_seed,
+    plan_chain,
     run_chain,
+    step_window,
     step_directed_full,
     step_directed_plain,
     step_undirected,
@@ -207,9 +212,14 @@ def _exact_rows(sg, mode, complement=False):
     run_chain walks a dense input) draws a slot, then one accepted ordered
     list-slot pair; every (slot, pair) outcome weighs 1/d x 1/(accepted
     ordered pairs).  The slots past the universe's elements draw no pair and
-    are scored once; with d == 1 the one slot is not drawn.  The element
-    slots run as one scripted run per state whose hook undoes each move by
-    its inverse move, which restores the list order the pair draw indexes.
+    are scored once; with d == 1 the one slot is not drawn.  A walk with a
+    window of W > 1 steps draws its slot as the window's first digit: slot
+    s is scripted as r = s * d^(W-1) and a loop as r = L * d^(W-1), which
+    decode to that slot, or a loop, at the window's first step (the other
+    outcomes' weights are test_window_outcomes_are_independent_slots').
+    The element slots run as one scripted run per state whose hook undoes
+    each move by its inverse move, which restores the list order the pair
+    draw indexes.
     """
     run = _RUNS[mode]
     d = sg.universe.walk_degree
@@ -237,10 +247,9 @@ def _exact_rows(sg, mode, complement=False):
                 (a, b), (c, e) = added
                 g._swap_arcs(a, b, c, e)
 
-        if isinstance(g, Graph):
-            items, elements = g.edges(), 2 * u.n_pairs
-        else:
-            items, elements = g.arcs(), u.n_pairs + u.n_2paths
+        items = g.edges() if isinstance(g, Graph) else g.arcs()
+        elements = u.elements
+        unit = step_window(d, elements).units[0]  # d^(W-1)
         before = list(items)
         m = len(items)
         accepted = [
@@ -252,7 +261,7 @@ def _exact_rows(sg, mode, complement=False):
         ]
         script = [
             x for slot in range(elements) for r in accepted
-            for x in ((slot, r) if d > 1 else (r,))
+            for x in ((slot * unit, r) if d > 1 else (r,))
         ]
         steps = elements * len(accepted)
         rng.values = script[::-1]
@@ -260,7 +269,7 @@ def _exact_rows(sg, mode, complement=False):
         assert not rng.values and items == before
         counts[key] = steps - moves
         if d > elements:
-            rng.values = [elements] if d > 1 else []
+            rng.values = [elements * unit] if d > 1 else []
             assert run(g, u, rng, 1, undo, d) == 0 and not rng.values
             counts[key] += (d - elements) * len(accepted)
         total = d * len(accepted)
@@ -278,15 +287,20 @@ def test_one_step_kernel_is_the_state_graph_row_exactly():
         (DegreeSequence((2, 2, 2, 2, 1, 1)), ("psi",)),
     ]
     switched = [
-        (DiDegreeSequence(((3, 3),) * 5), ("phi", "phibar")),
-        (DegreeSequence((3, 3, 3, 3, 2, 2)), ("psi",)),
+        (DiDegreeSequence(((3, 3),) * 5), ("phi", "phibar")),  # windows of 6 steps
+        (DegreeSequence((3, 3, 3, 3, 2, 2)), ("psi",)),  # one-slot draws
+        (DegreeSequence((4,) * 6), ("psi",)),  # windows of 9 steps
     ]
     modes = {"psi": "undirected", "phi": "full", "phibar": "plain"}
+    widths = set()
     for complement, cases in ((False, direct), (True, switched)):
         for s, kinds in cases:
             for kind in kinds:
                 sg = build_state_graph(s, kind)
                 d = sg.universe.walk_degree
+                g = sg.realizations[sg.keys[0]]
+                walked = universe_for(g.complement(), modes[kind]) if complement else sg.universe
+                widths.add((kind, complement, step_window(d, walked.elements).width))
                 rows = _exact_rows(sg, modes[kind], complement)
                 for key in sg.keys:
                     want = {dest: Fraction(c, d) for dest, c in sg.arcs[key].items()}
@@ -294,6 +308,109 @@ def test_one_step_kernel_is_the_state_graph_row_exactly():
                     assert {k: float(p) for k, p in want.items()} == sg.transition_row(key)
                     got = {dest: p for dest, p in rows[key].items() if p}
                     assert got == {dest: p for dest, p in want.items() if p}, (s, kind)
+    # every direct walk draws one slot per step; both graph kinds also walk
+    # a padded complement a window at a time
+    assert {w for _, c, w in widths if not c} == {1}
+    assert {k for k, c, w in widths if c and w > 1} == {"psi", "phi", "phibar"}
+
+
+def test_window_outcomes_are_independent_slots():
+    # every draw r below d^W of a window, decoded, against W independent
+    # uniform slots: outcome (k, s) is k loop slots, then element slot s;
+    # (W, -1) is W loop slots.  Exact integer counts, over widths 1 to 6,
+    # q = 0, q = 1 and L = 0 included.
+    seen = set()
+    for d, elements in (
+        (1, 1), (4, 4), (5, 4), (2, 1), (3, 0), (5, 2),
+        (10, 3), (9, 2), (11, 2), (6, 1), (7, 1),
+    ):
+        w = step_window(d, elements)
+        W = w.width
+        assert W == 1 or (d - elements >= 2 * elements and W == (d - elements) // elements)
+        assert w.bound == d**W
+        decoded = Counter()
+        for r in range(w.bound):
+            k, slot = w.decode(r)
+            if r < w.fast:
+                assert (k, slot) == (0, r)
+            assert (k == W) == (r >= w.cum[-1])
+            decoded[k, slot] += 1
+        independent = Counter()
+        for slots in itertools.product(range(d), repeat=W):
+            k = next((i for i, x in enumerate(slots) if x < elements), W)
+            independent[k, slots[k] if k < W else -1] += 1
+        assert decoded == independent, (d, elements)
+        seen.add(W)
+    assert seen == {1, 2, 3, 4, 5, 6}
+
+
+class _CountingRandom(random.Random):
+    """A random.Random that tallies its getrandbits calls by bit count."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.calls = Counter()
+
+    def getrandbits(self, k):
+        self.calls[k] += 1
+        return super().getrandbits(k)
+
+
+def test_padded_walks_draw_once_per_element_step_or_window(monkeypatch):
+    # a near-complete digraph shaped like the benchmark's dense input:
+    # complete minus two disjoint fixed-point-free permutations, n = 16
+    n = 16
+    missing = {(u, (u + 1) % n) for u in range(n)} | {(u, (u + 3) % n) for u in range(n)}
+    g0 = Digraph(n, [(u, v) for u in range(n) for v in range(n) if u != v and (u, v) not in missing])
+    rngs = []
+
+    def counting(seed):
+        rngs.append(_CountingRandom(seed))
+        return rngs[-1]
+
+    monkeypatch.setattr("degswap.chain.random", types.SimpleNamespace(Random=counting))
+    tau = 200_000
+    for mode in ("full", "plain"):
+        plan = plan_chain(g0, mode)
+        w = plan.window
+        assert plan.complement and w.width >= 32
+        res = run_chain(g0, ChainConfig(tau=tau, mode=mode, seed=3))
+        assert res.moves > 0 and res.graph.degree_sequence() == g0.degree_sequence()
+        calls = rngs[-1].calls
+        window_calls = calls.pop((w.bound - 1).bit_length())
+        pair_calls = sum(calls.values())  # each element step draws >= 1 pair
+        assert pair_calls > 0
+        # windows <= element steps + tau / W, with under two draws each on average
+        assert window_calls <= 2 * (pair_calls + tau / w.width), mode
+        assert window_calls + pair_calls < tau / 10, mode
+    # m-bar = 0: no element, so no draw at all, and the run still loops
+    # tau times with its trace and invariants intact
+    complete = Digraph(n, [(u, v) for u in range(n) for v in range(n) if u != v])
+    for mode in ("full", "plain"):
+        cfg = ChainConfig(tau=tau, mode=mode, seed=3, record_trace=True)
+        res = run_chain(complete, cfg, check_invariants=True)
+        assert (res.moves, res.loops) == (0, tau)
+        assert len(res.trace) == tau + 1 and set(res.trace) == {canonical_key(complete)}
+        assert not rngs[-1].calls
+        res.graph._check_index()
+
+
+def test_a_plan_runs_as_its_start_graph():
+    # ensembles plan once per block; a planned run is the unplanned run
+    cases = [
+        (realize_undirected(DegreeSequence((4,) * 6)), "undirected"),
+        (realize_directed(DiDegreeSequence(((3, 3),) * 5)), "full"),
+        (realize_directed(DiDegreeSequence(((1, 1),) * 4)), "plain"),
+    ]
+    for g0, mode in cases:
+        plan = plan_chain(g0, mode)
+        for seed in range(3):
+            cfg = ChainConfig(tau=500, mode=mode, seed=seed, record_trace=True)
+            a, b = run_chain(g0, cfg), run_chain(plan, cfg)
+            assert a.graph == b.graph and a.trace == b.trace and a.moves == b.moves
+        assert plan.start is g0 or plan.start == g0.complement()
+    with pytest.raises(InvalidInputError):
+        run_chain(plan_chain(cases[1][0], "full"), ChainConfig(tau=1, mode="plain"))
 
 
 def test_move_hook_leaves_the_walk_unchanged():
