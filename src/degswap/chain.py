@@ -82,7 +82,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import (
     CanonicalKey,
@@ -241,13 +241,14 @@ def iter_role_disjoint_arc_pairs(g: Digraph):
 # direct walk (q <= 1) draws exactly as a per-step slot draw does.  W grows
 # with the expected run of loops q / L, up to _MAX_WINDOW, so only a walk
 # padded well past its elements (a dense input's complement walk) gets
-# W > 1.  There one draw replaces about min(W, d / L) slot draws.
+# W > 1.  There one draw replaces about min(W, d / L) slot draws.  Wider
+# windows than 64 were no faster on a near-complete digraph (d / L = 143,
+# caps 32 to 256 within noise), and each draw costs W * log2(d) bits.
 
 _MAX_WINDOW = 64
 
 
-@dataclass(frozen=True)
-class StepWindow:
+class StepWindow(NamedTuple):
     """The exact windowed slot draw of a walk with d slots, L of them elements.
 
     ``bound`` is d^W; a draw r below ``fast`` is the element slot r itself
@@ -303,9 +304,9 @@ def step_window(d: int, elements: int) -> StepWindow:
 # so d == 1 swaps grb for _zero; the pair bound exceeds 1 whenever a pair
 # is drawn.  With W == 1 a draw at or past fast == L is a loop slot and
 # continues at once, and one below is the slot; with W > 1 every draw is
-# decoded, and the loop steps of the window are skipped on the step
-# iterator, in C, so a padded walk pays one draw per element step or per
-# W loop steps.
+# decoded, and the window's loop steps are skipped by moving the step
+# iterator (``range_iterator.__setstate__``, O(1)), so a padded walk pays
+# one draw per element step or per W loop steps.
 
 
 def _zero(k: int) -> int:
@@ -552,16 +553,14 @@ class ChainResult:
     trace: Optional[list[CanonicalKey]]
 
 
-@dataclass(frozen=True)
-class ChainPlan:
-    """What every run from one start graph in one mode shares.
+class ChainPlan(NamedTuple):
+    """What every run from one start graph g0 in one mode shares.
 
     ``universe`` is g0's; ``walked`` is the universe the loop steps under,
     the complement's when ``complement`` is set; ``start`` is the graph each
     run copies, g0 or its complement; ``window`` is the walk's slot window.
     """
 
-    g0: Graph | Digraph
     mode: str
     universe: MoveUniverse
     walked: MoveUniverse
@@ -581,7 +580,7 @@ def plan_chain(g0: Graph | Digraph, mode: str) -> ChainPlan:
     walked = universe if bar is None else bar
     start = g0 if bar is None else g0.complement()
     window = step_window(universe.walk_degree, walked.elements)
-    return ChainPlan(g0, mode, universe, walked, bar is not None, start, window)
+    return ChainPlan(mode, universe, walked, bar is not None, start, window)
 
 
 def run_chain(

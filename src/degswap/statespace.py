@@ -592,7 +592,7 @@ def empirical_transition_check(
     return ComparisonReport(kind, steps_per_state, max_sigma, failures)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=1024)
 def binomial_interval(n: int, p: float, alpha: float) -> tuple[int, int]:
     """The narrowest count interval [lo, hi] whose two tails each hold <= alpha / 2.
 

@@ -215,8 +215,8 @@ def _exact_rows(sg, mode, complement=False):
     are scored once; with d == 1 the one slot is not drawn.  A walk with a
     window of W > 1 steps draws its slot as the window's first digit: slot
     s is scripted as r = s * d^(W-1) and a loop as r = L * d^(W-1), which
-    decode to that slot, or a loop, at the window's first step (the other
-    outcomes' weights are test_window_outcomes_are_independent_slots').
+    decode to that slot, or a loop, at the window's first step;
+    test_window_outcomes_are_independent_slots checks the other outcomes.
     The element slots run as one scripted run per state whose hook undoes
     each move by its inverse move, which restores the list order the pair
     draw indexes.
