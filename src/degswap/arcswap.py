@@ -63,6 +63,7 @@ def _alternating_path(
     g: Digraph,
     probe: tuple[int, int],
     excluded: tuple[int, int],
+    tails: list[list[int]],
 ) -> Optional[list[tuple[int, int]]]:
     """Simple alternating path closing the probed present arc into a swap cycle.
 
@@ -72,7 +73,9 @@ def _alternating_path(
     Alternation fixes each split node's role, which makes the search plain
     breadth-first reachability; visiting each split node at most once is
     exactly the in/out <= 2 discipline of a simple symmetric swap cycle.
-    Neither the probe nor the excluded arc may be used.
+    Neither the probe nor the excluded arc may be used.  ``tails`` is
+    g's in-neighbor lists (:meth:`Digraph.adjacency`), built once by the
+    caller for all its searches.
 
     An out-copy scans only the in-copies not yet reached, in ascending
     order; each one it passes over is a present, probe or excluded arc or
@@ -81,7 +84,7 @@ def _alternating_path(
     frontier is expanded in the order it was generated, so z+ is the first
     out-copy whose expansion would reach w-, and the path is the one the
     full breadth-first search returns.  A three-arc breaking walk is then
-    found after the O(n) scan from v+ and one in-list.
+    found after the O(n) scan from v+ and one in-neighbor list.
 
     Returns the path's arcs with alternating membership, probe excluded.
     """
@@ -115,7 +118,7 @@ def _alternating_path(
                 fresh_in = kept
             else:
                 # remove an arc (z, x): z+ must be fresh
-                for z in g.in_list[x]:
+                for z in tails[x]:
                     if (z, x) == probe or (z, x) == excluded:
                         continue
                     tgt = ("out", z)
@@ -145,7 +148,10 @@ def _collect_path(parent, start, goal) -> list[tuple[int, int]]:
 
 
 def _breaking_cycle_via(
-    g: Digraph, cycle: tuple[tuple[int, int], ...], probe: tuple[int, int]
+    g: Digraph,
+    cycle: tuple[tuple[int, int], ...],
+    probe: tuple[int, int],
+    tails: list[list[int]],
 ) -> Optional[AlternatingCycle]:
     """Breaking swap cycle through the probed cycle arc, if any.
 
@@ -157,7 +163,7 @@ def _breaking_cycle_via(
     for excluded in six:
         if excluded == probe:
             continue
-        path = _alternating_path(g, probe, excluded)
+        path = _alternating_path(g, probe, excluded, tails)
         if path is None:
             continue
         return _cycle_from_path(g, probe, path)
@@ -199,7 +205,7 @@ def find_breaking_walk(
         raise InvalidInputError(f"{cycle} does not induce a directed 3-cycle")
     if tuple(arc) not in arcs:
         raise InvalidInputError(f"{arc} is not an arc of the induced 3-cycle")
-    return _breaking_cycle_via(g, arcs, tuple(arc))
+    return _breaking_cycle_via(g, arcs, tuple(arc), g.adjacency()[1])
 
 
 def induced_3cycles(g: Digraph) -> list[tuple[int, int, int]]:
@@ -210,12 +216,12 @@ def induced_3cycles(g: Digraph) -> list[tuple[int, int, int]]:
     (w, u) while no arc of the triple has its reversal.  O(m * max degree).
     """
     pos = g._pos
-    out_list = g.out_list
+    heads = g.adjacency()[0]
     found = []
     for u, v in g._arcs:
         if v < u or (v, u) in pos:
             continue
-        for w in out_list[v]:
+        for w in heads[v]:
             if w > u and (w, u) in pos and (w, v) not in pos and (u, w) not in pos:
                 found.append((u, v, w) if v < w else (u, w, v))
     found.sort()
@@ -230,10 +236,11 @@ def detect_induced_cycle_sets(g: Digraph) -> list[InducedCycleSet]:
     :func:`induced_3cycles` in O(m * max degree); each candidate then costs
     up to fifteen breadth-first walk searches.
     """
+    tails = g.adjacency()[1]
     found = []
     for triple in induced_3cycles(g):
         arcs = _cycle_orientation(g, triple)
-        if all(_breaking_cycle_via(g, arcs, a) is None for a in arcs):
+        if all(_breaking_cycle_via(g, arcs, a, tails) is None for a in arcs):
             found.append(InducedCycleSet(triple))
     return found
 

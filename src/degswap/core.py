@@ -4,6 +4,10 @@ Vertices are the integers ``0 .. n-1`` throughout.  Graphs are simple and
 labeled: no loops, no parallel edges; digraphs additionally allow a pair of
 antiparallel arcs ``(u, v)`` and ``(v, u)``.
 
+Graph and Digraph values store only their edge or arc list, its positions
+and the degrees, which is all a chain step reads; a scan that needs
+per-vertex neighbors builds them (:meth:`Digraph.adjacency`).
+
 Graph and Digraph values change only through their private mutators, which
 the step loops of :mod:`degswap.chain` call; a value that is no longer
 being stepped can be shared freely across threads.
@@ -111,6 +115,14 @@ def _norm_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
+def _check_pair(n: int, u: int, v: int) -> None:
+    """Reject a pair that leaves ``0 .. n-1`` or is a loop."""
+    if not (0 <= u < n and 0 <= v < n):
+        raise InvalidInputError(f"vertex out of range in ({u}, {v})")
+    if u == v:
+        raise InvalidInputError(f"loop ({u}, {v}) not allowed")
+
+
 class Graph:
     """Simple undirected labeled graph with O(1) edge queries.
 
@@ -134,17 +146,11 @@ class Graph:
         self._edges: list[tuple[int, int]] = []
         self._pos: dict[tuple[int, int], int] = {}
         for u, v in edges:
-            self._check_pair(u, v)
+            _check_pair(n, u, v)
             e = _norm_edge(u, v)
             if e in self._pos:
                 raise InvalidInputError(f"duplicate edge {e}")
             self._add_edge(*e)
-
-    def _check_pair(self, u: int, v: int) -> None:
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise InvalidInputError(f"vertex out of range in ({u}, {v})")
-        if u == v:
-            raise InvalidInputError(f"loop ({u}, {v}) not allowed")
 
     @property
     def m(self) -> int:
@@ -248,30 +254,15 @@ class Graph:
 class Digraph:
     """Simple directed labeled graph; antiparallel arc pairs are allowed.
 
-    Storage: the arcs as a dense list ``_arcs`` with their list positions
-    ``_pos``; per-vertex head lists ``out_list`` and tail lists ``in_list``,
-    so a chain step can index a uniform out-arc or in-arc in O(1); and two
-    int lists aligned with ``_arcs``: arc i = (u, v) sits at
-    ``out_list[u][_oslot[i]]`` and ``in_list[v][_islot[i]]``.
-
-    A swap writes two ``_arcs`` slots, four list entries and exchanges two
-    ``_islot`` entries; a reorientation writes three ``_arcs`` slots, six
-    list entries and rotates three slots of each kind.  Both also move the
-    affected ``_pos`` entries.  An add or remove (swap-with-last in every
-    list) is O(1) as well.
+    Storage, as in :class:`Graph`: the arcs as a dense list ``_arcs`` (for
+    uniform random indexing), their list positions ``_pos`` (for
+    membership) and the per-vertex ``out_deg`` and ``in_deg``.  A swap
+    writes two ``_arcs`` slots and a reorientation three, each moving the
+    affected ``_pos`` entries; an add or remove (swap-with-last) touches
+    one or two of each.  :meth:`adjacency` builds per-vertex lists on demand.
     """
 
-    __slots__ = (
-        "n",
-        "out_deg",
-        "in_deg",
-        "out_list",
-        "in_list",
-        "_arcs",
-        "_pos",
-        "_oslot",
-        "_islot",
-    )
+    __slots__ = ("n", "out_deg", "in_deg", "_arcs", "_pos")
 
     kind = DIRECTED
 
@@ -281,23 +272,13 @@ class Digraph:
         self.n = n
         self.out_deg = [0] * n
         self.in_deg = [0] * n
-        self.out_list: list[list[int]] = [[] for _ in range(n)]
-        self.in_list: list[list[int]] = [[] for _ in range(n)]
         self._arcs: list[tuple[int, int]] = []
         self._pos: dict[tuple[int, int], int] = {}
-        self._oslot: list[int] = []
-        self._islot: list[int] = []
         for u, v in arcs:
-            self._check_pair(u, v)
+            _check_pair(n, u, v)
             if (u, v) in self._pos:
                 raise InvalidInputError(f"duplicate arc ({u}, {v})")
             self._add_arc(u, v)
-
-    def _check_pair(self, u: int, v: int) -> None:
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise InvalidInputError(f"vertex out of range in ({u}, {v})")
-        if u == v:
-            raise InvalidInputError(f"loop ({u}, {v}) not allowed")
 
     @property
     def m(self) -> int:
@@ -313,11 +294,17 @@ class Digraph:
     def has_arc(self, u: int, v: int) -> bool:
         return (u, v) in self._pos
 
-    def out_neighbors(self, v: int) -> list[int]:
-        return sorted(self.out_list[v])
+    def adjacency(self) -> tuple[list[list[int]], list[list[int]]]:
+        """Fresh per-vertex ``(heads, tails)`` lists in arc-list order: O(n + m).
 
-    def in_neighbors(self, v: int) -> list[int]:
-        return sorted(self.in_list[v])
+        ``heads[u]`` holds every v with an arc (u, v), ``tails[v]`` every u.
+        """
+        heads: list[list[int]] = [[] for _ in range(self.n)]
+        tails: list[list[int]] = [[] for _ in range(self.n)]
+        for u, v in self._arcs:
+            heads[u].append(v)
+            tails[v].append(u)
+        return heads, tails
 
     def degree_sequence(self) -> DiDegreeSequence:
         return DiDegreeSequence(zip(self.out_deg, self.in_deg))
@@ -327,12 +314,8 @@ class Digraph:
         g.n = self.n
         g.out_deg = list(self.out_deg)
         g.in_deg = list(self.in_deg)
-        g.out_list = [list(ls) for ls in self.out_list]
-        g.in_list = [list(ls) for ls in self.in_list]
         g._arcs = list(self._arcs)
         g._pos = dict(self._pos)
-        g._oslot = list(self._oslot)
-        g._islot = list(self._islot)
         return g
 
     def complement(self) -> "Digraph":
@@ -358,34 +341,12 @@ class Digraph:
         return f"Digraph(n={self.n}, arcs={sorted(self._arcs)})"
 
     def _check_index(self) -> None:
-        """Raise AssertionError unless every index structure matches ``_arcs``.
-
-        Checks that ``_pos`` inverts ``_arcs``, that each arc's two slots
-        point back at it, that the per-vertex lists hold exactly the arcs'
-        heads and tails, and that the degrees match a recount.
-        """
+        """Raise AssertionError unless ``_pos`` and the degrees match ``_arcs``."""
         arcs, pos = self._arcs, self._pos
         if len(pos) != len(arcs) or any(pos.get(a) != i for i, a in enumerate(arcs)):
             raise AssertionError("arc positions do not invert the arc list")
-        if len(self._oslot) != len(arcs) or len(self._islot) != len(arcs):
-            raise AssertionError("slot lists are not aligned with the arc list")
-        heads = [[] for _ in range(self.n)]
-        tails = [[] for _ in range(self.n)]
-        for i, (u, v) in enumerate(arcs):
-            if self.out_list[u][self._oslot[i]] != v:
-                raise AssertionError(f"out-slot of arc {i} ({u}, {v}) is stale")
-            if self.in_list[v][self._islot[i]] != u:
-                raise AssertionError(f"in-slot of arc {i} ({u}, {v}) is stale")
-            heads[u].append(v)
-            tails[v].append(u)
-        for v in range(self.n):
-            if sorted(self.out_list[v]) != sorted(heads[v]):
-                raise AssertionError(f"out-list of {v} differs from the arcs")
-            if sorted(self.in_list[v]) != sorted(tails[v]):
-                raise AssertionError(f"in-list of {v} differs from the arcs")
-        if self.out_deg != [len(h) for h in heads] or self.in_deg != [
-            len(t) for t in tails
-        ]:
+        degrees = [list(map(len, lists)) for lists in self.adjacency()]
+        if degrees != [self.out_deg, self.in_deg]:
             raise AssertionError("stored degrees differ from the arc list")
 
     # mutation: reserved for moves / constructors
@@ -394,82 +355,41 @@ class Digraph:
         a = (u, v)
         self._pos[a] = len(self._arcs)
         self._arcs.append(a)
-        self._oslot.append(len(self.out_list[u]))
-        self.out_list[u].append(v)
-        self._islot.append(len(self.in_list[v]))
-        self.in_list[v].append(u)
         self.out_deg[u] += 1
         self.in_deg[v] += 1
 
     def _remove_arc(self, u: int, v: int) -> None:
-        pos = self._pos
-        oslot = self._oslot
-        islot = self._islot
-        i = pos.pop((u, v))
-
-        # swap-with-last in u's out-list and v's in-list; the arc moved into
-        # the freed slot records its new slot
-        ls = self.out_list[u]
-        j = oslot[i]
-        tail = ls.pop()
-        if j < len(ls):
-            ls[j] = tail
-            oslot[pos[(u, tail)]] = j
-        ls = self.in_list[v]
-        j = islot[i]
-        tail = ls.pop()
-        if j < len(ls):
-            ls[j] = tail
-            islot[pos[(tail, v)]] = j
-
-        # swap-with-last in the arc list, slots travelling with their arc
+        a = (u, v)
+        i = self._pos.pop(a)
         last = self._arcs.pop()
-        last_o = oslot.pop()
-        last_i = islot.pop()
-        if i < len(self._arcs):
+        if last != a:
             self._arcs[i] = last
-            pos[last] = i
-            oslot[i] = last_o
-            islot[i] = last_i
-
+            self._pos[last] = i
         self.out_deg[u] -= 1
         self.in_deg[v] -= 1
 
     def _swap_arcs(self, a: int, b: int, c: int, d: int) -> None:
         """Replace arcs (a,b),(c,d) by (a,d),(c,b).
 
-        Every endpoint keeps both degrees, so all four neighbor-list entries
-        are replaced in place: the tails keep their out-slots, and the two
-        arcs exchange in-slots.
+        Every endpoint keeps both degrees, so the list slots are reused.
         """
         pos = self._pos
         arcs = self._arcs
-        islot = self._islot
         i1 = pos.pop((a, b))
         i2 = pos.pop((c, d))
         pos[(a, d)] = i1
         arcs[i1] = (a, d)
         pos[(c, b)] = i2
         arcs[i2] = (c, b)
-        oslot = self._oslot
-        self.out_list[a][oslot[i1]] = d
-        self.out_list[c][oslot[i2]] = b
-        j1, j2 = islot[i1], islot[i2]
-        self.in_list[b][j1] = c
-        self.in_list[d][j2] = a
-        islot[i1], islot[i2] = j2, j1
 
     def _reorient_triangle(self, u: int, v: int, w: int) -> None:
         """Reverse the arcs of the induced directed 3-cycle u -> v -> w -> u.
 
         Requires all three reversals absent beforehand (the reorientation
-        gate).  Each vertex's list entries are replaced in place, and each
-        reversed arc takes over the slots its neighbors in the cycle held.
+        gate); each reversed arc takes over its original's list slot.
         """
         pos = self._pos
         arcs = self._arcs
-        oslot = self._oslot
-        islot = self._islot
         i1 = pos.pop((u, v))
         i2 = pos.pop((v, w))
         i3 = pos.pop((w, u))
@@ -479,18 +399,6 @@ class Digraph:
         arcs[i2] = (w, v)
         pos[(u, w)] = i3
         arcs[i3] = (u, w)
-        o1, o2, o3 = oslot[i1], oslot[i2], oslot[i3]
-        j1, j2, j3 = islot[i1], islot[i2], islot[i3]
-        out_list = self.out_list
-        in_list = self.in_list
-        out_list[u][o1] = w
-        out_list[v][o2] = u
-        out_list[w][o3] = v
-        in_list[v][j1] = w
-        in_list[w][j2] = u
-        in_list[u][j3] = v
-        oslot[i1], oslot[i2], oslot[i3] = o2, o3, o1
-        islot[i1], islot[i2], islot[i3] = j3, j1, j2
 
 
 # ---------------------------------------------------------------------------

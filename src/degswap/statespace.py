@@ -65,10 +65,13 @@ def enumerate_realization_keys(
 
     Backtracks over the vertex-pair grid row by row with residual-degree
     pruning; each realization is produced exactly once.  The resource bound
-    is checked eagerly, before the first key is produced.
+    is checked eagerly, before the first key is produced; a bound below 1
+    is invalid input.
     """
     directed = isinstance(s, DiDegreeSequence)
     if max_n is not None:
+        if max_n < 1:
+            raise InvalidInputError(f"enumeration bound must be at least 1, got {max_n}")
         bound = max_n
     else:
         bound = DEFAULT_MAX_N_DIRECTED if directed else DEFAULT_MAX_N_UNDIRECTED
@@ -235,9 +238,10 @@ def build_state_graph(
                 else:
                     dest = _destination(key, ((a, b), (c, d)), ((a, d), (c, b)))
                     out[dest] = out.get(dest, 0) + 1
+            heads, tails = g.adjacency()
             for v in range(n):
-                for u in g.in_list[v]:
-                    for w in g.out_list[v]:
+                for u in tails[v]:
+                    for w in heads[v]:
                         if u == w:
                             # an antiparallel pair is one loop element, seen
                             # once from each of its two centers

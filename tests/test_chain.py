@@ -476,12 +476,7 @@ def test_index_structures_survive_long_runs():
         g = res.graph
         assert sorted(g._arcs) == sorted(g._pos)
         assert sorted(g._pos.values()) == list(range(g.m))
-        for i, (u, v) in enumerate(g._arcs):
-            assert g.out_list[u][g._oslot[i]] == v
-            assert g.in_list[v][g._islot[i]] == u
-        for v in range(g.n):
-            assert sorted(g.out_list[v]) == sorted(x for (u, x) in g._arcs if u == v)
-            assert sorted(g.in_list[v]) == sorted(u for (u, x) in g._arcs if x == v)
+        g._check_index()
         assert g.degree_sequence() == g0.degree_sequence()
 
     u0 = realize_undirected(DegreeSequence((2, 2, 2, 2, 1, 1)))

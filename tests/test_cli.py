@@ -207,6 +207,15 @@ def test_enumerate_max_n_override(capsys):
     assert code == 0 and json.loads(out)["node_count"] == 1
 
 
+def test_enumerate_max_n_below_one_exit_2(capsys):
+    for bound in ("0", "-1"):
+        code, out, err = run_cli(
+            capsys, "enumerate", "--degrees", "1 1", "--kind", "psi", "--max-n", bound
+        )
+        assert code == 2 and out == ""
+        assert "at least 1" in json.loads(err)["error"]
+
+
 def test_sample_workers_match_serial(capsys):
     # stdout does not depend on how the runs are split over pool processes
     for sub, degrees, mode in (

@@ -264,13 +264,13 @@ def _assert_matches_rebuilt(g):
     h = Digraph(g.n, g.arcs())
     assert g._arcs == h._arcs
     assert g._pos == h._pos
-    assert len(g._oslot) == len(g._islot) == g.m
-    for i, (u, v) in enumerate(g._arcs):
-        assert g.out_list[u][g._oslot[i]] == v
-        assert g.in_list[v][g._islot[i]] == u
+    heads, tails = g.adjacency()
+    assert heads == [[v for (u, v) in g._arcs if u == x] for x in range(g.n)]
+    assert tails == [[u for (u, v) in g._arcs if v == x] for x in range(g.n)]
+    h_heads, h_tails = h.adjacency()
     for v in range(g.n):
-        assert sorted(g.out_list[v]) == sorted(h.out_list[v])
-        assert sorted(g.in_list[v]) == sorted(h.in_list[v])
+        assert sorted(heads[v]) == sorted(h_heads[v])
+        assert sorted(tails[v]) == sorted(h_tails[v])
     assert (g.out_deg, g.in_deg) == (h.out_deg, h.in_deg)
     g._check_index()
 
@@ -350,12 +350,12 @@ def test_index_check_catches_a_stale_slot():
     g = Digraph(4, [(0, 1), (0, 2), (3, 1), (2, 3)])
     g._check_index()
     bad = g.copy()
-    bad._oslot[0], bad._oslot[1] = bad._oslot[1], bad._oslot[0]
-    with pytest.raises(AssertionError, match="out-slot"):
+    bad._pos[(0, 1)] = 1
+    with pytest.raises(AssertionError, match="positions"):
         bad._check_index()
     bad = g.copy()
-    bad._islot[0], bad._islot[2] = bad._islot[2], bad._islot[0]
-    with pytest.raises(AssertionError, match="in-slot"):
+    bad.in_deg[1] -= 1
+    with pytest.raises(AssertionError, match="degrees"):
         bad._check_index()
     u = Graph(3, [(0, 1), (1, 2)])
     u._check_index()

@@ -33,6 +33,8 @@ from degswap.chain import (
     MODE_PLAIN,
     MODE_UNDIRECTED,
     _RUNS,
+    ChainConfig,
+    run_chain,
     universe_for,
 )
 from degswap.core import (
@@ -53,6 +55,8 @@ from degswap.realize import (
 )
 from degswap.generators import BlockedInstanceSpec, generate_blocked
 from degswap.stats import correct_frozen_arcs, count_directed_3cycles
+
+from .conftest import hub_with_back_arc
 
 SEED = 20140301
 
@@ -164,11 +168,12 @@ def ref_induced_3cycles(g):
 
 
 def ref_detect_induced_cycle_sets(g):
+    tails = g.adjacency()[1]
     found = []
     for triple in itertools.combinations(range(g.n), 3):
         arcs = _cycle_orientation(g, triple)
         if arcs is not None and all(
-            _breaking_cycle_via(g, arcs, a) is None for a in arcs
+            _breaking_cycle_via(g, arcs, a, tails) is None for a in arcs
         ):
             found.append(triple)
     return found
@@ -179,6 +184,7 @@ def ref_alternating_path(g, probe, excluded):
     n = g.n
     v, w = probe
     pos = g._pos
+    tails = g.adjacency()[1]
     start, goal = ("out", v), ("in", w)
     parent = {start: None}
     frontier = [start]
@@ -200,7 +206,7 @@ def ref_alternating_path(g, probe, excluded):
                         return _collect_path(parent, start, goal)
                     nxt_frontier.append(tgt)
             else:
-                for z in g.in_list[x]:
+                for z in tails[x]:
                     if (z, x) == probe or (z, x) == excluded:
                         continue
                     tgt = ("out", z)
@@ -554,13 +560,32 @@ def test_detect_matches_triple_loop():
                       + [(i, j) for i in range(3) for j in range(3, 6)])
     assert [cs.vertices for cs in detect_induced_cycle_sets(blocked)] == [(0, 1, 2)]
     assert ref_detect_induced_cycle_sets(blocked) == [(0, 1, 2)]
+    for g in chain_mutated_digraphs():
+        sets = [cs.vertices for cs in detect_induced_cycle_sets(g)]
+        assert sets == ref_detect_induced_cycle_sets(g)
+
+
+def chain_mutated_digraphs():
+    """The graphs two ``full`` runs return, their arc lists reordered by moves.
+
+    Swaps and reorientations (and, on hub_with_back_arc(), antiparallel
+    pairs forming and breaking) leave in-neighbor lists in neither vertex
+    nor insertion order.
+    """
+    out = []
+    for g0 in (realize_directed(DiDegreeSequence(((2, 2),) * 5)), hub_with_back_arc()):
+        res = run_chain(g0, ChainConfig(tau=5000, mode="full", seed=13))
+        assert res.moves > 0 and res.graph.arcs() != g0.arcs()
+        out.append(res.graph)
+    return out
 
 
 def check_walk_searches(g, probes):
     """Every probe against every other arc of its triangle, and a random pair."""
+    tails = g.adjacency()[1]
     found = 0
     for probe, excluded in probes:
-        path = _alternating_path(g, probe, excluded)
+        path = _alternating_path(g, probe, excluded, tails)
         assert path == ref_alternating_path(g, probe, excluded), (probe, excluded)
         found += path is not None
     return found
@@ -594,6 +619,13 @@ def test_walk_search_matches_full_scan():
     assert found > 200 and missed > 20, (found, missed)
     blocked = generate_blocked(BlockedInstanceSpec(blocks=2))
     assert check_walk_searches(blocked, triangle_probes(blocked, induced_3cycles(blocked))) == 0
+    for g in chain_mutated_digraphs():
+        probes = triangle_probes(g, induced_3cycles(g))
+        for _ in range(30):
+            probe = rng.choice(g.arcs())
+            excluded = (rng.randrange(g.n), rng.randrange(g.n))
+            probes.append((probe, excluded))
+        assert check_walk_searches(g, probes) > 0
 
 
 def test_walk_search_matches_full_scan_at_scale():
