@@ -17,8 +17,7 @@ breadth-first reachability is complete.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import AlternatingCycle, DiDegreeSequence, Digraph
 from .errors import (
@@ -29,15 +28,13 @@ from .errors import (
 from .realize import is_digraphical
 
 
-@dataclass(frozen=True)
-class InducedCycleSet:
+class InducedCycleSet(NamedTuple):
     """Vertex triple inducing a directed 3-cycle in every realization."""
 
     vertices: tuple[int, int, int]
 
 
-@dataclass(frozen=True)
-class ArcSwapReport:
+class ArcSwapReport(NamedTuple):
     is_arc_swap: bool
     cycle_sets: tuple[InducedCycleSet, ...]
     component_count: int  # 2 ** len(cycle_sets)
@@ -290,8 +287,7 @@ def recognize(s: DiDegreeSequence) -> ArcSwapReport:
 # sampling bias of the swap-only walk
 
 
-@dataclass(frozen=True)
-class ArcBias:
+class ArcBias(NamedTuple):
     """How the swap-only walk treats one ordered pair, given a start graph.
 
     Cycle-set arcs present at the start stay present forever (walk

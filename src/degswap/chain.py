@@ -80,7 +80,6 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import NamedTuple, Optional
 
@@ -93,12 +92,7 @@ from .core import (
     canonical_key,
 )
 from .errors import InvalidInputError
-
-MODE_UNDIRECTED = "undirected"
-MODE_FULL = "full"
-MODE_PLAIN = "plain"
-
-DEFAULT_SEED = 1729
+from .names import DEFAULT_SEED, MODE_FULL, MODE_PLAIN, MODE_UNDIRECTED
 
 _MASK64 = (1 << 64) - 1
 
@@ -119,8 +113,7 @@ def _choose2(x: int) -> int:
     return x * (x - 1) // 2
 
 
-@dataclass(frozen=True)
-class MoveUniverse:
+class MoveUniverse(NamedTuple):
     """Constant-size selection universe of one chain step.
 
     The counts depend on the degree sequence only; that constancy makes the
@@ -528,25 +521,30 @@ def step_directed_plain(g: Digraph, rng: random.Random, universe=None) -> bool:
 # whole runs
 
 
-@dataclass(frozen=True)
-class ChainConfig:
+class _ChainFields(NamedTuple):
     tau: int
     mode: str
     seed: int = DEFAULT_SEED
     record_trace: bool = False
 
-    def __post_init__(self):
-        if self.tau < 0:
+
+class ChainConfig(_ChainFields):
+    """A run's settings, checked on construction (and so on unpickling)."""
+
+    __slots__ = ()
+
+    def __new__(cls, tau: int, mode: str, seed: int = DEFAULT_SEED, record_trace: bool = False):
+        if tau < 0:
             raise InvalidInputError("tau must be >= 0")
-        if self.mode not in _RUNS:
-            raise InvalidInputError(f"unknown mode {self.mode!r}")
-        if self.seed < 0:
+        if mode not in _RUNS:
+            raise InvalidInputError(f"unknown mode {mode!r}")
+        if seed < 0:
             # random.Random(-s) is random.Random(s): two seeds, one walk
             raise InvalidInputError("seed must be >= 0")
+        return super().__new__(cls, tau, mode, seed, record_trace)
 
 
-@dataclass
-class ChainResult:
+class ChainResult(NamedTuple):
     graph: Graph | Digraph
     moves: int
     loops: int

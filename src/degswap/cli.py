@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
+import itertools
 import json
 import sys
 from typing import Optional
 
-from .chain import DEFAULT_SEED, MODE_FULL, MODE_PLAIN, MODE_UNDIRECTED, ChainConfig, run_chain
 from .core import (
     DegreeSequence,
     DiDegreeSequence,
@@ -27,8 +27,15 @@ from .core import (
     parse_edgelist,
 )
 from .errors import InvalidInputError, RealizationError, ResourceLimitError
-from .names import FAMILIES, FAMILY_EXAMPLE1, KINDS
-from .realize import realize_directed, realize_undirected
+from .names import (
+    DEFAULT_SEED,
+    FAMILIES,
+    FAMILY_EXAMPLE1,
+    KINDS,
+    MODE_FULL,
+    MODE_PLAIN,
+    MODE_UNDIRECTED,
+)
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -54,8 +61,11 @@ def _on_first_use(name: str):
     return module
 
 
-# the recognizer, and the ensemble layer with its process pool; statespace,
-# generators and secrets are imported inside the subcommands that use them
+# the realizers, the chain, the recognizer, and the ensemble layer with its
+# process pool; statespace, generators and secrets are imported inside the
+# subcommands that use them
+realize = _on_first_use("realize")
+chain = _on_first_use("chain")
 arcswap = _on_first_use("arcswap")
 stats = _on_first_use("stats")
 
@@ -86,18 +96,81 @@ def _load_sequence(args) -> DegreeSequence | DiDegreeSequence:
     raise InvalidInputError("need --degrees or --degrees-file")
 
 
+def _realize(s: DegreeSequence | DiDegreeSequence) -> Graph | Digraph:
+    if isinstance(s, DiDegreeSequence):
+        return realize.realize_directed(s)
+    return realize.realize_undirected(s)
+
+
 def _load_graph_or_sequence(args):
     """(graph, sequence) with the graph realized on demand."""
     if getattr(args, "edgelist", None) is not None:
         g = parse_edgelist(_read_text(args.edgelist))
         return g, g.degree_sequence()
     s = _load_sequence(args)
-    g = realize_directed(s) if isinstance(s, DiDegreeSequence) else realize_undirected(s)
-    return g, s
+    return _realize(s), s
 
 
 def _emit(payload: str) -> None:
     sys.stdout.write(payload if payload.endswith("\n") else payload + "\n")
+
+
+_CONTAINERS = (dict, list, tuple)
+
+
+def _dumps(payload) -> str:
+    """``json.dumps(payload, indent=2)``, byte for byte, without its slow path.
+
+    With ``indent`` set, :mod:`json` encodes in pure Python.  Here the C
+    encoder writes every container whose members are all scalars in one
+    call, with the indented item separator (an encoded scalar never holds a
+    raw newline); a list of equal-length int lists (the edge list) is filled
+    from one ``%d`` template; only the containers that hold containers are
+    walked in Python.  The pieces go into one list, joined once.
+    """
+    out: list[str] = []
+    _put(payload, "\n", out)
+    return "".join(out)
+
+
+def _put(value, nl: str, out: list[str]) -> None:
+    """Append the pieces of ``value`` to ``out``; ``nl`` is its own line start."""
+    if not isinstance(value, _CONTAINERS):
+        out.append(json.dumps(value))
+        return
+    is_dict = isinstance(value, dict)
+    if not value:
+        out.append("{}" if is_dict else "[]")
+        return
+    inner = nl + "  "
+    sep = "," + inner
+    members = value.values() if is_dict else value
+    out.append("{" + inner if is_dict else "[" + inner)
+    if not any(isinstance(v, _CONTAINERS) for v in members):
+        out.append(json.dumps(value, separators=(sep, ": "))[1:-1])
+    elif not is_dict and _int_rows(value):
+        row = "[" + ",".join([inner + "  %d"] * len(value[0])) + inner + "]"
+        out.append(sep.join([row] * len(value)) % tuple(itertools.chain.from_iterable(value)))
+    else:
+        for i, item in enumerate(value.items() if is_dict else value):
+            if i:
+                out.append(sep)
+            if is_dict:
+                key, item = item
+                # the key as json.dumps converts and quotes it
+                out.append(json.dumps({key: 0})[1:-4] + ": ")
+            _put(item, inner, out)
+    out.append(nl + ("}" if is_dict else "]"))
+
+
+def _int_rows(value) -> bool:
+    """True when ``value`` is a list of int lists of one non-zero length."""
+    return (
+        set(map(type, value)) <= {list, tuple}
+        and len(set(map(len, value))) == 1
+        and len(value[0]) > 0
+        and set(map(type, itertools.chain.from_iterable(value))) == {int}
+    )
 
 
 def _graph_json(g: Graph | Digraph) -> dict:
@@ -115,12 +188,11 @@ def _graph_json(g: Graph | Digraph) -> dict:
 
 
 def _cmd_realize(args) -> int:
-    s = _load_sequence(args)
-    g = realize_directed(s) if isinstance(s, DiDegreeSequence) else realize_undirected(s)
+    g = _realize(_load_sequence(args))
     if args.format == "edgelist":
         _emit(format_edgelist(g))
     else:
-        _emit(json.dumps(_graph_json(g), indent=2))
+        _emit(_dumps(_graph_json(g)))
     return EXIT_OK
 
 
@@ -140,14 +212,14 @@ def _cmd_sample(args) -> int:
     g0, s = _load_graph_or_sequence(args)
     mode = _mode_for(args, s)
     seed = _parse_seed(args.seed)
-    cfg = ChainConfig(tau=args.tau, mode=mode, seed=seed)
+    cfg = chain.ChainConfig(tau=args.tau, mode=mode, seed=seed)
     if args.runs == 1:
-        result = run_chain(g0, cfg)
+        result = chain.run_chain(g0, cfg)
         if args.format == "edgelist":
             _emit(format_edgelist(result.graph))
             return EXIT_OK
         _emit(
-            json.dumps(
+            _dumps(
                 {
                     "mode": mode,
                     "tau": args.tau,
@@ -155,15 +227,14 @@ def _cmd_sample(args) -> int:
                     "moves": result.moves,
                     "loops": result.loops,
                     "final": _graph_json(result.graph),
-                },
-                indent=2,
+                }
             )
         )
         return EXIT_OK
 
     total = stats.run_ensemble(g0, cfg, args.runs, args.workers)
     _emit(
-        json.dumps(
+        _dumps(
             {
                 "mode": mode,
                 "tau": args.tau,
@@ -175,8 +246,7 @@ def _cmd_sample(args) -> int:
                     k: v / args.runs for k, v in sorted(total.keys.items())
                 },
                 "final": _graph_json(type(g0)(g0.n, total.last)),
-            },
-            indent=2,
+            }
         )
     )
     return EXIT_OK
@@ -194,7 +264,7 @@ def _cmd_recognize(args) -> int:
             raise InvalidInputError("recognize needs a directed degree sequence")
     report = arcswap.recognize(s)
     _emit(
-        json.dumps(
+        _dumps(
             {
                 "is_arc_swap": report.is_arc_swap,
                 "cycle_sets": [list(cs.vertices) for cs in report.cycle_sets],
@@ -204,8 +274,7 @@ def _cmd_recognize(args) -> int:
                     if report.reduced_sequence is None
                     else format_degree_sequence(report.reduced_sequence)
                 ),
-            },
-            indent=2,
+            }
         )
     )
     return EXIT_OK
@@ -226,7 +295,7 @@ def _cmd_enumerate(args) -> int:
         _emit(statespace.to_dot(sg))
         return EXIT_OK
     _emit(
-        json.dumps(
+        _dumps(
             {
                 "kind": sg.kind,
                 "node_count": sg.node_count,
@@ -238,8 +307,7 @@ def _cmd_enumerate(args) -> int:
                 "diameter": max(props.diameters) if props.diameters else 0,
                 "bounds_ok": bounds.ok,
                 "bounds_applicable": bounds.applicable,
-            },
-            indent=2,
+            }
         )
     )
     return EXIT_OK
@@ -258,7 +326,7 @@ def _cmd_generate(args) -> int:
     if args.format == "json":
         payload = _graph_json(g)
         payload["degree_sequence"] = format_degree_sequence(g.degree_sequence())
-        _emit(json.dumps(payload, indent=2))
+        _emit(_dumps(payload))
     else:
         _emit(format_edgelist(g))
     return EXIT_OK
@@ -268,7 +336,7 @@ def _cmd_stats(args) -> int:
     g0, s = _load_graph_or_sequence(args)
     mode = _mode_for(args, s)
     seed = _parse_seed(args.seed)
-    cfg = ChainConfig(tau=args.tau, mode=mode, seed=seed)
+    cfg = chain.ChainConfig(tau=args.tau, mode=mode, seed=seed)
     report = stats.ensemble_stats(s, cfg, args.runs, workers=args.workers, g0=g0)
     payload = {
         "mode": mode,
@@ -288,7 +356,7 @@ def _cmd_stats(args) -> int:
         payload["corrected_frequency"] = {
             f"{u} {v}": f for (u, v), f in report.corrected_frequency.items()
         }
-    _emit(json.dumps(payload, indent=2))
+    _emit(_dumps(payload))
     return EXIT_OK
 
 

@@ -15,8 +15,7 @@ being stepped can be shared freely across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import InvalidInputError
 
@@ -28,14 +27,44 @@ DIRECTED = "directed"
 # degree sequences
 
 
-@dataclass(frozen=True)
-class DegreeSequence:
+class _Sequence:
+    """An immutable value with one tuple field, named by its one slot.
+
+    Equal to a value of the same class with an equal field, and hashed as
+    the one-field tuple.  Not a NamedTuple: a sequence iterates its entries.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def _field(self) -> tuple:
+        return getattr(self, self.__slots__[0])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._field() == other._field()
+
+    def __hash__(self) -> int:
+        return hash((self._field(),))
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__name__}({self.__slots__[0]}={self._field()!r})"
+
+    def __reduce__(self):
+        # unpickling cannot assign the slot, so it constructs the value again
+        return self.__class__, (self._field(),)
+
+
+class DegreeSequence(_Sequence):
     """Prescribed degrees for an undirected graph, one entry per vertex.
 
     Entries of 0 are permitted; isolated vertices are harmless.
     """
 
-    degrees: tuple[int, ...]
+    __slots__ = ("degrees",)
 
     def __init__(self, degrees: Iterable[int]):
         degs = tuple(int(d) for d in degrees)
@@ -67,11 +96,10 @@ class DegreeSequence:
         return iter(self.degrees)
 
 
-@dataclass(frozen=True)
-class DiDegreeSequence:
+class DiDegreeSequence(_Sequence):
     """Prescribed (out, in) degree pairs for a digraph, one pair per vertex."""
 
-    pairs: tuple[tuple[int, int], ...]
+    __slots__ = ("pairs",)
 
     def __init__(self, pairs: Iterable[tuple[int, int]]):
         ps = tuple((int(a), int(b)) for a, b in pairs)
@@ -405,9 +433,11 @@ class Digraph:
 # canonical keys
 
 
-@dataclass(frozen=True, order=True)
-class CanonicalKey:
-    """Bitstring over the fixed vertex-pair grid; equal keys == equal edge sets."""
+class CanonicalKey(NamedTuple):
+    """Bitstring over the fixed vertex-pair grid; equal keys == equal edge sets.
+
+    Keys order as their ``(kind, n, bits)`` tuples.
+    """
 
     kind: str
     n: int
@@ -489,8 +519,7 @@ def graph_from_key(key: CanonicalKey) -> Graph | Digraph:
 # symmetric differences and alternating structures
 
 
-@dataclass(frozen=True)
-class SymmetricDifference:
+class SymmetricDifference(NamedTuple):
     """Arc/edge sets present in exactly one of two same-kind graphs."""
 
     kind: str
@@ -554,8 +583,7 @@ def symmetric_difference(g: Graph | Digraph, h: Graph | Digraph) -> SymmetricDif
     return SymmetricDifference(g.kind, g.n, frozenset(ge - he), frozenset(he - ge))
 
 
-@dataclass(frozen=True)
-class AlternatingCycle:
+class AlternatingCycle(NamedTuple):
     """Closed alternating walk: left arcs and right arcs interleave.
 
     ``vertices`` lists the closed walk order (first vertex implicitly
@@ -574,8 +602,7 @@ class AlternatingCycle:
         return len(self.left) + len(self.right)
 
 
-@dataclass(frozen=True)
-class AlternatingWalk:
+class AlternatingWalk(NamedTuple):
     """Open 3-edge alternating walk (v1, v2, v3, v4) on distinct vertices.
 
     Pattern "P": first/last arc on the left side, middle arc on the right.

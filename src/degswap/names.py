@@ -1,9 +1,16 @@
 """Names the command line offers as choices before it loads their modules.
 
-The state-graph kinds belong to :mod:`degswap.statespace` and the blocked
-instance families to :mod:`degswap.generators`; both re-export them.  They
-live here so that building the parser imports neither module.
+The chain modes and default seed belong to :mod:`degswap.chain`, the
+state-graph kinds to :mod:`degswap.statespace` and the blocked instance
+families to :mod:`degswap.generators`; each re-exports its own.  They live
+here so that building the parser imports none of those modules.
 """
+
+MODE_UNDIRECTED = "undirected"
+MODE_FULL = "full"
+MODE_PLAIN = "plain"
+
+DEFAULT_SEED = 1729
 
 KIND_PSI = "psi"
 KIND_PHI = "phi"

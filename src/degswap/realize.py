@@ -14,17 +14,15 @@ their output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import DegreeSequence, DiDegreeSequence, Digraph, Graph
 from .errors import InternalInconsistencyError, RealizationError
 
 
-@dataclass(frozen=True)
-class RealizabilityReport:
+class RealizabilityReport(NamedTuple):
     graphical: bool
     witness: Optional[Graph | Digraph]
     violated_condition: Optional[str]

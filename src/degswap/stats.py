@@ -15,8 +15,7 @@ import functools
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import arcswap
 from .chain import MODE_UNDIRECTED, ChainConfig, derive_seed, plan_chain, run_chain
@@ -25,8 +24,7 @@ from .errors import InvalidInputError
 from .realize import realize_directed, realize_undirected
 
 
-@dataclass
-class StatsReport:
+class StatsReport(NamedTuple):
     runs: int
     arc_frequency: dict[tuple[int, int], float]
     motif_counts: Optional[Counter]  # induced directed 3-cycles per sample
@@ -60,15 +58,17 @@ def correct_frozen_arcs(
     }
 
 
-@dataclass
 class Ensemble:
     """Counts merged over a block of an ensemble's runs, or over all of them."""
 
-    keys: Counter = field(default_factory=Counter)  # canonical key hex -> runs
-    arcs: Counter = field(default_factory=Counter)  # final pair -> runs (tally)
-    motifs: Counter = field(default_factory=Counter)  # induced 3-cycles -> runs (tally)
-    moves: int = 0  # each of the runs' tau steps is a move or a loop
-    last: Optional[tuple] = None  # sorted final pairs of run ``runs - 1``
+    __slots__ = ("keys", "arcs", "motifs", "moves", "last")
+
+    def __init__(self):
+        self.keys = Counter()  # canonical key hex -> runs
+        self.arcs = Counter()  # final pair -> runs (tally)
+        self.motifs = Counter()  # induced 3-cycles -> runs (tally)
+        self.moves = 0  # each of the runs' tau steps is a move or a loop
+        self.last: Optional[tuple] = None  # sorted final pairs of run ``runs - 1``
 
     def merge(self, later: "Ensemble") -> "Ensemble":
         """Add the counts of the block that follows this one."""

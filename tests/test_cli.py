@@ -1,6 +1,8 @@
 import json
 
-from degswap.cli import main
+import pytest
+
+from degswap.cli import _dumps, main
 
 
 def run_cli(capsys, *args):
@@ -24,6 +26,55 @@ def test_realize_json_default(capsys):
     payload = json.loads(out)
     assert payload["kind"] == "directed" and payload["n"] == 3
     assert len(payload["edges"]) == 3
+
+
+# every subcommand that prints JSON, on graphs with and without edges
+ORACLE_COMMANDS = {
+    "realize": ["realize", "--degrees", "1/1 1/1 1/1"],
+    "realize-no-edges": ["realize", "--degrees", "0 0 0"],
+    "sample": ["sample", "--degrees", "2 2 2 1 1", "--tau", "50"],
+    "sample-runs": ["sample", "--degrees", "1/1 1/1 1/1 1/1", "--tau", "50", "--runs", "5"],
+    "sample-runs-no-edges": ["sample", "--degrees", "0/0 0/0", "--tau", "5", "--runs", "3"],
+    "recognize": ["recognize", "--degrees", "1/1 1/1 1/1"],
+    "recognize-arc-swap": ["recognize", "--degrees", "2/2 2/2 2/2"],
+    "enumerate": ["enumerate", "--degrees", "1/1 1/1 1/1 1/1", "--kind", "phibar"],
+    "generate": ["generate", "--family", "example1", "--blocks", "2", "--format", "json"],
+    "stats-plain-example1": [
+        "stats", "--degrees", "4/1 4/1 4/1 1/4 1/4 1/4", "--mode", "plain",
+        "--tau", "50", "--runs", "5",
+    ],
+}
+
+
+@pytest.mark.parametrize("argv", ORACLE_COMMANDS.values(), ids=ORACLE_COMMANDS.keys())
+def test_stdout_is_json_dumps_indent_2(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    payload = json.loads(out)
+    assert out == json.dumps(payload, indent=2) + "\n"
+    if argv[0] == "stats":
+        assert payload["corrected_frequency"]
+
+
+def test_dumps_matches_json_indent_2():
+    payloads = [
+        {},
+        [],
+        "plain",
+        7,
+        None,
+        {"nested": {"empty dict": {}, "empty list": [], "deeper": {"x": [1, [2, []], {}]}}},
+        {"text": 'naïve ☃ "quoted"\n\t', "ключ": "é", "": ""},
+        {"floats": [0.1, -2.5e-12, 1e300, 3.0, float("inf"), float("nan")], "f": -0.0},
+        {"none": None, "yes": True, "no": False, "mixed": [None, True, False, 0, "s"]},
+        {"pairs": [(0, 1), (2, 3)], "lists": [[4, 5], [6, 7]], "triples": [[1, 2, 3]]},
+        {"ragged": [[1], [2, 3]], "bools": [[True, False]], "floats": [[1.5, 2]]},
+        [[0, 1]],
+        [{"a": [[1, 2]]}, [], {}],
+        {"int keys": {1: 0.5, 2: [1]}, "flat int keys": {3: None, 4.5: True}},
+    ]
+    for payload in payloads:
+        assert _dumps(payload) == json.dumps(payload, indent=2)
 
 
 def test_realize_invalid_exit_2(capsys):
@@ -390,14 +441,18 @@ def test_pool_size_is_capped_by_jobs_and_cpus(capsys, monkeypatch):
 
 # module -> a name its code defines
 DEFERRED = {
+    "degswap.realize": "realize_directed",
+    "degswap.chain": "run_chain",
     "degswap.arcswap": "recognize",
     "degswap.stats": "ensemble_stats",
     "degswap.statespace": "build_state_graph",
     "degswap.generators": "generate_blocked",
 }
 
+# prints the measured layers missing from sys.modules after the import, then
+# what has loaded after it and after each command given as JSON in argv[1]
 LOADED_PROBE = """
-import contextlib, io, sys
+import contextlib, io, json, sys
 import degswap.cli
 
 def loaded():
@@ -405,23 +460,25 @@ def loaded():
     # triggering its load
     names = [name for name, attr in DEFERRED.items() if name in sys.modules
              and attr in object.__getattribute__(sys.modules[name], "__dict__")]
-    names += [name for name in ("concurrent.futures.process", "secrets") if name in sys.modules]
+    names += [name for name in ("concurrent.futures.process", "secrets", "dataclasses")
+              if name in sys.modules]
     return names
 
+layers = ("core", "realize", "chain", "arcswap", "stats")
+print([name for name in layers if "degswap." + name not in sys.modules])
 print(loaded())
-with contextlib.redirect_stdout(io.StringIO()):
-    degswap.cli.main(["sample", "--degrees", "1 1 1 1", "--tau", "5"])
-print(loaded())
-with contextlib.redirect_stdout(io.StringIO()):
-    degswap.cli.main(["recognize", "--degrees", "1/1 1/1 1/1"])
-print(loaded())
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert degswap.cli.main(argv) == 0, argv
+    print(loaded())
 """
 
 
-def test_import_loads_only_what_every_subcommand_needs():
-    # arcswap and stats are registered in sys.modules on import (a tracer
-    # may look them up there) but their code runs on first use; the rest
-    # is not imported at all until a subcommand asks for it
+def test_import_loads_only_what_every_subcommand_needs(tmp_path):
+    # the measured layers are registered in sys.modules on import (a tracer
+    # looks them up there) but their code runs on first use; the rest is not
+    # imported at all until a subcommand asks for it.  No subcommand below
+    # loads dataclasses.
     import os
     import subprocess
     import sys
@@ -430,12 +487,39 @@ def test_import_loads_only_what_every_subcommand_needs():
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(degswap.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run(
-        [sys.executable, "-c", f"DEFERRED = {DEFERRED!r}\n" + LOADED_PROBE],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == ["[]", "[]", "['degswap.arcswap']"]
+
+    def probe(*commands):
+        done = subprocess.run(
+            [sys.executable, "-c", f"DEFERRED = {DEFERRED!r}\n" + LOADED_PROBE,
+             json.dumps(commands)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        return done.stdout.splitlines()
+
+    realize, chain = "'degswap.realize'", "'degswap.chain'"
+    arcswap, stats = "'degswap.arcswap'", "'degswap.stats'"
+    assert probe(
+        ["sample", "--degrees", "1 1 1 1", "--tau", "5"],
+        ["recognize", "--degrees", "1/1 1/1 1/1"],
+    ) == ["[]", "[]", f"[{realize}, {chain}]", f"[{realize}, {chain}, {arcswap}]"]
+    # realize and recognize never run the chain's code
+    assert probe(
+        ["realize", "--degrees", "1/1 1/1 1/1"],
+        ["recognize", "--degrees", "1/1 1/1 1/1"],
+    ) == ["[]", "[]", f"[{realize}]", f"[{realize}, {arcswap}]"]
+    # sample --edgelist never runs the realizers' code
+    path = tmp_path / "g.edges"
+    path.write_text("directed n=4\n0 1\n2 3\n")
+    assert probe(
+        ["sample", "--edgelist", str(path), "--mode", "plain", "--tau", "5"],
+        ["stats", "--degrees", "1/1 1/1 1/1", "--tau", "5", "--runs", "3", "--workers", "1"],
+    ) == [
+        "[]",
+        "[]",
+        f"[{chain}]",
+        f"[{realize}, {chain}, {arcswap}, {stats}, 'concurrent.futures.process']",
+    ]
 
 
 def test_package_names_resolve_on_first_use():

@@ -215,6 +215,20 @@ def test_canonical_key_basics():
     assert canonical_key(g).diff_size(canonical_key(h)) == 4
 
 
+def test_canonical_key_hex_matches_format():
+    # the printed key: lowercase hex without leading zeros, "0" for no edges,
+    # at byte boundaries and at random widths
+    import random
+
+    from degswap.core import CanonicalKey
+
+    rng = random.Random(5)
+    widths = [7, 8, 9] + [rng.randrange(1, 5000) for _ in range(200)]
+    values = [0, 1] + [rng.getrandbits(w) | 1 << (w - 1) for w in widths]
+    for bits in values:
+        assert CanonicalKey("directed", 3, bits).hex() == format(bits, "x")
+
+
 def test_canonical_key_injective_small():
     seen = {}
     for g in enumerate_realizations(DiDegreeSequence(((1, 1),) * 4)):
