@@ -69,11 +69,17 @@ for a given seed differs; a run that does not switch draws as before.  A
 complement start graph and the window.  An ensemble builds it once for
 all of its runs.
 
-A loop also takes a private ``on_move(t, removed, added)`` hook, called
-after every move and never after a loop, with the step index and the
-edge/arc tuples taken out and put in.  The hook may restore the graph
-through the graph's own mutators: the loop keeps no graph-derived state,
-so the next step sees the graph as the hook left it.
+A loop writes each move into the graph's list and position map itself,
+reusing the tuples it drew and gated: each new edge/arc takes over the
+list slot of the one it replaces and enters the map in the order
+``Graph._swap_edges``, ``Digraph._swap_arcs`` and
+``Digraph._reorient_triangle`` use, so the graph ends exactly as those
+mutators would leave it.  A loop also takes a private
+``on_move(t, removed, added)`` hook, called after every move and never
+after a loop, with the step index and the edge/arc tuples taken out and
+put in.  The hook may restore the graph through the graph's own mutators:
+the loop keeps no graph-derived state, so the next step sees the graph as
+the hook left it.
 """
 
 from __future__ import annotations
@@ -317,7 +323,6 @@ def _run_undirected(
         return 0
     pos = g._pos
     edges = g._edges
-    swap = g._swap_edges
     m = len(edges)
     m1 = m - 1
     mm = m * m1
@@ -352,7 +357,8 @@ def _run_undirected(
             r = grb(km)
             while r >= mm:
                 r = grb(km)
-            i, j = divmod(r, m1)
+            i = r // m1
+            j = r - i * m1
             if j >= i:
                 j += 1
             e1 = edges[i]
@@ -369,7 +375,11 @@ def _run_undirected(
             f2 = (b, dd) if b < dd else (dd, b)
         if f1 in pos or f2 in pos:
             continue
-        swap(e1, e2, f1, f2)
+        del pos[e1], pos[e2]
+        pos[f1] = i
+        pos[f2] = j
+        edges[i] = f1
+        edges[j] = f2
         moves += 1
         if on_move is not None:
             on_move(t, (e1, e2), (f1, f2))
@@ -388,8 +398,6 @@ def _run_directed(
         return 0
     pos = g._pos
     arcs = g._arcs
-    swap = g._swap_arcs
-    reorient = g._reorient_triangle
     m = len(arcs)
     m1 = m - 1
     mm = m * m1
@@ -424,11 +432,14 @@ def _run_directed(
             r = grb(km)
             while r >= mm:
                 r = grb(km)
-            i, j = divmod(r, m1)
+            i = r // m1
+            j = r - i * m1
             if j >= i:
                 j += 1
-            a, b = arcs[i]
-            c, dd = arcs[j]
+            e1 = arcs[i]
+            e2 = arcs[j]
+            a, b = e1
+            c, dd = e2
             if a != c and b != dd:
                 break
         if a == dd or b == c:
@@ -437,25 +448,46 @@ def _run_directed(
             # directed 3-cycle and w carries the strictly largest index.
             if not full or (a == dd and b == c):
                 continue
-            if b == c:
+            if b == c:  # e1 = (u, v) in slot i, e2 = (v, w) in slot j
                 u, v, w = a, b, dd
-            else:
+            else:  # e2 = (u, v), e1 = (v, w): put (u, v)'s slot in i
                 u, v, w = c, a, b
+                e1, e2 = e2, e1
+                i, j = j, i
             if w <= u or w <= v:
                 continue
-            if (w, u) not in pos or (v, u) in pos or (w, v) in pos or (u, w) in pos:
+            e3 = (w, u)
+            k = pos.get(e3)
+            if k is None:
                 continue
-            reorient(u, v, w)
+            f1 = (v, u)
+            f2 = (w, v)
+            f3 = (u, w)
+            if f1 in pos or f2 in pos or f3 in pos:
+                continue
+            del pos[e1], pos[e2], pos[e3]
+            pos[f1] = i
+            pos[f2] = j
+            pos[f3] = k
+            arcs[i] = f1
+            arcs[j] = f2
+            arcs[k] = f3
             moves += 1
             if on_move is not None:
-                on_move(t, ((u, v), (v, w), (w, u)), ((v, u), (w, v), (u, w)))
+                on_move(t, (e1, e2, e3), (f1, f2, f3))
             continue
-        if (a, dd) in pos or (c, b) in pos:
+        f1 = (a, dd)
+        f2 = (c, b)
+        if f1 in pos or f2 in pos:
             continue
-        swap(a, b, c, dd)
+        del pos[e1], pos[e2]
+        pos[f1] = i
+        pos[f2] = j
+        arcs[i] = f1
+        arcs[j] = f2
         moves += 1
         if on_move is not None:
-            on_move(t, ((a, b), (c, dd)), ((a, dd), (c, b)))
+            on_move(t, (e1, e2), (f1, f2))
     return moves
 
 

@@ -268,6 +268,7 @@ class Graph:
         """Replace edges e1, e2 by f1, f2 on the same four endpoints.
 
         Degree-preserving by construction, so the list slots are reused.
+        ``chain._run_undirected`` writes a swap the same way inline.
         """
         pos = self._pos
         edges = self._edges
@@ -400,6 +401,7 @@ class Digraph:
         """Replace arcs (a,b),(c,d) by (a,d),(c,b).
 
         Every endpoint keeps both degrees, so the list slots are reused.
+        ``chain._run_directed`` writes a swap the same way inline.
         """
         pos = self._pos
         arcs = self._arcs
@@ -415,6 +417,7 @@ class Digraph:
 
         Requires all three reversals absent beforehand (the reorientation
         gate); each reversed arc takes over its original's list slot.
+        ``chain._run_directed`` writes a reorientation the same way inline.
         """
         pos = self._pos
         arcs = self._arcs

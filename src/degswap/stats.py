@@ -1,20 +1,20 @@
 """Ensemble statistics over many independent chain runs.
 
 Runs K chains from one start graph with split seeds, one block of runs per
-worker process, then aggregates per-arc presence frequencies and the
-induced-directed-3-cycle (motif) count distribution of the sampled
-realizations.  For swap-only sampling of a non-arc-swap sequence, the
-per-arc frequencies are additionally bias-corrected: arcs of induced cycle
-sets sit frozen at frequency 1 (their reversals at 0) inside one
-state-graph component, while unbiased sampling would give both 1/2.
+process (the caller's and forked children), then aggregates per-arc
+presence frequencies and the induced-directed-3-cycle (motif) count
+distribution of the sampled realizations.  For swap-only sampling of a
+non-arc-swap sequence, the per-arc frequencies are additionally
+bias-corrected: arcs of induced cycle sets sit frozen at frequency 1
+(their reversals at 0) inside one state-graph component, while unbiased
+sampling would give both 1/2.
 """
 
 from __future__ import annotations
 
-import functools
 import os
+import pickle
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from typing import NamedTuple, Optional
 
 from . import arcswap
@@ -79,25 +79,16 @@ class Ensemble:
         return self
 
 
-_pool_g0 = None  # a pool process's start graph, built once by its initializer
-
-
-def _build_pool_g0(graph_type: type, n: int, pairs: tuple) -> None:
-    global _pool_g0
-    _pool_g0 = graph_type(n, pairs)
-
-
-def _run_block(block, g0=None) -> Ensemble:
-    """Runs ``lo .. hi - 1`` of ``block = (lo, hi, cfg, runs, tally)``, merged.
+def _run_block(block, g0: Graph | Digraph) -> Ensemble:
+    """Runs ``lo .. hi - 1`` of ``block = (lo, hi, cfg, runs, tally)`` from g0, merged.
 
     The block plans its runs once (:func:`degswap.chain.plan_chain`) and
     hands the plan to one ``run_chain`` call per run.  ``run_chain``
     (config as second positional argument) and ``count_directed_3cycles``
-    are module globals: a tracer that rebinds them sees every run, in pool
-    processes too.
+    are module globals: a tracer that rebinds them sees every run, in
+    forked block processes too.
     """
     lo, hi, cfg, runs, tally = block
-    g0 = _pool_g0 if g0 is None else g0
     directed = g0.kind != UNDIRECTED
     plan = plan_chain(g0, cfg.mode)
     out = Ensemble()
@@ -116,25 +107,78 @@ def _run_block(block, g0=None) -> Ensemble:
     return out
 
 
+def _fork_block(block, g0: Graph | Digraph) -> tuple[int, int]:
+    """Fork a process that runs ``block`` from its inherited g0: (pid, read end).
+
+    The child pickles the block's :class:`Ensemble`, or the exception the
+    block raised, down a pipe and ends with ``os._exit``, so it never
+    returns into the caller's frames and never flushes the stdio buffers
+    it inherited.  A child that cannot send sends nothing.
+    """
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid:
+        os.close(write_end)
+        return pid, read_end
+    try:
+        os.close(read_end)
+        try:
+            sent = _run_block(block, g0)
+        except BaseException as exc:  # sent to the parent, which re-raises it
+            sent = exc
+        data = pickle.dumps(sent)
+        with open(write_end, "wb") as pipe:
+            pipe.write(data)
+    finally:
+        os._exit(0)
+
+
+def _reap_block(pid: int, read_end: int) -> bytes:
+    """Everything the child ``pid`` sent down ``read_end``, after reaping it."""
+    try:
+        with open(read_end, "rb") as pipe:
+            return pipe.read()
+    finally:
+        os.waitpid(pid, 0)
+
+
 def run_ensemble(
     g0: Graph | Digraph, cfg: ChainConfig, runs: int, workers: int, tally: bool = False
 ) -> Ensemble:
     """Chains ``0 .. runs - 1`` from g0, chain ``i`` seeded ``derive_seed(cfg.seed, i)``.
 
     ``tally`` adds the arc and motif counts.  The runs are cut into ``size =
-    min(workers, runs, CPUs)`` contiguous blocks, one per process; the cap
-    matters because a fork pool starts all of its processes at once.  g0's
-    pairs reach each pool process once, through its initializer, and each
-    block sends back one merged :class:`Ensemble`.
+    min(workers, runs, CPUs)`` contiguous blocks (1 where ``os.fork`` is
+    missing).  The caller's process forks one child per block after the
+    first, each inheriting g0, runs the first block itself, then reads and
+    reaps the children in block order, whether or not its own block
+    raised.  Each child sends back one merged :class:`Ensemble`, or the
+    exception its block raised, which is raised here.  Forking is safe
+    only in a process without threads; the command line starts none.
     """
-    size = min(workers, runs, os.cpu_count() or 1)
+    size = min(workers, runs, os.cpu_count() or 1) if hasattr(os, "fork") else 1
     blocks = [(runs * b // size, runs * (b + 1) // size, cfg, runs, tally) for b in range(size)]
-    if size == 1:
-        return _run_block(blocks[0], g0)
-    init = (type(g0), g0.n, tuple(g0.edges() if g0.kind == UNDIRECTED else g0.arcs()))
-    with ProcessPoolExecutor(size, initializer=_build_pool_g0, initargs=init) as pool:
-        # in block order, so ``last`` ends up from the last block
-        return functools.reduce(Ensemble.merge, pool.map(_run_block, blocks))
+    children = []
+    try:
+        for block in blocks[1:]:
+            children.append(_fork_block(block, g0))
+        total = _run_block(blocks[0], g0)
+    finally:
+        sent = [_reap_block(pid, read_end) for pid, read_end in children]
+    # in block order, so ``last`` ends up from the last block
+    for (pid, _), data in zip(children, sent):
+        if not data:
+            raise RuntimeError(f"ensemble block process {pid} ended without a result")
+        part = pickle.loads(data)
+        if isinstance(part, BaseException):
+            raise part
+        total.merge(part)
+    return total
 
 
 def ensemble_stats(

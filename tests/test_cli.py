@@ -336,10 +336,12 @@ def test_sample_rejects_nonpositive_runs(capsys):
 
 
 def test_sample_bad_tau_fails_before_the_pool(capsys, monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("process pool started")
+    import os
 
-    monkeypatch.setattr("degswap.stats.ProcessPoolExecutor", no_pool)
+    def no_fork():
+        raise AssertionError("block process forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
     code, out, err = run_cli(
         capsys, "sample", "--degrees", "1 1 1 1", "--tau", "-1",
         "--runs", "3", "--workers", "2",
@@ -396,47 +398,107 @@ def test_sample_and_stats_reject_nonpositive_workers(capsys):
             assert "workers" in json.loads(err)["error"]
 
 
-class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its size, runs jobs in-process.
-
-    Like a pool process, it calls the initializer before the first job.
-    """
-
-    sizes: list = []
-
-    def __init__(self, max_workers, initializer=None, initargs=()):
-        RecordingPool.sizes.append(max_workers)
-        self.initializer = initializer
-        self.initargs = initargs
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, jobs, chunksize=1):
-        if self.initializer is not None:
-            self.initializer(*self.initargs)
-        return map(fn, jobs)
-
-
 def test_pool_size_is_capped_by_jobs_and_cpus(capsys, monkeypatch):
-    # a fork pool may start all max_workers processes on its first submit,
-    # so --workers 5000 must not size the pool; no real process starts here
-    monkeypatch.setattr("degswap.stats.ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(RecordingPool, "sizes", [])
+    # every block after the first forks one process, all before any is
+    # reaped, so --workers 5000 must not set the count: at most
+    # min(runs, CPUs) - 1 children start
+    import os
+
+    real_fork = os.fork
+    forks = []
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            forks[-1] += 1
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+
+    def run_counting_forks(sub, *argv):
+        forks.append(0)
+        code, out, _ = run_cli(capsys, sub, *argv)
+        assert code == 0
+        return out
+
     args = ("--degrees", "1/1 1/1 1/1", "--mode", "full", "--tau", "20")
-    _, serial, _ = run_cli(capsys, "sample", *args, "--runs", "2", "--workers", "1")
-    monkeypatch.setattr("os.cpu_count", lambda: 64)
-    _, pooled, _ = run_cli(capsys, "sample", *args, "--runs", "2", "--workers", "5000")
+    serial = run_counting_forks("sample", *args, "--runs", "2", "--workers", "1")
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    pooled = run_counting_forks("sample", *args, "--runs", "2", "--workers", "5000")
     assert pooled == serial
-    monkeypatch.setattr("os.cpu_count", lambda: 3)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
     for sub, runs in (("sample", "10"), ("stats", "4")):
-        assert run_cli(capsys, sub, *args, "--runs", runs, "--workers", "5000")[0] == 0
-    monkeypatch.setattr("os.cpu_count", lambda: None)
-    assert run_cli(capsys, "stats", *args, "--runs", "4", "--workers", "5000")[0] == 0
-    assert RecordingPool.sizes == [2, 3, 3]
+        run_counting_forks(sub, *args, "--runs", runs, "--workers", "5000")
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    run_counting_forks("stats", *args, "--runs", "4", "--workers", "5000")
+    assert forks == [0, 1, 2, 2, 0]
+
+
+def test_failing_block_fails_the_command_and_leaves_no_process(capsys, monkeypatch):
+    # a block that raises, in the parent's block or in a forked one, fails
+    # the command with its own exit code, and every child is reaped
+    import os
+
+    from degswap import stats
+    from degswap.chain import derive_seed
+    from degswap.errors import ResourceLimitError
+
+    real_run_chain = stats.run_chain
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for bad_run in (5, 0):  # in the forked block, in the parent's block
+        bad_seed = derive_seed(5, bad_run)
+
+        def failing_run_chain(plan, cfg):
+            if cfg.seed == bad_seed:
+                raise ResourceLimitError(f"run {bad_run} over its budget")
+            return real_run_chain(plan, cfg)
+
+        monkeypatch.setattr(stats, "run_chain", failing_run_chain)
+        code, out, err = run_cli(
+            capsys, "sample", "--degrees", "1/1 1/1 1/1 1/1", "--tau", "20",
+            "--seed", "5", "--runs", "6", "--workers", "2",
+        )
+        assert code == 3 and out == ""
+        assert json.loads(err) == {"error": f"run {bad_run} over its budget"}
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+# a forked block that returned into the caller, or flushed the stdout buffer
+# it inherited, would print the marker or the JSON document twice; the probe
+# runs with stdout buffered, so the marker is still in the buffer at the fork
+ONE_DOCUMENT_PROBE = """
+import os, sys
+os.cpu_count = lambda: 2
+import degswap.cli
+sys.stdout.write("marker\\n")
+sys.exit(degswap.cli.main(sys.argv[1:]))
+"""
+
+
+def test_stats_with_forked_blocks_prints_one_document():
+    import os
+    import subprocess
+    import sys
+
+    import degswap
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(degswap.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONUNBUFFERED", None)
+    args = ["stats", "--degrees", "1/1 1/1 1/1 1/1", "--tau", "50", "--runs", "6"]
+    outs = []
+    for workers in ("1", "2"):
+        done = subprocess.run(
+            [sys.executable, "-c", ONE_DOCUMENT_PROBE, *args, "--workers", workers],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        marker, _, document = done.stdout.partition("\n")
+        assert marker == "marker"
+        assert json.loads(document)["runs"] == 6
+        outs.append(done.stdout)
+    assert outs[0] == outs[1]
 
 
 # module -> a name its code defines
@@ -460,8 +522,8 @@ def loaded():
     # triggering its load
     names = [name for name, attr in DEFERRED.items() if name in sys.modules
              and attr in object.__getattribute__(sys.modules[name], "__dict__")]
-    names += [name for name in ("concurrent.futures.process", "secrets", "dataclasses")
-              if name in sys.modules]
+    names += [name for name in ("concurrent.futures.process", "multiprocessing", "secrets",
+                                "dataclasses") if name in sys.modules]
     return names
 
 layers = ("core", "realize", "chain", "arcswap", "stats")
@@ -514,11 +576,13 @@ def test_import_loads_only_what_every_subcommand_needs(tmp_path):
     assert probe(
         ["sample", "--edgelist", str(path), "--mode", "plain", "--tau", "5"],
         ["stats", "--degrees", "1/1 1/1 1/1", "--tau", "5", "--runs", "3", "--workers", "1"],
+        ["stats", "--degrees", "1/1 1/1 1/1", "--tau", "5", "--runs", "3", "--workers", "2"],
     ) == [
         "[]",
         "[]",
         f"[{chain}]",
-        f"[{realize}, {chain}, {arcswap}, {stats}, 'concurrent.futures.process']",
+        f"[{realize}, {chain}, {arcswap}, {stats}]",
+        f"[{realize}, {chain}, {arcswap}, {stats}]",
     ]
 
 

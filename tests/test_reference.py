@@ -707,12 +707,15 @@ def run_loop(run, g0, universe, rng, undo):
                 add(u, v)
 
     moves = run(g, universe, rng, 2000, hook)
+    g._check_index()
     return (g.edges() if isinstance(g, Graph) else g.arcs()), moves, log
 
 
 def test_inline_draw_loops_match_randbelow_loops():
     # equal graphs and seeds: the same walk, move count and generator state,
-    # bare and with a hook that undoes every move
+    # bare and with a hook that undoes every move.  The loops write each move
+    # into the lists themselves; the references call the graph's mutators.
+    reorientations = collections.Counter()
     for label, g0 in loop_cases():
         modes = (MODE_UNDIRECTED,) if isinstance(g0, Graph) else (MODE_FULL, MODE_PLAIN)
         for mode, seed, undo in itertools.product(modes, range(3), (False, True)):
@@ -722,3 +725,7 @@ def test_inline_draw_loops_match_randbelow_loops():
             want = run_loop(REF_RUNS[mode], g0, universe, make_randbelow(ref_rng), undo)
             assert got == want, (label, mode, seed, undo)
             assert rng.getstate() == ref_rng.getstate(), (label, mode, seed, undo)
+            if mode == MODE_FULL:
+                reorientations[label] += sum(len(removed) == 3 for _, removed, _ in got[2])
+    # the three-slot reorientation write is compared too
+    assert reorientations["3-cycle"] and reorientations["2-cycles and a triangle"]
