@@ -41,21 +41,16 @@ _NAMES = {
     ),
     "core": (
         "AlternatingCycle",
-        "AlternatingWalk",
         "CanonicalKey",
         "DegreeSequence",
         "DiDegreeSequence",
         "Digraph",
         "Graph",
-        "SymmetricDifference",
         "canonical_key",
-        "decompose_alternating",
-        "find_disjoint_3walk",
         "format_degree_sequence",
         "format_edgelist",
         "parse_degree_sequence",
         "parse_edgelist",
-        "symmetric_difference",
     ),
     "errors": (
         "InternalInconsistencyError",
@@ -72,15 +67,20 @@ _NAMES = {
         "realize_undirected",
     ),
     "statespace": (
+        "AlternatingWalk",
         "BoundReport",
         "ComparisonReport",
         "PropertyReport",
         "StateGraph",
+        "SymmetricDifference",
         "build_state_graph",
         "check_diameter_bounds",
         "check_properties",
+        "decompose_alternating",
         "empirical_transition_check",
         "enumerate_realizations",
+        "find_disjoint_3walk",
+        "symmetric_difference",
     ),
     "stats": ("StatsReport", "count_directed_3cycles", "ensemble_stats"),
 }

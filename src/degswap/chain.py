@@ -71,15 +71,17 @@ all of its runs.
 
 A loop writes each move into the graph's list and position map itself,
 reusing the tuples it drew and gated: each new edge/arc takes over the
-list slot of the one it replaces and enters the map in the order
-``Graph._swap_edges``, ``Digraph._swap_arcs`` and
-``Digraph._reorient_triangle`` use, so the graph ends exactly as those
-mutators would leave it.  A loop also takes a private
-``on_move(t, removed, added)`` hook, called after every move and never
-after a loop, with the step index and the edge/arc tuples taken out and
-put in.  The hook may restore the graph through the graph's own mutators:
-the loop keeps no graph-derived state, so the next step sees the graph as
-the hook left it.
+list slot, and the position int, of the one it replaces, and enters the
+map in replacement order, so a run stores no index int its start graph
+does not hold.  The reference mutators ``swap_edges``, ``swap_arcs`` and
+``reorient_triangle`` of ``tests/conftest.py`` write a move the same way,
+and the tests compare every loop with a reference loop that calls them.
+A loop also takes a private ``on_move(t, removed, added)`` hook, called
+after every move and never after a loop, with the step index and the
+edge/arc tuples taken out and put in.  The hook may restore the graph
+through the graph's ``_add_*`` and ``_remove_*`` methods: the loop keeps
+no graph-derived state, so the next step sees the graph as the hook left
+it.
 """
 
 from __future__ import annotations
@@ -375,9 +377,8 @@ def _run_undirected(
             f2 = (b, dd) if b < dd else (dd, b)
         if f1 in pos or f2 in pos:
             continue
-        del pos[e1], pos[e2]
-        pos[f1] = i
-        pos[f2] = j
+        pos[f1] = pos.pop(e1)
+        pos[f2] = pos.pop(e2)
         edges[i] = f1
         edges[j] = f2
         moves += 1
@@ -465,10 +466,9 @@ def _run_directed(
             f3 = (u, w)
             if f1 in pos or f2 in pos or f3 in pos:
                 continue
-            del pos[e1], pos[e2], pos[e3]
-            pos[f1] = i
-            pos[f2] = j
-            pos[f3] = k
+            pos[f1] = pos.pop(e1)
+            pos[f2] = pos.pop(e2)
+            pos[f3] = pos.pop(e3)
             arcs[i] = f1
             arcs[j] = f2
             arcs[k] = f3
@@ -480,9 +480,8 @@ def _run_directed(
         f2 = (c, b)
         if f1 in pos or f2 in pos:
             continue
-        del pos[e1], pos[e2]
-        pos[f1] = i
-        pos[f2] = j
+        pos[f1] = pos.pop(e1)
+        pos[f2] = pos.pop(e2)
         arcs[i] = f1
         arcs[j] = f2
         moves += 1

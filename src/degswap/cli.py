@@ -61,9 +61,9 @@ def _on_first_use(name: str):
     return module
 
 
-# the realizers, the chain, the recognizer, and the ensemble layer with its
-# process pool; statespace, generators and secrets are imported inside the
-# subcommands that use them
+# the realizers, the chain, the recognizer, and the ensemble layer, which
+# forks its blocks of runs; statespace, generators and secrets are imported
+# inside the subcommands that use them
 realize = _on_first_use("realize")
 chain = _on_first_use("chain")
 arcswap = _on_first_use("arcswap")
@@ -371,6 +371,12 @@ def _add_sequence_args(p: argparse.ArgumentParser, with_edgelist: bool = False):
         p.add_argument("--edgelist", help="edge-list file ('-' = stdin)")
 
 
+_WORKERS_HELP = (
+    "processes for --runs: the runs are cut into this many blocks (at most "
+    "runs or CPUs); the command runs the first and forks one process for each other"
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="degswap",
@@ -389,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=int, default=1000, help="step count")
     p.add_argument("--seed", default=str(DEFAULT_SEED), help="integer or 'entropy'")
     p.add_argument("--runs", type=int, default=1, help="independent chains")
-    p.add_argument("--workers", type=int, default=1, help="worker pool for --runs")
+    p.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p.add_argument(
         "--emit",
         "--format",
@@ -428,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=int, default=1000)
     p.add_argument("--seed", default=str(DEFAULT_SEED))
     p.add_argument("--runs", type=int, default=100)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p.set_defaults(func=_cmd_stats)
 
     return parser

@@ -1,4 +1,4 @@
-"""Graph/digraph values, degree sequences, canonical keys, and symmetric differences.
+"""Graph/digraph values, degree sequences, canonical keys and text formats.
 
 Vertices are the integers ``0 .. n-1`` throughout.  Graphs are simple and
 labeled: no loops, no parallel edges; digraphs additionally allow a pair of
@@ -8,14 +8,14 @@ Graph and Digraph values store only their edge or arc list, its positions
 and the degrees, which is all a chain step reads; a scan that needs
 per-vertex neighbors builds them (:meth:`Digraph.adjacency`).
 
-Graph and Digraph values change only through their private mutators, which
-the step loops of :mod:`degswap.chain` call; a value that is no longer
-being stepped can be shared freely across threads.
+The step loops of :mod:`degswap.chain` write their moves straight into a
+value's list and position map; a value that is no longer being stepped can
+be shared freely across threads.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import InvalidInputError
 
@@ -245,7 +245,7 @@ class Graph:
         if degree != self.degree:
             raise AssertionError("stored degrees differ from the edge list")
 
-    # mutation: reserved for moves / constructors
+    # mutation: reserved for constructors, the realizers and undo hooks
 
     def _add_edge(self, u: int, v: int) -> None:
         e = (u, v)
@@ -263,21 +263,6 @@ class Graph:
             self._pos[last] = i
         self.degree[u] -= 1
         self.degree[v] -= 1
-
-    def _swap_edges(self, e1, e2, f1, f2) -> None:
-        """Replace edges e1, e2 by f1, f2 on the same four endpoints.
-
-        Degree-preserving by construction, so the list slots are reused.
-        ``chain._run_undirected`` writes a swap the same way inline.
-        """
-        pos = self._pos
-        edges = self._edges
-        i1 = pos.pop(e1)
-        i2 = pos.pop(e2)
-        pos[f1] = i1
-        edges[i1] = f1
-        pos[f2] = i2
-        edges[i2] = f2
 
 
 class Digraph:
@@ -378,7 +363,7 @@ class Digraph:
         if degrees != [self.out_deg, self.in_deg]:
             raise AssertionError("stored degrees differ from the arc list")
 
-    # mutation: reserved for moves / constructors
+    # mutation: reserved for constructors, the realizers and undo hooks
 
     def _add_arc(self, u: int, v: int) -> None:
         a = (u, v)
@@ -396,40 +381,6 @@ class Digraph:
             self._pos[last] = i
         self.out_deg[u] -= 1
         self.in_deg[v] -= 1
-
-    def _swap_arcs(self, a: int, b: int, c: int, d: int) -> None:
-        """Replace arcs (a,b),(c,d) by (a,d),(c,b).
-
-        Every endpoint keeps both degrees, so the list slots are reused.
-        ``chain._run_directed`` writes a swap the same way inline.
-        """
-        pos = self._pos
-        arcs = self._arcs
-        i1 = pos.pop((a, b))
-        i2 = pos.pop((c, d))
-        pos[(a, d)] = i1
-        arcs[i1] = (a, d)
-        pos[(c, b)] = i2
-        arcs[i2] = (c, b)
-
-    def _reorient_triangle(self, u: int, v: int, w: int) -> None:
-        """Reverse the arcs of the induced directed 3-cycle u -> v -> w -> u.
-
-        Requires all three reversals absent beforehand (the reorientation
-        gate); each reversed arc takes over its original's list slot.
-        ``chain._run_directed`` writes a reorientation the same way inline.
-        """
-        pos = self._pos
-        arcs = self._arcs
-        i1 = pos.pop((u, v))
-        i2 = pos.pop((v, w))
-        i3 = pos.pop((w, u))
-        pos[(v, u)] = i1
-        arcs[i1] = (v, u)
-        pos[(w, v)] = i2
-        arcs[i2] = (w, v)
-        pos[(u, w)] = i3
-        arcs[i3] = (u, w)
 
 
 # ---------------------------------------------------------------------------
@@ -519,71 +470,7 @@ def graph_from_key(key: CanonicalKey) -> Graph | Digraph:
 
 
 # ---------------------------------------------------------------------------
-# symmetric differences and alternating structures
-
-
-class SymmetricDifference(NamedTuple):
-    """Arc/edge sets present in exactly one of two same-kind graphs."""
-
-    kind: str
-    n: int
-    left_only: frozenset[tuple[int, int]]
-    right_only: frozenset[tuple[int, int]]
-
-    @property
-    def size(self) -> int:
-        return len(self.left_only) + len(self.right_only)
-
-    def vertices(self) -> set[int]:
-        out = set()
-        for u, v in self.left_only:
-            out.add(u)
-            out.add(v)
-        for u, v in self.right_only:
-            out.add(u)
-            out.add(v)
-        return out
-
-    def is_balanced(self) -> bool:
-        """Per-vertex left/right balance (implies the Eulerian property).
-
-        Holds whenever the two graphs realize the same degree sequence; it is
-        exactly the condition under which alternating-cycle decomposition is
-        possible.
-        """
-        if self.kind == UNDIRECTED:
-            bal: dict[int, int] = {}
-            for u, v in self.left_only:
-                bal[u] = bal.get(u, 0) + 1
-                bal[v] = bal.get(v, 0) + 1
-            for u, v in self.right_only:
-                bal[u] = bal.get(u, 0) - 1
-                bal[v] = bal.get(v, 0) - 1
-            return all(x == 0 for x in bal.values())
-        outb: dict[int, int] = {}
-        inb: dict[int, int] = {}
-        for u, v in self.left_only:
-            outb[u] = outb.get(u, 0) + 1
-            inb[v] = inb.get(v, 0) + 1
-        for u, v in self.right_only:
-            outb[u] = outb.get(u, 0) - 1
-            inb[v] = inb.get(v, 0) - 1
-        return all(x == 0 for x in outb.values()) and all(
-            x == 0 for x in inb.values()
-        )
-
-
-def symmetric_difference(g: Graph | Digraph, h: Graph | Digraph) -> SymmetricDifference:
-    """Edges/arcs of g not in h and vice versa."""
-    if g.kind != h.kind:
-        raise InvalidInputError(f"mixed kinds: {g.kind} vs {h.kind}")
-    if g.n != h.n:
-        raise InvalidInputError(f"mixed vertex counts: {g.n} vs {h.n}")
-    if g.kind == UNDIRECTED:
-        ge, he = g.edge_set(), h.edge_set()
-    else:
-        ge, he = g.arc_set(), h.arc_set()
-    return SymmetricDifference(g.kind, g.n, frozenset(ge - he), frozenset(he - ge))
+# alternating cycles
 
 
 class AlternatingCycle(NamedTuple):
@@ -603,175 +490,6 @@ class AlternatingCycle(NamedTuple):
     @property
     def length(self) -> int:
         return len(self.left) + len(self.right)
-
-
-class AlternatingWalk(NamedTuple):
-    """Open 3-edge alternating walk (v1, v2, v3, v4) on distinct vertices.
-
-    Pattern "P": first/last arc on the left side, middle arc on the right.
-    Pattern "Q" (directed only): sides exchanged.
-    """
-
-    kind: str
-    vertices: tuple[int, int, int, int]
-    pattern: str
-
-    def arcs(self) -> tuple[tuple[tuple[int, int], str], ...]:
-        """The walk's three arcs with their side labels.
-
-        Directed membership pattern: (v1,v2) and (v3,v4) on one side,
-        (v3,v2) on the other.  Undirected: edges {v1,v2}, {v3,v4}, {v2,v3}.
-        """
-        v1, v2, v3, v4 = self.vertices
-        a, b = ("left", "right") if self.pattern == "P" else ("right", "left")
-        if self.kind == UNDIRECTED:
-            return (
-                (_norm_edge(v1, v2), a),
-                (_norm_edge(v2, v3), b),
-                (_norm_edge(v3, v4), a),
-            )
-        return (((v1, v2), a), ((v3, v2), b), ((v3, v4), a))
-
-
-def decompose_alternating(sd: SymmetricDifference) -> list[AlternatingCycle]:
-    """Partition a balanced symmetric difference into alternating cycles.
-
-    Greedy extraction: walk alternating sides until the walk's start state
-    recurs, close the cycle there, repeat on the unused remainder.  The
-    result partitions the arcs; cycle count is not guaranteed minimal.
-    """
-    if not sd.is_balanced():
-        raise InvalidInputError("symmetric difference is not degree-balanced")
-    if sd.kind == UNDIRECTED:
-        return _decompose_undirected(sd)
-    return _decompose_directed(sd)
-
-
-def _decompose_undirected(sd: SymmetricDifference) -> list[AlternatingCycle]:
-    # unused side-labeled incidences per vertex
-    inc: dict[int, list[set[int]]] = {}
-
-    def add(u, v, side):
-        inc.setdefault(u, [set(), set()])[side].add(v)
-        inc.setdefault(v, [set(), set()])[side].add(u)
-
-    for u, v in sd.left_only:
-        add(u, v, 0)
-    for u, v in sd.right_only:
-        add(u, v, 1)
-
-    cycles = []
-    pending = sorted(sd.left_only)
-    for start_edge in pending:
-        u0, v0 = start_edge
-        if v0 not in inc[u0][0]:
-            continue  # consumed by an earlier cycle
-        walk = [u0]
-        left, right = [], []
-        cur, side = u0, 0
-        while True:
-            if side == 0:
-                nxt = min(inc[cur][0])
-                inc[cur][0].discard(nxt)
-                inc[nxt][0].discard(cur)
-                left.append(_norm_edge(cur, nxt))
-            else:
-                nxt = min(inc[cur][1])
-                inc[cur][1].discard(nxt)
-                inc[nxt][1].discard(cur)
-                right.append(_norm_edge(cur, nxt))
-            cur, side = nxt, 1 - side
-            if cur == u0 and side == 0:
-                break
-            walk.append(cur)
-        cycles.append(
-            AlternatingCycle(sd.kind, tuple(walk), tuple(left), tuple(right))
-        )
-    return cycles
-
-
-def _decompose_directed(sd: SymmetricDifference) -> list[AlternatingCycle]:
-    # Walk state alternates between "emit an unused out-arc of cur" and
-    # "consume an unused in-arc of cur", switching sides each step; balance
-    # guarantees the walk only closes back at its start state.
-    out_un: dict[tuple[int, int], set[int]] = {}  # (v, side) -> unused heads
-    in_un: dict[tuple[int, int], set[int]] = {}  # (v, side) -> unused tails
-    for side, arcs in ((0, sd.left_only), (1, sd.right_only)):
-        for u, v in arcs:
-            out_un.setdefault((u, side), set()).add(v)
-            in_un.setdefault((v, side), set()).add(u)
-
-    cycles = []
-    for start_arc in sorted(sd.left_only):
-        u0, v0 = start_arc
-        if v0 not in out_un.get((u0, 0), ()):
-            continue
-        walk = [u0]
-        left, right = [], []
-        cur, side, emitting = u0, 0, True
-        while True:
-            if emitting:
-                nxt = min(out_un[(cur, side)])
-                out_un[(cur, side)].discard(nxt)
-                in_un[(nxt, side)].discard(cur)
-                (left if side == 0 else right).append((cur, nxt))
-            else:
-                nxt = min(in_un[(cur, side)])
-                in_un[(cur, side)].discard(nxt)
-                out_un[(nxt, side)].discard(cur)
-                (left if side == 0 else right).append((nxt, cur))
-            cur, side, emitting = nxt, 1 - side, not emitting
-            if cur == u0 and side == 0 and emitting:
-                break
-            walk.append(cur)
-        cycles.append(
-            AlternatingCycle(sd.kind, tuple(walk), tuple(left), tuple(right))
-        )
-    return cycles
-
-
-def find_disjoint_3walk(sd: SymmetricDifference) -> Optional[AlternatingWalk]:
-    """Search for a 4-distinct-vertex alternating 3-walk in the difference.
-
-    Undirected: edges {v1,v2}, {v3,v4} on the left side and {v2,v3} on the
-    right.  Directed: arcs (v1,v2), (v3,v4) left with (v3,v2) right
-    (pattern P), or the same shape with sides exchanged (pattern Q).
-    Returns None when no such walk exists.
-    """
-    if sd.kind == UNDIRECTED:
-        left_at: dict[int, set[int]] = {}
-        for u, v in sd.left_only:
-            left_at.setdefault(u, set()).add(v)
-            left_at.setdefault(v, set()).add(u)
-        for u, v in sorted(sd.right_only):
-            for v2, v3 in ((u, v), (v, u)):
-                for v1 in sorted(left_at.get(v2, ())):
-                    if v1 == v3:
-                        continue
-                    for v4 in sorted(left_at.get(v3, ())):
-                        if v4 in (v1, v2):
-                            continue
-                        return AlternatingWalk(sd.kind, (v1, v2, v3, v4), "P")
-        return None
-
-    for pattern, mids, outers in (
-        ("P", sd.right_only, sd.left_only),
-        ("Q", sd.left_only, sd.right_only),
-    ):
-        in_of: dict[int, set[int]] = {}
-        out_of: dict[int, set[int]] = {}
-        for u, v in outers:
-            out_of.setdefault(u, set()).add(v)
-            in_of.setdefault(v, set()).add(u)
-        for v3, v2 in sorted(mids):
-            for v1 in sorted(in_of.get(v2, ())):
-                if v1 == v3:
-                    continue
-                for v4 in sorted(out_of.get(v3, ())):
-                    if v4 in (v1, v2):
-                        continue
-                    return AlternatingWalk(sd.kind, (v1, v2, v3, v4), pattern)
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ blocked-instance demonstrations and the recognizer tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import Digraph
 from .errors import InvalidInputError
@@ -19,9 +19,15 @@ from .names import (
 )
 
 
-@dataclass(frozen=True)
-class BlockedInstanceSpec:
-    """Parameters for one blocked instance.
+class _SpecFields(NamedTuple):
+    blocks: int = 1
+    family: str = FAMILY_EXAMPLE1
+    attachment_size: int = 3
+    independent_size: int = 2
+
+
+class BlockedInstanceSpec(_SpecFields):
+    """Parameters for one blocked instance, checked on construction.
 
     ``blocks`` counts stacked 3-cycles (example1) and is 1 for the other
     families, which instead take an attachment subdigraph of
@@ -29,20 +35,24 @@ class BlockedInstanceSpec:
     clique-partition, ``independent_size`` extra vertices tied to the clique.
     """
 
-    blocks: int = 1
-    family: str = FAMILY_EXAMPLE1
-    attachment_size: int = 3
-    independent_size: int = 2
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise InvalidInputError(f"unknown family {self.family!r}")
-        if self.blocks < 1:
+    def __new__(
+        cls,
+        blocks: int = 1,
+        family: str = FAMILY_EXAMPLE1,
+        attachment_size: int = 3,
+        independent_size: int = 2,
+    ):
+        if family not in FAMILIES:
+            raise InvalidInputError(f"unknown family {family!r}")
+        if blocks < 1:
             raise InvalidInputError("blocks must be >= 1")
-        if self.attachment_size < 1:
+        if attachment_size < 1:
             raise InvalidInputError("attachment_size must be >= 1")
-        if self.independent_size < 0:
+        if independent_size < 0:
             raise InvalidInputError("independent_size must be >= 0")
+        return super().__new__(cls, blocks, family, attachment_size, independent_size)
 
 
 def generate_blocked(spec: BlockedInstanceSpec) -> Digraph:

@@ -9,6 +9,9 @@ The three state-graph kinds mirror the chain modes:
 Nodes are realizations (indexed by canonical key), arcs are moves, and loop
 multiplicities follow the per-pair / per-2-path inventory, so the walk is
 regular by construction and its transition row is ``1/walk_degree`` per slot.
+
+The module also holds the symmetric-difference and alternating-cycle lemma
+code behind the distance bounds that :func:`check_diameter_bounds` checks.
 """
 
 from __future__ import annotations
@@ -18,8 +21,7 @@ import itertools
 import math
 import random
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .chain import (
     MODE_FULL,
@@ -35,6 +37,7 @@ from .chain import (
 )
 from .core import (
     UNDIRECTED,
+    AlternatingCycle,
     CanonicalKey,
     DegreeSequence,
     DiDegreeSequence,
@@ -162,8 +165,7 @@ def enumerate_realizations(
 # explicit state graphs
 
 
-@dataclass
-class StateGraph:
+class StateGraph(NamedTuple):
     kind: str
     n: int
     universe: MoveUniverse
@@ -332,8 +334,7 @@ def rule_a_neighbors(sg: StateGraph) -> dict[CanonicalKey, set[CanonicalKey]]:
 # structural property checks
 
 
-@dataclass
-class PropertyReport:
+class PropertyReport(NamedTuple):
     symmetric: bool
     regular: bool
     degree: Optional[int]
@@ -457,8 +458,7 @@ def check_properties(sg: StateGraph) -> PropertyReport:
     )
 
 
-@dataclass
-class BoundReport:
+class BoundReport(NamedTuple):
     kind: str
     applicable: bool
     checked_pairs: int
@@ -503,11 +503,252 @@ def check_diameter_bounds(sg: StateGraph, arc_swap: Optional[bool] = None) -> Bo
 
 
 # ---------------------------------------------------------------------------
+# symmetric differences and alternating structures
+#
+# The machinery of the distance bounds that check_diameter_bounds checks:
+# two realizations of one sequence differ by a degree-balanced symmetric
+# difference, which splits into alternating cycles, and the proofs shorten
+# it along alternating 3-walks on four distinct vertices.
+
+
+class SymmetricDifference(NamedTuple):
+    """Arc/edge sets present in exactly one of two same-kind graphs."""
+
+    kind: str
+    n: int
+    left_only: frozenset[tuple[int, int]]
+    right_only: frozenset[tuple[int, int]]
+
+    @property
+    def size(self) -> int:
+        return len(self.left_only) + len(self.right_only)
+
+    def vertices(self) -> set[int]:
+        out = set()
+        for u, v in self.left_only:
+            out.add(u)
+            out.add(v)
+        for u, v in self.right_only:
+            out.add(u)
+            out.add(v)
+        return out
+
+    def is_balanced(self) -> bool:
+        """Per-vertex left/right balance (implies the Eulerian property).
+
+        Holds whenever the two graphs realize the same degree sequence; it is
+        exactly the condition under which alternating-cycle decomposition is
+        possible.
+        """
+        if self.kind == UNDIRECTED:
+            bal: dict[int, int] = {}
+            for u, v in self.left_only:
+                bal[u] = bal.get(u, 0) + 1
+                bal[v] = bal.get(v, 0) + 1
+            for u, v in self.right_only:
+                bal[u] = bal.get(u, 0) - 1
+                bal[v] = bal.get(v, 0) - 1
+            return all(x == 0 for x in bal.values())
+        outb: dict[int, int] = {}
+        inb: dict[int, int] = {}
+        for u, v in self.left_only:
+            outb[u] = outb.get(u, 0) + 1
+            inb[v] = inb.get(v, 0) + 1
+        for u, v in self.right_only:
+            outb[u] = outb.get(u, 0) - 1
+            inb[v] = inb.get(v, 0) - 1
+        return all(x == 0 for x in outb.values()) and all(
+            x == 0 for x in inb.values()
+        )
+
+
+def symmetric_difference(g: Graph | Digraph, h: Graph | Digraph) -> SymmetricDifference:
+    """Edges/arcs of g not in h and vice versa."""
+    if g.kind != h.kind:
+        raise InvalidInputError(f"mixed kinds: {g.kind} vs {h.kind}")
+    if g.n != h.n:
+        raise InvalidInputError(f"mixed vertex counts: {g.n} vs {h.n}")
+    if g.kind == UNDIRECTED:
+        ge, he = g.edge_set(), h.edge_set()
+    else:
+        ge, he = g.arc_set(), h.arc_set()
+    return SymmetricDifference(g.kind, g.n, frozenset(ge - he), frozenset(he - ge))
+
+
+class AlternatingWalk(NamedTuple):
+    """Open 3-edge alternating walk (v1, v2, v3, v4) on distinct vertices.
+
+    Pattern "P": first/last arc on the left side, middle arc on the right.
+    Pattern "Q" (directed only): sides exchanged.
+    """
+
+    kind: str
+    vertices: tuple[int, int, int, int]
+    pattern: str
+
+    def arcs(self) -> tuple[tuple[tuple[int, int], str], ...]:
+        """The walk's three arcs with their side labels.
+
+        Directed membership pattern: (v1,v2) and (v3,v4) on one side,
+        (v3,v2) on the other.  Undirected: edges {v1,v2}, {v3,v4}, {v2,v3}.
+        """
+        v1, v2, v3, v4 = self.vertices
+        a, b = ("left", "right") if self.pattern == "P" else ("right", "left")
+        if self.kind == UNDIRECTED:
+            return (
+                (_ordered(v1, v2), a),
+                (_ordered(v2, v3), b),
+                (_ordered(v3, v4), a),
+            )
+        return (((v1, v2), a), ((v3, v2), b), ((v3, v4), a))
+
+
+def decompose_alternating(sd: SymmetricDifference) -> list[AlternatingCycle]:
+    """Partition a balanced symmetric difference into alternating cycles.
+
+    Greedy extraction: walk alternating sides until the walk's start state
+    recurs, close the cycle there, repeat on the unused remainder.  The
+    result partitions the arcs; cycle count is not guaranteed minimal.
+    """
+    if not sd.is_balanced():
+        raise InvalidInputError("symmetric difference is not degree-balanced")
+    if sd.kind == UNDIRECTED:
+        return _decompose_undirected(sd)
+    return _decompose_directed(sd)
+
+
+def _decompose_undirected(sd: SymmetricDifference) -> list[AlternatingCycle]:
+    # unused side-labeled incidences per vertex
+    inc: dict[int, list[set[int]]] = {}
+
+    def add(u, v, side):
+        inc.setdefault(u, [set(), set()])[side].add(v)
+        inc.setdefault(v, [set(), set()])[side].add(u)
+
+    for u, v in sd.left_only:
+        add(u, v, 0)
+    for u, v in sd.right_only:
+        add(u, v, 1)
+
+    cycles = []
+    pending = sorted(sd.left_only)
+    for start_edge in pending:
+        u0, v0 = start_edge
+        if v0 not in inc[u0][0]:
+            continue  # consumed by an earlier cycle
+        walk = [u0]
+        left, right = [], []
+        cur, side = u0, 0
+        while True:
+            if side == 0:
+                nxt = min(inc[cur][0])
+                inc[cur][0].discard(nxt)
+                inc[nxt][0].discard(cur)
+                left.append(_ordered(cur, nxt))
+            else:
+                nxt = min(inc[cur][1])
+                inc[cur][1].discard(nxt)
+                inc[nxt][1].discard(cur)
+                right.append(_ordered(cur, nxt))
+            cur, side = nxt, 1 - side
+            if cur == u0 and side == 0:
+                break
+            walk.append(cur)
+        cycles.append(
+            AlternatingCycle(sd.kind, tuple(walk), tuple(left), tuple(right))
+        )
+    return cycles
+
+
+def _decompose_directed(sd: SymmetricDifference) -> list[AlternatingCycle]:
+    # Walk state alternates between "emit an unused out-arc of cur" and
+    # "consume an unused in-arc of cur", switching sides each step; balance
+    # guarantees the walk only closes back at its start state.
+    out_un: dict[tuple[int, int], set[int]] = {}  # (v, side) -> unused heads
+    in_un: dict[tuple[int, int], set[int]] = {}  # (v, side) -> unused tails
+    for side, arcs in ((0, sd.left_only), (1, sd.right_only)):
+        for u, v in arcs:
+            out_un.setdefault((u, side), set()).add(v)
+            in_un.setdefault((v, side), set()).add(u)
+
+    cycles = []
+    for start_arc in sorted(sd.left_only):
+        u0, v0 = start_arc
+        if v0 not in out_un.get((u0, 0), ()):
+            continue
+        walk = [u0]
+        left, right = [], []
+        cur, side, emitting = u0, 0, True
+        while True:
+            if emitting:
+                nxt = min(out_un[(cur, side)])
+                out_un[(cur, side)].discard(nxt)
+                in_un[(nxt, side)].discard(cur)
+                (left if side == 0 else right).append((cur, nxt))
+            else:
+                nxt = min(in_un[(cur, side)])
+                in_un[(cur, side)].discard(nxt)
+                out_un[(nxt, side)].discard(cur)
+                (left if side == 0 else right).append((nxt, cur))
+            cur, side, emitting = nxt, 1 - side, not emitting
+            if cur == u0 and side == 0 and emitting:
+                break
+            walk.append(cur)
+        cycles.append(
+            AlternatingCycle(sd.kind, tuple(walk), tuple(left), tuple(right))
+        )
+    return cycles
+
+
+def find_disjoint_3walk(sd: SymmetricDifference) -> Optional[AlternatingWalk]:
+    """Search for a 4-distinct-vertex alternating 3-walk in the difference.
+
+    Undirected: edges {v1,v2}, {v3,v4} on the left side and {v2,v3} on the
+    right.  Directed: arcs (v1,v2), (v3,v4) left with (v3,v2) right
+    (pattern P), or the same shape with sides exchanged (pattern Q).
+    Returns None when no such walk exists.
+    """
+    if sd.kind == UNDIRECTED:
+        left_at: dict[int, set[int]] = {}
+        for u, v in sd.left_only:
+            left_at.setdefault(u, set()).add(v)
+            left_at.setdefault(v, set()).add(u)
+        for u, v in sorted(sd.right_only):
+            for v2, v3 in ((u, v), (v, u)):
+                for v1 in sorted(left_at.get(v2, ())):
+                    if v1 == v3:
+                        continue
+                    for v4 in sorted(left_at.get(v3, ())):
+                        if v4 in (v1, v2):
+                            continue
+                        return AlternatingWalk(sd.kind, (v1, v2, v3, v4), "P")
+        return None
+
+    for pattern, mids, outers in (
+        ("P", sd.right_only, sd.left_only),
+        ("Q", sd.left_only, sd.right_only),
+    ):
+        in_of: dict[int, set[int]] = {}
+        out_of: dict[int, set[int]] = {}
+        for u, v in outers:
+            out_of.setdefault(u, set()).add(v)
+            in_of.setdefault(v, set()).add(u)
+        for v3, v2 in sorted(mids):
+            for v1 in sorted(in_of.get(v2, ())):
+                if v1 == v3:
+                    continue
+                for v4 in sorted(out_of.get(v3, ())):
+                    if v4 in (v1, v2):
+                        continue
+                    return AlternatingWalk(sd.kind, (v1, v2, v3, v4), pattern)
+    return None
+
+
+# ---------------------------------------------------------------------------
 # empirical one-step fidelity
 
 
-@dataclass
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     kind: str
     steps_per_state: int
     max_abs_sigma: float

@@ -80,6 +80,59 @@ def oracle_cycle_sets(s: DiDegreeSequence, keys) -> list[tuple[int, int, int]]:
     return [t for (t, _, _, _) in cand]
 
 
+# ---------------------------------------------------------------------------
+# reference mutators: the step loops of degswap.chain write each move in
+# this slot placement and map order, and tests/test_reference.py checks them
+# against reference loops that call these
+
+
+def swap_edges(g: Graph, e1, e2, f1, f2) -> None:
+    """Replace edges e1, e2 of g by f1, f2 on the same four endpoints.
+
+    Degree-preserving by construction, so f1 takes e1's list slot and f2
+    takes e2's.
+    """
+    pos = g._pos
+    edges = g._edges
+    i1 = pos.pop(e1)
+    i2 = pos.pop(e2)
+    pos[f1] = i1
+    edges[i1] = f1
+    pos[f2] = i2
+    edges[i2] = f2
+
+
+def swap_arcs(g: Digraph, a: int, b: int, c: int, d: int) -> None:
+    """Replace arcs (a,b),(c,d) of g by (a,d),(c,b), each in its original's slot."""
+    pos = g._pos
+    arcs = g._arcs
+    i1 = pos.pop((a, b))
+    i2 = pos.pop((c, d))
+    pos[(a, d)] = i1
+    arcs[i1] = (a, d)
+    pos[(c, b)] = i2
+    arcs[i2] = (c, b)
+
+
+def reorient_triangle(g: Digraph, u: int, v: int, w: int) -> None:
+    """Reverse the arcs of the induced directed 3-cycle u -> v -> w -> u of g.
+
+    Requires all three reversals absent beforehand (the reorientation
+    gate); each reversed arc takes over its original's list slot.
+    """
+    pos = g._pos
+    arcs = g._arcs
+    i1 = pos.pop((u, v))
+    i2 = pos.pop((v, w))
+    i3 = pos.pop((w, u))
+    pos[(v, u)] = i1
+    arcs[i1] = (v, u)
+    pos[(w, v)] = i2
+    arcs[i2] = (w, v)
+    pos[(u, w)] = i3
+    arcs[i3] = (u, w)
+
+
 def swap_alternating_cycle(g: Graph | Digraph, c: AlternatingCycle):
     """Flip presence along an alternating cycle in place; returns g.
 

@@ -3,9 +3,9 @@ from collections import Counter
 import pytest
 
 from degswap import arcswap
-from degswap.core import DiDegreeSequence, Digraph, symmetric_difference
+from degswap.core import DiDegreeSequence, Digraph
 from degswap.errors import InternalInconsistencyError, InvalidInputError, RealizationError
-from degswap.statespace import enumerate_realization_keys
+from degswap.statespace import enumerate_realization_keys, symmetric_difference
 from .conftest import (
     all_digraphical_sequences,
     mobile_blocked_instance,

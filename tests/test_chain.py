@@ -26,7 +26,14 @@ from degswap.generators import BlockedInstanceSpec, generate_blocked
 from degswap.realize import realize_directed, realize_undirected
 from degswap.statespace import build_state_graph, enumerate_realizations
 from degswap import arcswap
-from .conftest import hub_with_back_arc, hub_with_matching, mobile_blocked_instance
+from .conftest import (
+    hub_with_back_arc,
+    hub_with_matching,
+    mobile_blocked_instance,
+    reorient_triangle,
+    swap_arcs,
+    swap_edges,
+)
 
 
 def test_universe_counts():
@@ -239,13 +246,13 @@ def _exact_rows(sg, mode, complement=False):
                 dest = dests[removed, added] = dest.complement() if complement else dest
             counts[dest] = counts.get(dest, 0) + 1
             if isinstance(g, Graph):
-                g._swap_edges(*added, *removed)
+                swap_edges(g, *added, *removed)
             elif len(removed) == 3:
                 (x, y), (_, z), _ = removed
-                g._reorient_triangle(x, z, y)
+                reorient_triangle(g, x, z, y)
             else:
                 (a, b), (c, e) = added
-                g._swap_arcs(a, b, c, e)
+                swap_arcs(g, a, b, c, e)
 
         items = g.edges() if isinstance(g, Graph) else g.arcs()
         elements = u.elements
@@ -489,6 +496,30 @@ def test_index_structures_survive_long_runs():
             x for e in g._edges for x in e if v in e and x != v
         )
     assert g.degree_sequence() == u0.degree_sequence()
+
+
+def test_runs_reuse_the_start_graphs_index_ints():
+    # a move hands each replaced pair's position int to its replacement, so
+    # a run holds no index int its start graph does not; with m > 257 most
+    # positions lie outside CPython's small-int cache.  No 2-swap applies to
+    # example1, so its full walk moves by reorientations alone; reversing its
+    # arc list puts the 3-cycles' arcs in slots 324 .. 350.
+    undirected = realize_undirected(DegreeSequence((4,) * 200))
+    directed = realize_directed(DiDegreeSequence(((2, 2),) * 200))
+    blocked = generate_blocked(BlockedInstanceSpec(blocks=9))
+    blocked = Digraph(blocked.n, blocked.arcs()[::-1])
+    for g0, mode, tau in (
+        (undirected, "undirected", 3000),
+        (directed, "full", 3000),
+        (directed, "plain", 3000),
+        (blocked, "full", 50000),
+    ):
+        plan = plan_chain(g0, mode)
+        assert not plan.complement and g0.m > 257
+        held = {id(i) for i in plan.start._pos.values()}
+        res = run_chain(plan, ChainConfig(tau=tau, mode=mode, seed=5))
+        assert res.moves > 0
+        assert all(id(i) in held for i in res.graph._pos.values()), mode
 
 
 def test_unique_realization_always_loops():

@@ -540,7 +540,8 @@ def test_import_loads_only_what_every_subcommand_needs(tmp_path):
     # the measured layers are registered in sys.modules on import (a tracer
     # looks them up there) but their code runs on first use; the rest is not
     # imported at all until a subcommand asks for it.  No subcommand below
-    # loads dataclasses.
+    # loads dataclasses, and only enumerate loads statespace, which holds the
+    # state-graph oracle and the lemma code.
     import os
     import subprocess
     import sys
@@ -561,6 +562,7 @@ def test_import_loads_only_what_every_subcommand_needs(tmp_path):
 
     realize, chain = "'degswap.realize'", "'degswap.chain'"
     arcswap, stats = "'degswap.arcswap'", "'degswap.stats'"
+    statespace, generators = "'degswap.statespace'", "'degswap.generators'"
     assert probe(
         ["sample", "--degrees", "1 1 1 1", "--tau", "5"],
         ["recognize", "--degrees", "1/1 1/1 1/1"],
@@ -583,6 +585,16 @@ def test_import_loads_only_what_every_subcommand_needs(tmp_path):
         f"[{chain}]",
         f"[{realize}, {chain}, {arcswap}, {stats}]",
         f"[{realize}, {chain}, {arcswap}, {stats}]",
+    ]
+    # enumerate and generate load no dataclasses either
+    assert probe(
+        ["enumerate", "--degrees", "1/1 1/1 1/1", "--kind", "phibar"],
+        ["generate", "--blocks", "2"],
+    ) == [
+        "[]",
+        "[]",
+        f"[{realize}, {chain}, {arcswap}, {statespace}]",
+        f"[{realize}, {chain}, {arcswap}, {statespace}, {generators}]",
     ]
 
 

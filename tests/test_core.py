@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,18 +10,25 @@ from degswap.core import (
     Digraph,
     Graph,
     canonical_key,
-    decompose_alternating,
-    find_disjoint_3walk,
     format_degree_sequence,
     format_edgelist,
     graph_from_key,
     parse_degree_sequence,
     parse_edgelist,
-    symmetric_difference,
 )
 from degswap.errors import InvalidInputError
-from degswap.statespace import enumerate_realizations
-from .conftest import swap_alternating_cycle
+from degswap.statespace import (
+    decompose_alternating,
+    enumerate_realizations,
+    find_disjoint_3walk,
+    symmetric_difference,
+)
+from .conftest import (
+    reorient_triangle,
+    swap_alternating_cycle,
+    swap_arcs,
+    swap_edges,
+)
 
 
 def test_sequence_validation():
@@ -326,8 +335,8 @@ def test_digraph_mutators_keep_index_structures(data):
         offers = [
             (g._add_arc, [a for a in ordered if a not in g._pos]),
             (g._remove_arc, sorted(g.arcs())),
-            (g._swap_arcs, swaps),
-            (g._reorient_triangle, triangles),
+            (functools.partial(swap_arcs, g), swaps),
+            (functools.partial(reorient_triangle, g), triangles),
         ]
         mutate, args = data.draw(st.sampled_from([o for o in offers if o[1]]))
         mutate(*data.draw(st.sampled_from(args)))
@@ -353,7 +362,7 @@ def test_graph_mutators_keep_index_structures(data):
         offers = [
             (g._add_edge, [e for e in pairs if e not in g._pos]),
             (g._remove_edge, edges),
-            (g._swap_edges, swaps),
+            (functools.partial(swap_edges, g), swaps),
         ]
         mutate, args = data.draw(st.sampled_from([o for o in offers if o[1]]))
         mutate(*data.draw(st.sampled_from(args)))

@@ -17,8 +17,9 @@ from degswap.chain import (
     step_directed_plain,
     step_undirected,
 )
-from degswap.core import Digraph, Graph, decompose_alternating, symmetric_difference
+from degswap.core import Digraph, Graph
 from degswap.generators import BlockedInstanceSpec, generate_blocked
+from degswap.statespace import decompose_alternating, symmetric_difference
 from .conftest import mobile_blocked_instance, swap_alternating_cycle
 
 

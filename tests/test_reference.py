@@ -56,7 +56,7 @@ from degswap.realize import (
 from degswap.generators import BlockedInstanceSpec, generate_blocked
 from degswap.stats import correct_frozen_arcs, count_directed_3cycles
 
-from .conftest import hub_with_back_arc
+from .conftest import hub_with_back_arc, reorient_triangle, swap_arcs, swap_edges
 
 SEED = 20140301
 
@@ -259,7 +259,6 @@ def ref_run_undirected(g, universe, rb, tau, on_move=None):
     loop_slot = d - 1
     pos = g._pos
     edges = g._edges
-    swap = g._swap_edges
     m = len(edges)
     mm = m * (m - 1)
     moves = 0
@@ -286,7 +285,7 @@ def ref_run_undirected(g, universe, rb, tau, on_move=None):
             f2 = (b, dd) if b < dd else (dd, b)
         if f1 in pos or f2 in pos:
             continue
-        swap(e1, e2, f1, f2)
+        swap_edges(g, e1, e2, f1, f2)
         moves += 1
         if on_move is not None:
             on_move(t, (e1, e2), (f1, f2))
@@ -298,7 +297,6 @@ def ref_run_plain(g, universe, rb, tau, on_move=None):
     loop_slot = d - 1
     pos = g._pos
     arcs = g._arcs
-    swap = g._swap_arcs
     m = len(arcs)
     mm = m * (m - 1)
     moves = 0
@@ -318,7 +316,7 @@ def ref_run_plain(g, universe, rb, tau, on_move=None):
             continue
         if (a, dd) in pos or (c, b) in pos:
             continue
-        swap(a, b, c, dd)
+        swap_arcs(g, a, b, c, dd)
         moves += 1
         if on_move is not None:
             on_move(t, ((a, b), (c, dd)), ((a, dd), (c, b)))
@@ -332,8 +330,6 @@ def ref_run_full(g, universe, rb, tau, on_move=None):
     d = loop_start + (universe.n_2paths == 0)
     pos = g._pos
     arcs = g._arcs
-    swap = g._swap_arcs
-    reorient = g._reorient_triangle
     m = len(arcs)
     mm = m * (m - 1)
     moves = 0
@@ -357,14 +353,14 @@ def ref_run_full(g, universe, rb, tau, on_move=None):
                 continue
             if (w, u) not in pos or (v, u) in pos or (w, v) in pos or (u, w) in pos:
                 continue
-            reorient(u, v, w)
+            reorient_triangle(g, u, v, w)
             moves += 1
             if on_move is not None:
                 on_move(t, ((u, v), (v, w), (w, u)), ((v, u), (w, v), (u, w)))
             continue
         if (a, dd) in pos or (c, b) in pos:
             continue
-        swap(a, b, c, dd)
+        swap_arcs(g, a, b, c, dd)
         moves += 1
         if on_move is not None:
             on_move(t, ((a, b), (c, dd)), ((a, dd), (c, b)))
@@ -714,7 +710,8 @@ def run_loop(run, g0, universe, rng, undo):
 def test_inline_draw_loops_match_randbelow_loops():
     # equal graphs and seeds: the same walk, move count and generator state,
     # bare and with a hook that undoes every move.  The loops write each move
-    # into the lists themselves; the references call the graph's mutators.
+    # into the lists themselves; the references call the reference mutators
+    # of conftest.
     reorientations = collections.Counter()
     for label, g0 in loop_cases():
         modes = (MODE_UNDIRECTED,) if isinstance(g0, Graph) else (MODE_FULL, MODE_PLAIN)
