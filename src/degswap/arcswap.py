@@ -9,10 +9,11 @@ The recognizer works on one realization: a triple inducing a directed
 3-cycle is NOT an induced cycle set iff some arc of the cycle lies on an
 alternating closed walk whose swap yields another realization while leaving
 the walk's per-vertex in/out usage at most 2 (a "simple symmetric" swap
-cycle) and without flipping the whole cycle into its reorientation.  The
-walk search runs over the split representation (each vertex becomes an
-out-copy and an in-copy), where such walks are plain directed paths, so
-breadth-first reachability is complete.
+cycle) and without flipping the whole cycle into its reorientation.  In
+the split representation (each vertex becomes an out-copy and an in-copy)
+such walks are plain directed paths and the reorientation is one fixed
+path, so each probed arc costs one reachability sweep, which asks whether
+every arc of that path is a bridge.
 """
 
 from __future__ import annotations
@@ -56,136 +57,123 @@ def _cycle_orientation(g: Digraph, triple: tuple[int, int, int]):
     return None
 
 
-def _alternating_path(
-    g: Digraph,
-    probe: tuple[int, int],
-    excluded: tuple[int, int],
-    tails: list[list[int]],
-) -> Optional[list[tuple[int, int]]]:
-    """Simple alternating path closing the probed present arc into a swap cycle.
+def _breaking_walk(
+    g: Digraph, v: int, w: int, x: int, heads, tails
+) -> Optional[list[int]]:
+    """Alternating walk closing the probe (v, w) into a swap that breaks the triple.
 
-    Split nodes: x+ (out-copy) emits absent arcs, y- (in-copy) consumes
-    present arcs.  The path runs from v+ to w- with absent end arcs, so
-    together with the removed probe (v,w) it forms an alternating cycle.
-    Alternation fixes each split node's role, which makes the search plain
-    breadth-first reachability; visiting each split node at most once is
-    exactly the in/out <= 2 discipline of a simple symmetric swap cycle.
-    Neither the probe nor the excluded arc may be used.  ``tails`` is
-    g's in-neighbor lists (:meth:`Digraph.adjacency`), built once by the
-    caller for all its searches.
+    g induces the 3-cycle v -> w -> x -> v on the triple, and ``heads`` and
+    ``tails`` are g's :meth:`Digraph.adjacency` lists, built once by the
+    caller for all its probes.  Split nodes: z+ (out-copy) emits absent
+    arcs, y- (in-copy) consumes present arcs.  A simple v+ -> w- path,
+    together with the removed probe, is a simple symmetric swap cycle: each
+    split node is visited at most once, which is the in/out <= 2 discipline.
+    The swap breaks the triple unless the path runs through all five other
+    arcs of the cycle and its reorientation, which form the split path
 
-    An out-copy scans only the in-copies not yet reached, in ascending
-    order; each one it passes over is a present, probe or excluded arc or
-    its own in-copy, so a search costs O(n + m).  A newly reached out-copy
-    z+ ends the search at once when (z, w) is a usable absent arc: the
-    frontier is expanded in the order it was generated, so z+ is the first
-    out-copy whose expansion would reach w-, and the path is the one the
-    full breadth-first search returns.  A three-arc breaking walk is then
-    found after the O(n) scan from v+ and one in-neighbor list.
+        P:  v+ -(v,x)-> x- -(w,x)-> w+ -(w,v)-> v- -(x,v)-> x+ -(x,w)-> w-
 
-    Returns the path's arcs with alternating membership, probe excluded.
+    so a breaking walk exists iff some v+ -> w- path misses an arc of P,
+    that is, iff not every arc of P is a v+ -> w- bridge.
+
+    One sweep decides it.  The set S reached from v+ grows with P's arcs
+    blocked, and they are opened in path order.  While the first k are
+    open, a P node past them entering S gives a path that misses arc k+1:
+    S's tree path to that node, then the rest of P, whose nodes are not in
+    S.  If S closes first, arc k+1 is a bridge, since a path's first visit
+    to a node past the prefix can only come through it; opening it adds
+    just its head to S, whose tail was expanded while it was blocked.
+    Five bridges mean no breaking walk.  S only grows, and each out-copy
+    scans just the ascending list of in-copies not yet in S, passing over
+    its own, its present arcs' heads and its blocked arc's head, so the
+    sweep costs one O(n + m) search.
+
+    A newly reached out-copy z+ ends the sweep at once when it is a P node
+    past the open prefix or has an open absent arc into one, tried from w-
+    back so that the walk takes as little of P as it can: a three-arc walk
+    v+ -> y- -> z+ -> w- is found after the scan from v+ and one in-neighbor
+    list.  The frontier is expanded in the order it was generated, so the
+    result is deterministic.
+
+    Returns the walk's vertices from v to w (out-copies at even positions),
+    or None.
     """
-    v, w = probe
     pos = g._pos
-    start, goal = ("out", v), ("in", w)
+    back = {v: x, w: v, x: w}  # each cycle vertex's predecessor
+    path = (v, x, w, v, x, w)  # P's split nodes, out-copies at even positions
+    out_at = {w: 2, x: 4}
+    out_par = {v: None}  # out-copy in S -> the in-copy it was reached from
+    in_par = {}  # expanded in-copy -> the out-copy it was reached from
+    fresh = range(g.n)  # in-copies not in S, ascending
+    outs = [v]  # out-copies to expand
+    ins = []  # (z, fresh, skip): z+ reached the in-copies of fresh not in skip
 
-    def closes(z):
-        arc = (z, w)
-        return z != w and arc not in pos and arc != probe and arc != excluded
+    def walk_to(z, j):
+        # S's tree path to z+, then P from its node j on
+        walk = [z]
+        while z != v:
+            y = out_par[z]
+            z = in_par[y]
+            walk += (y, z)
+        walk.reverse()
+        walk += path[j:]
+        return walk
 
-    parent = {start: None}
-    fresh_in = list(range(g.n))  # in-copies not yet reached, ascending
-    frontier = [start]
-    while frontier:
-        nxt_frontier = []
-        for node in frontier:
-            side, x = node
-            if side == "out":
-                # add an arc (x, y): y- must be fresh
-                kept = []
-                for y in fresh_in:
-                    arc = (x, y)
-                    if y == x or arc in pos or arc == probe or arc == excluded:
-                        kept.append(y)
+    def reach(z, y, k):
+        # z+ enters S from y- while P's first k arcs are open
+        out_par[z] = y
+        if out_at.get(z, 0) > k:
+            return walk_to(z, out_at[z] + 1)
+        for j in (5, 3, 1):
+            t = path[j]
+            if j > k and t != z and t != back.get(z) and (z, t) not in pos:
+                return walk_to(z, j)
+        outs.append(z)
+        return None
+
+    # v+ has no open arc into P: (v, x) is blocked and (v, w) is present
+    for k in range(5):
+        # from k = 1 on, arc k of P has proved a bridge: opening it adds its head to S
+        if k % 2:
+            fresh.remove(path[k])
+            ins.append((path[k - 1], [path[k]], ()))
+        elif k:
+            walk = reach(path[k], path[k - 1], k)
+            if walk:
+                return walk
+        while outs or ins:
+            for z in outs:
+                skip = {z, back.get(z, z), *heads[z]}
+                ins.append((z, fresh, skip))
+                fresh = sorted(skip.intersection(fresh))
+            outs.clear()
+            for z0, batch, skip in ins:
+                for y in batch:
+                    if y in skip:
                         continue
-                    # never w-: every expanded out-copy fails closes()
-                    tgt = ("in", y)
-                    parent[tgt] = node
-                    nxt_frontier.append(tgt)
-                fresh_in = kept
-            else:
-                # remove an arc (z, x): z+ must be fresh
-                for z in tails[x]:
-                    if (z, x) == probe or (z, x) == excluded:
-                        continue
-                    tgt = ("out", z)
-                    if tgt in parent:
-                        continue
-                    parent[tgt] = node
-                    if closes(z):
-                        parent[goal] = tgt
-                        return _collect_path(parent, start, goal)
-                    nxt_frontier.append(tgt)
-        frontier = nxt_frontier
+                    in_par[y] = z0
+                    cut = back.get(y)
+                    for z in tails[y]:
+                        if z != cut and z not in out_par:
+                            walk = reach(z, y, k)
+                            if walk:
+                                return walk
+            ins.clear()
     return None
 
 
-def _collect_path(parent, start, goal) -> list[tuple[int, int]]:
-    nodes = [goal]
-    while nodes[-1] != start:
-        nodes.append(parent[nodes[-1]])
-    nodes.reverse()
-    arcs = []
-    for a, b in zip(nodes, nodes[1:]):
-        if a[0] == "out":
-            arcs.append((a[1], b[1]))  # absent arc (x, y)
+def _swap_cycle(walk: list[int]) -> AlternatingCycle:
+    """The swap cycle of a breaking walk: the probe, then the walk backwards."""
+    removed = [(walk[0], walk[-1])]
+    added = []
+    for i in range(len(walk) - 1):
+        a, b = walk[i], walk[i + 1]
+        if i % 2:
+            removed.append((b, a))  # present arc into the in-copy a-
         else:
-            arcs.append((b[1], a[1]))  # present arc (z, x)
-    return arcs
-
-
-def _breaking_cycle_via(
-    g: Digraph,
-    cycle: tuple[tuple[int, int], ...],
-    probe: tuple[int, int],
-    tails: list[list[int]],
-) -> Optional[AlternatingCycle]:
-    """Breaking swap cycle through the probed cycle arc, if any.
-
-    The walk must miss at least one of the five other arcs of the 3-cycle
-    and its reorientation; that is enforced by excluding each of the five in
-    turn and stopping at the first reachable alternative.
-    """
-    six = list(cycle) + [(b, a) for a, b in cycle]
-    for excluded in six:
-        if excluded == probe:
-            continue
-        path = _alternating_path(g, probe, excluded, tails)
-        if path is None:
-            continue
-        return _cycle_from_path(g, probe, path)
-    return None
-
-
-def _cycle_from_path(g, probe, path) -> AlternatingCycle:
-    removed = [probe] if g.has_arc(*probe) else []
-    added = [] if removed else [probe]
-    for arc in path:
-        (removed if g.has_arc(*arc) else added).append(arc)
-    # cycle arc order: the probe, then the path backwards; consecutive arcs
-    # share exactly one vertex, which is the walk vertex between them
-    seq = [probe] + list(reversed(path))
-    verts = [_shared_vertex(seq[-1], seq[0])]
-    for a, b in zip(seq, seq[1:]):
-        verts.append(_shared_vertex(a, b))
-    return AlternatingCycle("directed", tuple(verts), tuple(removed), tuple(added))
-
-
-def _shared_vertex(e: tuple[int, int], f: tuple[int, int]) -> int:
-    common = set(e) & set(f)
-    if len(common) != 1:
-        raise InternalInconsistencyError(f"arcs {e}, {f} do not chain")
-    return common.pop()
+            added.append((a, b))  # absent arc out of the out-copy a+
+    verts = (walk[0],) + tuple(reversed(walk[1:]))
+    return AlternatingCycle("directed", verts, tuple(removed), tuple(added))
 
 
 def find_breaking_walk(
@@ -202,7 +190,10 @@ def find_breaking_walk(
         raise InvalidInputError(f"{cycle} does not induce a directed 3-cycle")
     if tuple(arc) not in arcs:
         raise InvalidInputError(f"{arc} is not an arc of the induced 3-cycle")
-    return _breaking_cycle_via(g, arcs, tuple(arc), g.adjacency()[1])
+    v, w = arc
+    x = next(b for a, b in arcs if a == w)
+    walk = _breaking_walk(g, v, w, x, *g.adjacency())
+    return None if walk is None else _swap_cycle(walk)
 
 
 def induced_3cycles(g: Digraph) -> list[tuple[int, int, int]]:
@@ -231,13 +222,15 @@ def detect_induced_cycle_sets(g: Digraph) -> list[InducedCycleSet]:
     A triple qualifies iff it induces a directed 3-cycle here and no arc of
     that cycle admits a breaking walk.  The candidate triples come from
     :func:`induced_3cycles` in O(m * max degree); each candidate then costs
-    up to fifteen breadth-first walk searches.
+    one O(n + m) breaking-walk sweep per arc, and stops at the first arc
+    that has a walk, so a cycle set costs three sweeps.
     """
-    tails = g.adjacency()[1]
+    heads, tails = g.adjacency()
     found = []
     for triple in induced_3cycles(g):
-        arcs = _cycle_orientation(g, triple)
-        if all(_breaking_cycle_via(g, arcs, a, tails) is None for a in arcs):
+        (a, b), (_, c), _ = _cycle_orientation(g, triple)
+        probes = ((a, b, c), (b, c, a), (c, a, b))
+        if all(_breaking_walk(g, *p, heads, tails) is None for p in probes):
             found.append(InducedCycleSet(triple))
     return found
 

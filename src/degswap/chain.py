@@ -574,6 +574,11 @@ class ChainConfig(_ChainFields):
             raise InvalidInputError("seed must be >= 0")
         return super().__new__(cls, tau, mode, seed, record_trace)
 
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds its result here; tuple.__new__ would skip the checks
+        return cls(*iterable)
+
 
 class ChainResult(NamedTuple):
     graph: Graph | Digraph

@@ -54,6 +54,11 @@ class BlockedInstanceSpec(_SpecFields):
             raise InvalidInputError("independent_size must be >= 0")
         return super().__new__(cls, blocks, family, attachment_size, independent_size)
 
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds its result here; tuple.__new__ would skip the checks
+        return cls(*iterable)
+
 
 def generate_blocked(spec: BlockedInstanceSpec) -> Digraph:
     if spec.family == FAMILY_EXAMPLE1:

@@ -69,6 +69,18 @@ def test_chain_config_validation():
         ChainConfig(tau=1, mode="plain", seed=-5)
 
 
+def test_chain_config_replace_is_checked():
+    cfg = ChainConfig(tau=1, mode="full")
+    with pytest.raises(InvalidInputError):
+        cfg._replace(tau=-5, mode="bogus")
+    with pytest.raises(InvalidInputError):
+        cfg._replace(seed=-1)
+    with pytest.raises(InvalidInputError):
+        ChainConfig._make((1, "sideways", 0, False))
+    assert cfg._replace(tau=7, seed=3) == ChainConfig(tau=7, mode="full", seed=3)
+    assert type(cfg._replace(mode="plain")) is ChainConfig
+
+
 def test_mode_kind_mismatch():
     g = realize_undirected(DegreeSequence((1, 1)))
     with pytest.raises(InvalidInputError):

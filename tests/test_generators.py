@@ -48,6 +48,18 @@ def test_validation():
         BlockedInstanceSpec(family=FAMILY_ONE_DIRECTION, attachment_size=0)
 
 
+def test_replace_is_checked():
+    spec = BlockedInstanceSpec()
+    with pytest.raises(InvalidInputError):
+        spec._replace(blocks=0)
+    with pytest.raises(InvalidInputError):
+        spec._replace(family="unknown")
+    with pytest.raises(InvalidInputError):
+        BlockedInstanceSpec._make((1, FAMILY_CLIQUE_PARTITION, 3, -1))
+    assert spec._replace(blocks=4) == BlockedInstanceSpec(blocks=4)
+    assert type(spec._replace(blocks=4)) is BlockedInstanceSpec
+
+
 def test_one_direction_family():
     g = generate_blocked(
         BlockedInstanceSpec(family=FAMILY_ONE_DIRECTION, attachment_size=2)

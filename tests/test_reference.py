@@ -4,14 +4,16 @@ The reference functions below are the straightforward quadratic (and, for
 the triangle scan, cubic) versions: the feasibility tests recompute every
 tail sum, the greedies re-sort all vertices every round, the key ORs one
 shifted bit at a time, the scan visits all C(n, 3) triples, the breaking-walk
-search scans all n in-copies from every out-copy, the swap-only
+search retries a breadth-first search over all n in-copies once for each
+of the five arcs it may miss, the swap-only
 correction walks the full n(n-1) bias report and the step loops draw every
 integer through a per-draw ``make_randbelow`` call.  The package's versions
 must agree with them exactly: the same violation strings, the same edge/arc
 lists in insertion order (chains and ensembles draw by list index), the
-same key bits, the same sorted triples, the same walk paths, the same
+same key bits, the same sorted triples, the same cycle sets, the same
 corrected frequencies in the same order and, for the step loops, the same
-move counts and the same final generator state.
+move counts and the same final generator state.  The one-sweep breaking-walk
+search must find a walk exactly when a retry does, and a valid one.
 """
 
 import collections
@@ -19,9 +21,7 @@ import itertools
 import random
 
 from degswap.arcswap import (
-    _alternating_path,
-    _breaking_cycle_via,
-    _collect_path,
+    _breaking_walk,
     _cycle_orientation,
     arc_probability_bias,
     cycle_set_arcs,
@@ -168,19 +168,32 @@ def ref_induced_3cycles(g):
 
 
 def ref_detect_induced_cycle_sets(g):
-    tails = g.adjacency()[1]
     found = []
     for triple in itertools.combinations(range(g.n), 3):
         arcs = _cycle_orientation(g, triple)
         if arcs is not None and all(
-            _breaking_cycle_via(g, arcs, a, tails) is None for a in arcs
+            ref_alternating_path(g, probe, excluded) is None
+            for probe in arcs
+            for excluded in other_arcs(arcs, probe)
         ):
             found.append(triple)
     return found
 
 
+def other_arcs(arcs, probe):
+    """The five arcs of the cycle and its reversal besides the probe.
+
+    A walk through the probe breaks the triangle iff it misses one of them.
+    """
+    return [e for e in list(arcs) + [(b, a) for a, b in arcs] if e != probe]
+
+
 def ref_alternating_path(g, probe, excluded):
-    """Breadth-first breaking-walk search scanning all n in-copies per out-copy."""
+    """Breadth-first alternating v+ -> w- path missing ``excluded``, as arcs, or None.
+
+    Split nodes: x+ (out-copy) emits absent arcs, y- (in-copy) consumes
+    present arcs; every in-copy is scanned from every out-copy.
+    """
     n = g.n
     v, w = probe
     pos = g._pos
@@ -203,7 +216,7 @@ def ref_alternating_path(g, probe, excluded):
                         continue
                     parent[tgt] = node
                     if tgt == goal:
-                        return _collect_path(parent, start, goal)
+                        return ref_collect_path(parent, start, goal)
                     nxt_frontier.append(tgt)
             else:
                 for z in tails[x]:
@@ -214,10 +227,21 @@ def ref_alternating_path(g, probe, excluded):
                         continue
                     parent[tgt] = node
                     if tgt == goal:
-                        return _collect_path(parent, start, goal)
+                        return ref_collect_path(parent, start, goal)
                     nxt_frontier.append(tgt)
         frontier = nxt_frontier
     return None
+
+
+def ref_collect_path(parent, start, goal):
+    nodes = [goal]
+    while nodes[-1] != start:
+        nodes.append(parent[nodes[-1]])
+    nodes.reverse()
+    return [
+        (a[1], b[1]) if a[0] == "out" else (b[1], a[1])
+        for a, b in zip(nodes, nodes[1:])
+    ]
 
 
 def ref_corrected_frequency(s, g0, freq):
@@ -559,6 +583,43 @@ def test_detect_matches_triple_loop():
     for g in chain_mutated_digraphs():
         sets = [cs.vertices for cs in detect_induced_cycle_sets(g)]
         assert sets == ref_detect_induced_cycle_sets(g)
+    # example1: every probe of every block is a cycle set's, so each sweep
+    # opens all five arcs of its reorientation path
+    for k in (2, 3, 4, 5):
+        g = relabelled(rng, generate_blocked(BlockedInstanceSpec(blocks=k)))
+        sets = [cs.vertices for cs in detect_induced_cycle_sets(g)]
+        assert len(sets) == k and sets == ref_detect_induced_cycle_sets(g)
+    # planted 3-cycles in random digraphs of every density, some of them
+    # cycle sets
+    planted = 0
+    for _ in range(150):
+        n = rng.randint(3, 11)
+        g = random_digraph(rng, n, rng.choice((0.1, 0.3, 0.5, 0.8)), rng.choice((0.0, 0.3)))
+        g = with_planted_3cycles(rng, g)
+        sets = [cs.vertices for cs in detect_induced_cycle_sets(g)]
+        assert sets == ref_detect_induced_cycle_sets(g)
+        planted += bool(sets)
+    assert planted > 10, planted
+
+
+def relabelled(rng, g):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Digraph(g.n, [(perm[u], perm[v]) for u, v in g.arcs()])
+
+
+def with_planted_3cycles(rng, g):
+    """g with up to three vertex-disjoint directed 3-cycles forced in, induced."""
+    arcs = set(g.arcs())
+    vs = list(range(g.n))
+    rng.shuffle(vs)
+    for i in range(0, 3 * rng.randint(1, min(3, g.n // 3)), 3):
+        a, b, c = vs[i : i + 3]
+        arcs.update(((a, b), (b, c), (c, a)))
+        arcs.difference_update(((b, a), (c, b), (a, c)))
+    arcs = sorted(arcs)
+    rng.shuffle(arcs)
+    return Digraph(g.n, arcs)
 
 
 def chain_mutated_digraphs():
@@ -576,57 +637,75 @@ def chain_mutated_digraphs():
     return out
 
 
-def check_walk_searches(g, probes):
-    """Every probe against every other arc of its triangle, and a random pair."""
-    tails = g.adjacency()[1]
+def check_walk_searches(g, triples):
+    """Every probe of every triangle: the one sweep against the five retries.
+
+    The sweep must find a walk iff some excluded-arc search does, and its
+    walk must be a simple alternating v+ -> w- path in the split digraph
+    that avoids the probe and misses one of the five other arcs.
+    """
+    heads, tails = g.adjacency()
     found = 0
-    for probe, excluded in probes:
-        path = _alternating_path(g, probe, excluded, tails)
-        assert path == ref_alternating_path(g, probe, excluded), (probe, excluded)
-        found += path is not None
+    for triple in triples:
+        arcs = _cycle_orientation(g, triple)
+        for i, probe in enumerate(arcs):
+            others = other_arcs(arcs, probe)
+            walk = _breaking_walk(g, *probe, arcs[(i + 1) % 3][1], heads, tails)
+            ref_found = any(ref_alternating_path(g, probe, e) is not None for e in others)
+            assert (walk is not None) == ref_found, probe
+            if walk is not None:
+                check_breaking_walk(g, probe, others, walk)
+                found += 1
     return found
 
 
-def triangle_probes(g, triples):
-    probes = []
-    for triple in triples:
-        arcs = _cycle_orientation(g, triple)
-        six = list(arcs) + [(b, a) for a, b in arcs]
-        probes.extend((p, x) for p in arcs for x in six if x != p)
-    return probes
+def check_breaking_walk(g, probe, others, walk):
+    # out-copies at even positions, in-copies at odd ones
+    nodes = [(i % 2, x) for i, x in enumerate(walk)]
+    assert len(set(nodes)) == len(nodes), walk
+    assert walk[0] == probe[0] and walk[-1] == probe[1] and len(walk) % 2 == 0
+    used = set()
+    for i in range(len(walk) - 1):
+        a, b = walk[i], walk[i + 1]
+        if i % 2:
+            assert g.has_arc(b, a), walk  # present arc (b, a) into a-
+            used.add((b, a))
+        else:
+            assert a != b and not g.has_arc(a, b), walk  # absent arc out of a+
+            used.add((a, b))
+    assert probe not in used and not used.issuperset(others), walk
 
 
 def test_walk_search_matches_full_scan():
     rng = random.Random(SEED + 5)
     found = missed = 0
-    for _ in range(150):
-        n = rng.randint(3, 40)
+    for i in range(150):
+        n = rng.randint(3, 40) if i % 2 else rng.randint(3, 9)
         g = random_digraph(rng, n, rng.choice((0.05, 0.2, 0.5, 0.8)), 0.3)
-        if not g.m:
-            continue
-        probes = triangle_probes(g, induced_3cycles(g)[:2])
-        for _ in range(5):
-            probe = rng.choice(g.arcs())
-            excluded = (rng.randrange(n), rng.randrange(n))
-            probes.append((probe, excluded))
-        hits = check_walk_searches(g, probes)
+        if not i % 2:
+            g = with_planted_3cycles(rng, g)
+        triples = induced_3cycles(g)[:3]
+        hits = check_walk_searches(g, triples)
         found += hits
-        missed += len(probes) - hits
+        missed += 3 * len(triples) - hits
     assert found > 200 and missed > 20, (found, missed)
     blocked = generate_blocked(BlockedInstanceSpec(blocks=2))
-    assert check_walk_searches(blocked, triangle_probes(blocked, induced_3cycles(blocked))) == 0
-    for g in chain_mutated_digraphs():
-        probes = triangle_probes(g, induced_3cycles(g))
-        for _ in range(30):
-            probe = rng.choice(g.arcs())
-            excluded = (rng.randrange(g.n), rng.randrange(g.n))
-            probes.append((probe, excluded))
-        assert check_walk_searches(g, probes) > 0
+    assert check_walk_searches(blocked, induced_3cycles(blocked)) == 0
+    # through the probe (3, 2) of 3 -> 2 -> 0 -> 3, every breaking walk runs
+    # along the first four arcs of the reorientation path and misses (0, 2)
+    late = Digraph(5, [(0, 3), (3, 4), (2, 4), (1, 4), (3, 2), (2, 0)])
+    path_arcs = [(3, 0), (2, 0), (2, 3), (0, 3), (0, 2)]
+    assert [ref_alternating_path(late, (3, 2), e) is None for e in path_arcs] == [
+        True, True, True, True, False]
+    assert check_walk_searches(late, [(0, 2, 3)]) == 3
+    # hub_with_back_arc() has no triangle to probe
+    mutated = chain_mutated_digraphs()
+    assert sum(check_walk_searches(g, induced_3cycles(g)) for g in mutated) > 0
 
 
 def test_walk_search_matches_full_scan_at_scale():
     # the shape of tests/test_scale.py: n = 20 000, m = 10^5, realized the
-    # way recognize realizes it; a handful of its candidate triangles
+    # way recognize realizes it; one of its candidate triangles
     from .test_scale import M, N, sparse_pairs
 
     rng = random.Random(2014)
@@ -637,8 +716,7 @@ def test_walk_search_matches_full_scan_at_scale():
     g = is_digraphical(DiDegreeSequence(zip(outs, ins))).witness
     triples = induced_3cycles(g)
     assert triples
-    probes = triangle_probes(g, triples[:1])
-    assert check_walk_searches(g, probes) > 0
+    assert check_walk_searches(g, triples[:1]) > 0
 
 
 def test_frozen_arc_correction_matches_bias_report():

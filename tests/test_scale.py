@@ -1,5 +1,6 @@
-"""No super-linear cliff: realize and recognize at n = 20 000, chains on a hub
-and on a sparse digraph with n = 10^5.
+"""No super-linear cliff: realize and recognize at n = 20 000, recognize
+example1 with 60 cycle sets, chains on a hub and on a sparse digraph with
+n = 10^5.
 
 With per-round re-sorting greedies, tail-sum feasibility tests and a scan
 over all vertex triples the cold-path instance takes minutes; the
@@ -17,6 +18,7 @@ import time
 from degswap.arcswap import recognize
 from degswap.chain import ChainConfig, run_chain, universe_for
 from degswap.core import DegreeSequence, DiDegreeSequence, Digraph
+from degswap.generators import BlockedInstanceSpec, generate_blocked
 from degswap.realize import realize_directed, realize_undirected
 from .conftest import hub_with_matching
 
@@ -56,6 +58,17 @@ def test_cold_path_has_no_cliff_at_20000_vertices():
     assert report.component_count == 1 << len(report.cycle_sets)
     elapsed = time.perf_counter() - start
     assert elapsed < BUDGET_S, f"cold path took {elapsed:.1f} s"
+
+
+def test_recognize_example1_with_60_cycle_sets():
+    # n = 180, m = 16 110: every probe of every cycle set sweeps the whole
+    # split digraph and opens all five arcs of its reorientation path
+    s = generate_blocked(BlockedInstanceSpec(blocks=60)).degree_sequence()
+    start = time.perf_counter()
+    report = recognize(s)
+    elapsed = time.perf_counter() - start
+    assert len(report.cycle_sets) == 60
+    assert elapsed < BUDGET_S, f"recognize took {elapsed:.1f} s"
 
 
 def test_hub_star_chains_have_no_cliff():
