@@ -52,7 +52,7 @@ def _cycle_orientation(g: Digraph, triple: tuple[int, int, int]):
     for a, b, c in ((i, j, k), (i, k, j)):
         fwd = ((a, b), (b, c), (c, a))
         rev = ((b, a), (c, b), (a, c))
-        if all(g.has_arc(*x) for x in fwd) and not any(g.has_arc(*x) for x in rev):
+        if all(g.has(*x) for x in fwd) and not any(g.has(*x) for x in rev):
             return fwd
     return None
 
@@ -206,7 +206,7 @@ def induced_3cycles(g: Digraph) -> list[tuple[int, int, int]]:
     pos = g._pos
     heads = g.adjacency()[0]
     found = []
-    for u, v in g._arcs:
+    for u, v in g._pairs:
         if v < u or (v, u) in pos:
             continue
         for w in heads[v]:

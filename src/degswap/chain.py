@@ -73,13 +73,13 @@ A loop writes each move into the graph's list and position map itself,
 reusing the tuples it drew and gated: each new edge/arc takes over the
 list slot, and the position int, of the one it replaces, and enters the
 map in replacement order, so a run stores no index int its start graph
-does not hold.  The reference mutators ``swap_edges``, ``swap_arcs`` and
-``reorient_triangle`` of ``tests/conftest.py`` write a move the same way,
-and the tests compare every loop with a reference loop that calls them.
+does not hold.  The reference mutators of ``tests/conftest.py`` write a
+move the same way, and the tests compare every loop with a reference loop
+that calls them.
 A loop also takes a private ``on_move(t, removed, added)`` hook, called
 after every move and never after a loop, with the step index and the
 edge/arc tuples taken out and put in.  The hook may restore the graph
-through the graph's ``_add_*`` and ``_remove_*`` methods: the loop keeps
+through the graph's ``_add`` and ``_remove`` methods: the loop keeps
 no graph-derived state, so the next step sees the graph as the hook left
 it.
 """
@@ -202,7 +202,7 @@ def _directed_counts(s: DiDegreeSequence) -> tuple[int, int, int]:
 
 def iter_nonadjacent_pairs(g: Graph | Digraph):
     """All unordered pairs of edges/arcs with four distinct endpoints, list order."""
-    pairs = g.edges() if isinstance(g, Graph) else g.arcs()
+    pairs = g.pairs()
     for i, (a, b) in enumerate(pairs):
         for c, d in pairs[i + 1 :]:
             if a != c and a != d and b != c and b != d:
@@ -215,7 +215,7 @@ def iter_role_disjoint_arc_pairs(g: Digraph):
     The directed walks' pair universe: head-to-tail and antiparallel pairs
     are members, and the count is the same in every realization.
     """
-    arcs = g.arcs()
+    arcs = g.pairs()
     for i, (a, b) in enumerate(arcs):
         for c, d in arcs[i + 1 :]:
             if a != c and b != d:
@@ -324,7 +324,7 @@ def _run_undirected(
     if not loop_start:
         return 0
     pos = g._pos
-    edges = g._edges
+    edges = g._pairs
     m = len(edges)
     m1 = m - 1
     mm = m * m1
@@ -398,7 +398,7 @@ def _run_directed(
     if not loop_start:
         return 0
     pos = g._pos
-    arcs = g._arcs
+    arcs = g._pairs
     m = len(arcs)
     m1 = m - 1
     mm = m * m1
@@ -522,9 +522,7 @@ def complement_universe(g: Graph | Digraph, universe: MoveUniverse):
     test then costs O(n), from the complement degrees alone.  Ties stay on
     the direct walk.
     """
-    n = g.n
-    grid = n * (n - 1) // 2 if universe.kind == MODE_UNDIRECTED else n * (n - 1)
-    if 2 * universe.m <= grid:
+    if 2 * universe.m <= g.grid_size(g.n):
         return None
     bar = _UNIVERSES[universe.kind](g.degree_sequence().complement())
     return bar if bar.walk_degree < universe.walk_degree else None

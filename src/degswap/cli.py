@@ -2,8 +2,9 @@
 
 Subcommands: realize, sample, recognize, enumerate, generate, stats.  JSON
 goes to stdout by default; exit code 0 on success, 2 on invalid input, 3 on
-a resource limit.  Seeds default to a fixed constant so published runs
-reproduce; pass ``--seed entropy`` to opt into randomness.
+a resource limit or when memory runs out.  Seeds default to a fixed
+constant so published runs reproduce; pass ``--seed entropy`` to opt into
+randomness.
 """
 
 from __future__ import annotations
@@ -71,10 +72,15 @@ stats = _on_first_use("stats")
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    """The text of file ``path``, or of stdin for ``-``, which must be UTF-8."""
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        name = "stdin" if path == "-" else path
+        raise InvalidInputError(f"{name} is not UTF-8 text: {exc}") from exc
 
 
 def _parse_seed(text: str) -> int:
@@ -174,11 +180,10 @@ def _int_rows(value) -> bool:
 
 
 def _graph_json(g: Graph | Digraph) -> dict:
-    pairs = g.edges() if isinstance(g, Graph) else g.arcs()
     return {
         "kind": g.kind,
         "n": g.n,
-        "edges": sorted(pairs),
+        "edges": sorted(g.pairs()),
         "canonical_key": canonical_key(g).hex(),
     }
 
@@ -448,8 +453,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (InvalidInputError, RealizationError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_INVALID
-    except ResourceLimitError as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
+    except (ResourceLimitError, MemoryError) as exc:
+        print(json.dumps({"error": str(exc) or "out of memory"}), file=sys.stderr)
         return EXIT_RESOURCE
     except OSError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)

@@ -4,9 +4,9 @@ Vertices are the integers ``0 .. n-1`` throughout.  Graphs are simple and
 labeled: no loops, no parallel edges; digraphs additionally allow a pair of
 antiparallel arcs ``(u, v)`` and ``(v, u)``.
 
-Graph and Digraph values store only their edge or arc list, its positions
-and the degrees, which is all a chain step reads; a scan that needs
-per-vertex neighbors builds them (:meth:`Digraph.adjacency`).
+Graph and Digraph values share one store: their edge or arc list, its
+positions and the degrees, which is all a chain step reads; a scan that
+needs per-vertex neighbors builds them (:meth:`Digraph.adjacency`).
 
 The step loops of :mod:`degswap.chain` write their moves straight into a
 value's list and position map; a value that is no longer being stepped can
@@ -15,6 +15,7 @@ be shared freely across threads.
 
 from __future__ import annotations
 
+import sys
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import InvalidInputError
@@ -139,89 +140,87 @@ class DiDegreeSequence(_Sequence):
 # graphs
 
 
-def _norm_edge(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
+class _Pairs:
+    """Storage shared by :class:`Graph` and :class:`Digraph`.
 
+    The edges or arcs ("pairs") as a dense list ``_pairs`` (for uniform
+    random indexing), their list positions ``_pos`` (for membership) and the
+    per-vertex ``out_deg`` and ``in_deg``.  A graph stores each edge as
+    (u, v) with u < v and keeps one degree list under both names, so an add
+    or remove counts both ends alike.  A swap rewrites two list slots (a
+    reorientation three), each moving the affected ``_pos`` entries; an add
+    or remove (swap-with-last) touches one or two of each.
 
-def _check_pair(n: int, u: int, v: int) -> None:
-    """Reject a pair that leaves ``0 .. n-1`` or is a loop."""
-    if not (0 <= u < n and 0 <= v < n):
-        raise InvalidInputError(f"vertex out of range in ({u}, {v})")
-    if u == v:
-        raise InvalidInputError(f"loop ({u}, {v}) not allowed")
-
-
-class Graph:
-    """Simple undirected labeled graph with O(1) edge queries.
-
-    Storage: the edges as a dense list ``_edges`` (for uniform random
-    indexing), their list positions ``_pos`` (for membership) and the
-    per-vertex ``degree``.  A swap rewrites two list slots and moves two
-    ``_pos`` entries; an add or remove (swap-with-last) touches one or two
-    of each.  No per-vertex adjacency is stored: :meth:`neighbors` scans
-    the edge list.
+    A subclass sets ``kind``, its nouns, ``_symmetric`` (pairs are
+    unordered) and the vertex-pair grid of its canonical keys: ``grid(n)``,
+    every pair in key-bit order, and ``index(n, u, v)``, a pair's position
+    in it.
     """
 
-    __slots__ = ("n", "degree", "_edges", "_pos")
+    __slots__ = ("n", "_pairs", "_pos", "out_deg", "in_deg")
 
-    kind = UNDIRECTED
-
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
+    def __init__(self, n: int, pairs: Iterable[tuple[int, int]] = ()):
         if n < 1:
-            raise InvalidInputError("graph needs at least one vertex")
+            raise InvalidInputError(f"{self._noun} needs at least one vertex")
+        symmetric = self._symmetric
         self.n = n
-        self.degree = [0] * n
-        self._edges: list[tuple[int, int]] = []
+        self._pairs: list[tuple[int, int]] = []
         self._pos: dict[tuple[int, int], int] = {}
-        for u, v in edges:
-            _check_pair(n, u, v)
-            e = _norm_edge(u, v)
-            if e in self._pos:
-                raise InvalidInputError(f"duplicate edge {e}")
-            self._add_edge(*e)
+        self.out_deg = out_deg = [0] * n
+        self.in_deg = in_deg = out_deg if symmetric else [0] * n
+        pos, append = self._pos, self._pairs.append
+        for u, v in pairs:
+            if not (0 <= u < n and 0 <= v < n):
+                raise InvalidInputError(f"vertex out of range in ({u}, {v})")
+            if u == v:
+                raise InvalidInputError(f"loop ({u}, {v}) not allowed")
+            if symmetric and u > v:
+                u, v = v, u
+            p = (u, v)
+            if p in pos:
+                raise InvalidInputError(f"duplicate {self._pair_noun} {p}")
+            pos[p] = len(pos)
+            append(p)
+            out_deg[u] += 1
+            in_deg[v] += 1
 
     @property
     def m(self) -> int:
-        return len(self._edges)
+        return len(self._pairs)
 
-    def edges(self) -> list[tuple[int, int]]:
-        """Edges in list order; do not mutate."""
-        return self._edges
+    def pairs(self) -> list[tuple[int, int]]:
+        """Edges or arcs in list order; do not mutate."""
+        return self._pairs
 
-    def edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self._edges)
+    def pair_set(self) -> frozenset[tuple[int, int]]:
+        return frozenset(self._pairs)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return _norm_edge(u, v) in self._pos
+    def has(self, u: int, v: int) -> bool:
+        if self._symmetric and u > v:
+            u, v = v, u
+        return (u, v) in self._pos
 
-    def neighbors(self, v: int) -> list[int]:
-        """Sorted neighbors of v, from a scan of the edge list: O(m)."""
-        return sorted(b if a == v else a for a, b in self._edges if v in (a, b))
-
-    def degree_sequence(self) -> DegreeSequence:
-        return DegreeSequence(self.degree)
-
-    def copy(self) -> "Graph":
-        g = Graph.__new__(Graph)
+    def copy(self):
+        g = self.__class__.__new__(self.__class__)
         g.n = self.n
-        g.degree = list(self.degree)
-        g._edges = list(self._edges)
+        g._pairs = list(self._pairs)
         g._pos = dict(self._pos)
+        g.out_deg = list(self.out_deg)
+        g.in_deg = g.out_deg if self._symmetric else list(self.in_deg)
         return g
 
-    def complement(self) -> "Graph":
-        """The graph of exactly the absent pairs, in lexicographic order: O(n^2)."""
-        n, pos = self.n, self._pos
-        g = Graph(n)
-        for u in range(n):
-            for v in range(u + 1, n):
-                if (u, v) not in pos:
-                    g._add_edge(u, v)
+    def complement(self):
+        """The value of exactly the absent pairs, in grid order: O(n^2)."""
+        pos = self._pos
+        g = self.__class__(self.n)
+        for u, v in self.grid(self.n):
+            if (u, v) not in pos:
+                g._add(u, v)
         return g
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, Graph)
+            isinstance(other, self.__class__)
             and self.n == other.n
             and self._pos.keys() == other._pos.keys()
         )
@@ -229,84 +228,83 @@ class Graph:
     __hash__ = None  # mutable
 
     def __repr__(self) -> str:
-        return f"Graph(n={self.n}, edges={sorted(self._edges)})"
+        return f"{self.__class__.__name__}(n={self.n}, {self._pair_noun}s={sorted(self._pairs)})"
 
     def _check_index(self) -> None:
-        """Raise AssertionError unless ``_pos`` and ``degree`` match ``_edges``."""
-        edges = self._edges
-        if len(self._pos) != len(edges) or any(
-            self._pos.get(e) != i for i, e in enumerate(edges)
-        ):
-            raise AssertionError("edge positions do not invert the edge list")
-        degree = [0] * self.n
-        for u, v in edges:
-            degree[u] += 1
-            degree[v] += 1
-        if degree != self.degree:
-            raise AssertionError("stored degrees differ from the edge list")
+        """Raise AssertionError unless ``_pos`` and the degrees match ``_pairs``."""
+        pairs, pos, noun = self._pairs, self._pos, self._pair_noun
+        if len(pos) != len(pairs) or any(pos.get(p) != i for i, p in enumerate(pairs)):
+            raise AssertionError(f"{noun} positions do not invert the {noun} list")
+        counted = self.__class__(self.n, pairs)
+        if (counted.out_deg, counted.in_deg) != (self.out_deg, self.in_deg):
+            raise AssertionError(f"stored degrees differ from the {noun} list")
 
-    # mutation: reserved for constructors, the realizers and undo hooks
+    @classmethod
+    def grid_size(cls, n: int) -> int:
+        return n * (n - 1) // (2 if cls._symmetric else 1)
 
-    def _add_edge(self, u: int, v: int) -> None:
-        e = (u, v)
-        self._pos[e] = len(self._edges)
-        self._edges.append(e)
-        self.degree[u] += 1
-        self.degree[v] += 1
+    # mutation: reserved for constructors, the realizers and undo hooks; a
+    # graph's pair comes with u < v
 
-    def _remove_edge(self, u: int, v: int) -> None:
-        e = (u, v)
-        i = self._pos.pop(e)
-        last = self._edges.pop()
-        if last != e:
-            self._edges[i] = last
+    def _add(self, u: int, v: int) -> None:
+        p = (u, v)
+        self._pos[p] = len(self._pairs)
+        self._pairs.append(p)
+        self.out_deg[u] += 1
+        self.in_deg[v] += 1
+
+    def _remove(self, u: int, v: int) -> None:
+        p = (u, v)
+        i = self._pos.pop(p)
+        last = self._pairs.pop()
+        if last != p:
+            self._pairs[i] = last
             self._pos[last] = i
-        self.degree[u] -= 1
-        self.degree[v] -= 1
+        self.out_deg[u] -= 1
+        self.in_deg[v] -= 1
 
 
-class Digraph:
-    """Simple directed labeled graph; antiparallel arc pairs are allowed.
+class Graph(_Pairs):
+    """Simple undirected labeled graph with O(1) edge queries.
 
-    Storage, as in :class:`Graph`: the arcs as a dense list ``_arcs`` (for
-    uniform random indexing), their list positions ``_pos`` (for
-    membership) and the per-vertex ``out_deg`` and ``in_deg``.  A swap
-    writes two ``_arcs`` slots and a reorientation three, each moving the
-    affected ``_pos`` entries; an add or remove (swap-with-last) touches
-    one or two of each.  :meth:`adjacency` builds per-vertex lists on demand.
+    Its grid is every pair u < v in lexicographic order.
     """
 
-    __slots__ = ("n", "out_deg", "in_deg", "_arcs", "_pos")
+    __slots__ = ()
 
-    kind = DIRECTED
-
-    def __init__(self, n: int, arcs: Iterable[tuple[int, int]] = ()):
-        if n < 1:
-            raise InvalidInputError("digraph needs at least one vertex")
-        self.n = n
-        self.out_deg = [0] * n
-        self.in_deg = [0] * n
-        self._arcs: list[tuple[int, int]] = []
-        self._pos: dict[tuple[int, int], int] = {}
-        for u, v in arcs:
-            _check_pair(n, u, v)
-            if (u, v) in self._pos:
-                raise InvalidInputError(f"duplicate arc ({u}, {v})")
-            self._add_arc(u, v)
+    kind = UNDIRECTED
+    _noun, _pair_noun, _symmetric = "graph", "edge", True
 
     @property
-    def m(self) -> int:
-        return len(self._arcs)
+    def degree(self) -> list[int]:
+        """Per-vertex degrees: the one list behind ``out_deg`` and ``in_deg``."""
+        return self.out_deg
 
-    def arcs(self) -> list[tuple[int, int]]:
-        """Arcs in list order; do not mutate."""
-        return self._arcs
+    def degree_sequence(self) -> DegreeSequence:
+        return DegreeSequence(self.out_deg)
 
-    def arc_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self._arcs)
+    @staticmethod
+    def grid(n: int) -> Iterator[tuple[int, int]]:
+        return ((u, v) for u in range(n) for v in range(u + 1, n))
 
-    def has_arc(self, u: int, v: int) -> bool:
-        return (u, v) in self._pos
+    @staticmethod
+    def index(n: int, u: int, v: int) -> int:
+        if u > v:
+            u, v = v, u
+        return u * n - (u * (u + 1)) // 2 + (v - u - 1)
+
+
+class Digraph(_Pairs):
+    """Simple directed labeled graph; antiparallel arc pairs are allowed.
+
+    :meth:`adjacency` builds per-vertex lists on demand.  Its grid is every
+    ordered pair u != v in lexicographic order.
+    """
+
+    __slots__ = ()
+
+    kind = DIRECTED
+    _noun, _pair_noun, _symmetric = "digraph", "arc", False
 
     def adjacency(self) -> tuple[list[list[int]], list[list[int]]]:
         """Fresh per-vertex ``(heads, tails)`` lists in arc-list order: O(n + m).
@@ -315,7 +313,7 @@ class Digraph:
         """
         heads: list[list[int]] = [[] for _ in range(self.n)]
         tails: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self._arcs:
+        for u, v in self._pairs:
             heads[u].append(v)
             tails[v].append(u)
         return heads, tails
@@ -323,64 +321,18 @@ class Digraph:
     def degree_sequence(self) -> DiDegreeSequence:
         return DiDegreeSequence(zip(self.out_deg, self.in_deg))
 
-    def copy(self) -> "Digraph":
-        g = Digraph.__new__(Digraph)
-        g.n = self.n
-        g.out_deg = list(self.out_deg)
-        g.in_deg = list(self.in_deg)
-        g._arcs = list(self._arcs)
-        g._pos = dict(self._pos)
-        return g
+    @staticmethod
+    def grid(n: int) -> Iterator[tuple[int, int]]:
+        return ((u, v) for u in range(n) for v in range(n) if u != v)
 
-    def complement(self) -> "Digraph":
-        """The digraph of exactly the absent arcs, in lexicographic order: O(n^2)."""
-        n, pos = self.n, self._pos
-        g = Digraph(n)
-        for u in range(n):
-            for v in range(n):
-                if u != v and (u, v) not in pos:
-                    g._add_arc(u, v)
-        return g
+    @staticmethod
+    def index(n: int, u: int, v: int) -> int:
+        return u * (n - 1) + v - (1 if v > u else 0)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Digraph)
-            and self.n == other.n
-            and self._pos.keys() == other._pos.keys()
-        )
 
-    __hash__ = None  # mutable
-
-    def __repr__(self) -> str:
-        return f"Digraph(n={self.n}, arcs={sorted(self._arcs)})"
-
-    def _check_index(self) -> None:
-        """Raise AssertionError unless ``_pos`` and the degrees match ``_arcs``."""
-        arcs, pos = self._arcs, self._pos
-        if len(pos) != len(arcs) or any(pos.get(a) != i for i, a in enumerate(arcs)):
-            raise AssertionError("arc positions do not invert the arc list")
-        degrees = [list(map(len, lists)) for lists in self.adjacency()]
-        if degrees != [self.out_deg, self.in_deg]:
-            raise AssertionError("stored degrees differ from the arc list")
-
-    # mutation: reserved for constructors, the realizers and undo hooks
-
-    def _add_arc(self, u: int, v: int) -> None:
-        a = (u, v)
-        self._pos[a] = len(self._arcs)
-        self._arcs.append(a)
-        self.out_deg[u] += 1
-        self.in_deg[v] += 1
-
-    def _remove_arc(self, u: int, v: int) -> None:
-        a = (u, v)
-        i = self._pos.pop(a)
-        last = self._arcs.pop()
-        if last != a:
-            self._arcs[i] = last
-            self._pos[last] = i
-        self.out_deg[u] -= 1
-        self.in_deg[v] -= 1
+def graph_class(kind: str) -> type[Graph] | type[Digraph]:
+    """The class of ``kind``'s graph values, and so of its vertex-pair grid."""
+    return Graph if kind == UNDIRECTED else Digraph
 
 
 # ---------------------------------------------------------------------------
@@ -411,20 +363,8 @@ class CanonicalKey(NamedTuple):
 
     def complement(self) -> "CanonicalKey":
         """Key of the complement graph: every grid bit flipped."""
-        size = self.n * (self.n - 1) // (2 if self.kind == UNDIRECTED else 1)
+        size = graph_class(self.kind).grid_size(self.n)
         return CanonicalKey(self.kind, self.n, self.bits ^ ((1 << size) - 1))
-
-
-def pair_index(n: int, u: int, v: int) -> int:
-    """Position of undirected pair (u, v) in the lexicographic i<j grid."""
-    if u > v:
-        u, v = v, u
-    return u * n - (u * (u + 1)) // 2 + (v - u - 1)
-
-
-def arc_index(n: int, u: int, v: int) -> int:
-    """Position of ordered pair (u, v), u != v, in the lexicographic grid."""
-    return u * (n - 1) + v - (1 if v > u else 0)
 
 
 def canonical_key(g: Graph | Digraph) -> CanonicalKey:
@@ -433,40 +373,20 @@ def canonical_key(g: Graph | Digraph) -> CanonicalKey:
     The bits are set in a byte buffer and turned into an integer once, so no
     step copies the n^2-bit integer.
     """
-    if isinstance(g, Graph):
-        kind, n, index, pairs = UNDIRECTED, g.n, pair_index, g._edges
-        size = n * (n - 1) // 2
-    elif isinstance(g, Digraph):
-        kind, n, index, pairs = DIRECTED, g.n, arc_index, g._arcs
-        size = n * (n - 1)
-    else:
+    if not isinstance(g, _Pairs):
         raise InvalidInputError(f"not a graph value: {g!r}")
-    buf = bytearray((size + 7) // 8)
-    for u, v in pairs:
+    n, index = g.n, g.index
+    buf = bytearray((g.grid_size(n) + 7) // 8)
+    for u, v in g._pairs:
         i = index(n, u, v)
         buf[i >> 3] |= 1 << (i & 7)
-    return CanonicalKey(kind, n, int.from_bytes(buf, "little"))
+    return CanonicalKey(g.kind, n, int.from_bytes(buf, "little"))
 
 
 def graph_from_key(key: CanonicalKey) -> Graph | Digraph:
     """Inverse of :func:`canonical_key`."""
-    n = key.n
-    bits = key.bits
-    if key.kind == UNDIRECTED:
-        edges = [
-            (u, v)
-            for u in range(n)
-            for v in range(u + 1, n)
-            if bits >> pair_index(n, u, v) & 1
-        ]
-        return Graph(n, edges)
-    arcs = [
-        (u, v)
-        for u in range(n)
-        for v in range(n)
-        if u != v and bits >> arc_index(n, u, v) & 1
-    ]
-    return Digraph(n, arcs)
+    cls, n, bits = graph_class(key.kind), key.n, key.bits
+    return cls(n, [p for i, p in enumerate(cls.grid(n)) if bits >> i & 1])
 
 
 # ---------------------------------------------------------------------------
@@ -520,9 +440,8 @@ def parse_degree_sequence(text: str) -> DegreeSequence | DiDegreeSequence:
 
 
 def format_edgelist(g: Graph | Digraph) -> str:
-    pairs = g.edges() if isinstance(g, Graph) else g.arcs()
     lines = [f"{g.kind} n={g.n}"]
-    lines.extend(f"{u} {v}" for u, v in sorted(pairs))
+    lines.extend(f"{u} {v}" for u, v in sorted(g._pairs))
     return "\n".join(lines) + "\n"
 
 
@@ -550,6 +469,8 @@ def parse_edgelist(text: str) -> Graph | Digraph:
                 header = (parts[0], int(parts[1][2:]))
             except ValueError as exc:
                 raise InvalidInputError(f"bad vertex count in {line!r}") from exc
+            if header[1] > sys.maxsize:
+                raise InvalidInputError(f"vertex count too large in {line!r}")
             continue
         parts = line.split()
         if len(parts) != 2:

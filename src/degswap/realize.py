@@ -80,7 +80,7 @@ def _havel_hakimi(s: DegreeSequence) -> Graph:
             raise InternalInconsistencyError("greedy ran out of targets")
         targets = [heappop(heap) for _ in range(-neg_d)]
         for neg_r, t in targets:
-            g._add_edge(*((v, t) if v < t else (t, v)))
+            g._add(*((v, t) if v < t else (t, v)))
             if neg_r < -1:
                 heappush(heap, (neg_r + 1, t))
     if g.degree_sequence() != s:
@@ -168,7 +168,7 @@ def _kleitman_wang(s: DiDegreeSequence) -> Digraph:
             heappush(heap, (-in_res[v], 0, v))
         for neg_in, neg_out, t in targets:
             in_res[t] -= 1
-            g._add_arc(v, t)
+            g._add(v, t)
             if neg_in < -1:
                 heappush(heap, (neg_in + 1, neg_out, t))
     if g.degree_sequence() != s:

@@ -43,10 +43,9 @@ from .core import (
     DiDegreeSequence,
     Digraph,
     Graph,
-    arc_index,
     canonical_key,
+    graph_class,
     graph_from_key,
-    pair_index,
 )
 from .errors import InvalidInputError, ResourceLimitError
 from .names import KIND_PHI, KIND_PHIBAR, KIND_PSI
@@ -107,7 +106,7 @@ def _enum_undirected_keys(s: DegreeSequence) -> Iterator[int]:
             add = 0
             for j in combo:
                 res[j] -= 1
-                add |= 1 << pair_index(n, i, j)
+                add |= 1 << Graph.index(n, i, j)
             yield from rec(i + 1, bits | add)
             for j in combo:
                 res[j] += 1
@@ -141,7 +140,7 @@ def _enum_directed_keys(s: DiDegreeSequence) -> Iterator[int]:
             add = 0
             for j in combo:
                 in_res[j] -= 1
-                add |= 1 << arc_index(n, i, j)
+                add |= 1 << Digraph.index(n, i, j)
             yield from rec(i + 1, bits | add)
             for j in combo:
                 in_res[j] += 1
@@ -294,7 +293,7 @@ def _ordered(u: int, v: int) -> tuple[int, int]:
 
 def _destination(key: CanonicalKey, removed, added) -> CanonicalKey:
     """The state a move reaches from ``key``: each removed and added pair flips."""
-    index = pair_index if key.kind == UNDIRECTED else arc_index
+    index = graph_class(key.kind).index
     mask = 0
     for u, v in (*removed, *added):
         mask |= 1 << index(key.n, u, v)
@@ -318,11 +317,9 @@ def rule_a_neighbors(sg: StateGraph) -> dict[CanonicalKey, set[CanonicalKey]]:
             adjacent = size == 4
             if not adjacent and sg.kind == KIND_PHI and size == 6:
                 verts = set()
-                for u in range(n):
-                    for v in range(n):
-                        if u != v and diff >> arc_index(n, u, v) & 1:
-                            verts.add(u)
-                            verts.add(v)
+                for i, pair in enumerate(Digraph.grid(n)):
+                    if diff >> i & 1:
+                        verts.update(pair)
                 adjacent = len(verts) == 3
             if adjacent:
                 nbrs[x].add(y)
@@ -540,26 +537,9 @@ class SymmetricDifference(NamedTuple):
         exactly the condition under which alternating-cycle decomposition is
         possible.
         """
-        if self.kind == UNDIRECTED:
-            bal: dict[int, int] = {}
-            for u, v in self.left_only:
-                bal[u] = bal.get(u, 0) + 1
-                bal[v] = bal.get(v, 0) + 1
-            for u, v in self.right_only:
-                bal[u] = bal.get(u, 0) - 1
-                bal[v] = bal.get(v, 0) - 1
-            return all(x == 0 for x in bal.values())
-        outb: dict[int, int] = {}
-        inb: dict[int, int] = {}
-        for u, v in self.left_only:
-            outb[u] = outb.get(u, 0) + 1
-            inb[v] = inb.get(v, 0) + 1
-        for u, v in self.right_only:
-            outb[u] = outb.get(u, 0) - 1
-            inb[v] = inb.get(v, 0) - 1
-        return all(x == 0 for x in outb.values()) and all(
-            x == 0 for x in inb.values()
-        )
+        cls = graph_class(self.kind)
+        left, right = cls(self.n, self.left_only), cls(self.n, self.right_only)
+        return (left.out_deg, left.in_deg) == (right.out_deg, right.in_deg)
 
 
 def symmetric_difference(g: Graph | Digraph, h: Graph | Digraph) -> SymmetricDifference:
@@ -568,10 +548,7 @@ def symmetric_difference(g: Graph | Digraph, h: Graph | Digraph) -> SymmetricDif
         raise InvalidInputError(f"mixed kinds: {g.kind} vs {h.kind}")
     if g.n != h.n:
         raise InvalidInputError(f"mixed vertex counts: {g.n} vs {h.n}")
-    if g.kind == UNDIRECTED:
-        ge, he = g.edge_set(), h.edge_set()
-    else:
-        ge, he = g.arc_set(), h.arc_set()
+    ge, he = g.pair_set(), h.pair_set()
     return SymmetricDifference(g.kind, g.n, frozenset(ge - he), frozenset(he - ge))
 
 
@@ -788,7 +765,6 @@ def empirical_transition_check(
     mode = _KIND_TO_MODE[kind]
     run = _RUNS[mode]
     walk_degree = sg.universe.walk_degree
-    directed = kind != KIND_PSI
     rows = {key: sg.transition_row(key) for key in sg.keys}
     cells = sum(1 for row in rows.values() for p in row.values() if 0.0 < p < 1.0)
     alpha_cell = alpha / max(cells, 1)
@@ -802,10 +778,7 @@ def empirical_transition_check(
         rng = random.Random(derive_seed(seed, idx))
         counts: dict[CanonicalKey, int] = {}
         sig_dest: dict = {}
-        if directed:
-            add, remove = g._add_arc, g._remove_arc
-        else:
-            add, remove = g._add_edge, g._remove_edge
+        add, remove = g._add, g._remove
 
         def on_move(t, removed, added):
             res = (removed, added)

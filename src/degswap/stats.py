@@ -97,7 +97,7 @@ def _run_block(block, g0: Graph | Digraph) -> Ensemble:
         g = result.graph
         out.keys[canonical_key(g).hex()] += 1
         out.moves += result.moves
-        pairs = g.arcs() if directed else g.edges()
+        pairs = g.pairs()
         if tally:
             out.arcs.update(pairs)
             if directed:

@@ -16,7 +16,6 @@ from degswap.core import (
     DiDegreeSequence,
     Digraph,
     Graph,
-    arc_index,
 )
 
 
@@ -63,14 +62,14 @@ def oracle_cycle_sets(s: DiDegreeSequence, keys) -> list[tuple[int, int, int]]:
     for t in itertools.combinations(range(n), 3):
         i, j, k = t
         ma = (
-            (1 << arc_index(n, i, j))
-            | (1 << arc_index(n, j, k))
-            | (1 << arc_index(n, k, i))
+            (1 << Digraph.index(n, i, j))
+            | (1 << Digraph.index(n, j, k))
+            | (1 << Digraph.index(n, k, i))
         )
         mb = (
-            (1 << arc_index(n, i, k))
-            | (1 << arc_index(n, k, j))
-            | (1 << arc_index(n, j, i))
+            (1 << Digraph.index(n, i, k))
+            | (1 << Digraph.index(n, k, j))
+            | (1 << Digraph.index(n, j, i))
         )
         cand.append((t, ma, mb, ma | mb))
     for bits in keys:
@@ -93,7 +92,7 @@ def swap_edges(g: Graph, e1, e2, f1, f2) -> None:
     takes e2's.
     """
     pos = g._pos
-    edges = g._edges
+    edges = g._pairs
     i1 = pos.pop(e1)
     i2 = pos.pop(e2)
     pos[f1] = i1
@@ -105,7 +104,7 @@ def swap_edges(g: Graph, e1, e2, f1, f2) -> None:
 def swap_arcs(g: Digraph, a: int, b: int, c: int, d: int) -> None:
     """Replace arcs (a,b),(c,d) of g by (a,d),(c,b), each in its original's slot."""
     pos = g._pos
-    arcs = g._arcs
+    arcs = g._pairs
     i1 = pos.pop((a, b))
     i2 = pos.pop((c, d))
     pos[(a, d)] = i1
@@ -121,7 +120,7 @@ def reorient_triangle(g: Digraph, u: int, v: int, w: int) -> None:
     gate); each reversed arc takes over its original's list slot.
     """
     pos = g._pos
-    arcs = g._arcs
+    arcs = g._pairs
     i1 = pos.pop((u, v))
     i2 = pos.pop((v, w))
     i3 = pos.pop((w, u))
@@ -143,10 +142,7 @@ def swap_alternating_cycle(g: Graph | Digraph, c: AlternatingCycle):
     """
     if c.kind != g.kind:
         raise AssertionError(f"cycle kind {c.kind} does not match the graph")
-    if isinstance(g, Graph):
-        has, add, remove = g.has_edge, g._add_edge, g._remove_edge
-    else:
-        has, add, remove = g.has_arc, g._add_arc, g._remove_arc
+    has, add, remove = g.has, g._add, g._remove
     left_in = [has(*e) for e in c.left]
     right_in = [has(*e) for e in c.right]
     if all(left_in) and not any(right_in):

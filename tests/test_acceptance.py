@@ -157,7 +157,7 @@ def test_criterion_1_blocked_instance_stall():
         for k in (1, 2):
             g = generate_blocked(BlockedInstanceSpec(blocks=k))
             for (a, b), (c, d) in iter_nonadjacent_pairs(g):
-                assert g.has_arc(a, d) or g.has_arc(c, b)
+                assert g.has(a, d) or g.has(c, b)
             res = run_chain(
                 g, ChainConfig(tau=100_000, mode="plain", seed=ACCEPT_SEED)
             )

@@ -244,6 +244,45 @@ def test_degrees_file_and_stdin(tmp_path, capsys, monkeypatch):
     assert code == 0 and out.splitlines()[0] == "undirected n=3"
 
 
+def test_non_utf8_input_exits_2(tmp_path, capsys, monkeypatch):
+    import io
+
+    path = tmp_path / "bad.edges"
+    path.write_bytes(b"\xff\xfe")
+    for flag in ("--edgelist", "--degrees-file"):
+        code, out, err = run_cli(capsys, "sample", flag, str(path))
+        assert code == 2 and out == ""
+        assert "not UTF-8" in json.loads(err)["error"]
+
+        stdin = io.TextIOWrapper(io.BytesIO(b"directed n=3\n0 1\xff\n"), encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, out, err = run_cli(capsys, "recognize", flag, "-")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"].startswith("stdin is not UTF-8")
+
+
+def test_huge_header_vertex_count(tmp_path, capsys):
+    """Above sys.maxsize is invalid input; up to it the degree lists cannot be held.
+
+    Each count fails before anything is allocated: a list that long is
+    refused at once.
+    """
+    import sys
+
+    path = tmp_path / "huge.edges"
+    for header, want in (
+        ("directed n=10000000000000000000", 2),
+        (f"undirected n={sys.maxsize + 1}", 2),
+        (f"undirected n={sys.maxsize}", 3),
+        ("undirected n=4611686018427387904", 3),
+        ("directed n=4611686018427387904", 3),
+    ):
+        path.write_text(header + "\n0 1\n")
+        code, out, err = run_cli(capsys, "sample", "--edgelist", str(path))
+        assert (code, out) == (want, ""), header
+        assert "error" in json.loads(err)
+
+
 def test_enumerate_max_n_override(capsys):
     code, out, _ = run_cli(
         capsys,

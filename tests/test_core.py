@@ -1,4 +1,5 @@
 import functools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -53,6 +54,41 @@ def test_graph_validation():
         Digraph(3, [(0, 1), (0, 1)])
 
 
+def test_graph_texts():
+    assert repr(Graph(3, [(2, 0), (0, 1)])) == "Graph(n=3, edges=[(0, 1), (0, 2)])"
+    assert repr(Digraph(3, [(2, 0), (0, 1)])) == "Digraph(n=3, arcs=[(0, 1), (2, 0)])"
+    for make, pairs, text in (
+        (Graph, [(2, 0), (0, 2)], "duplicate edge (0, 2)"),
+        (Digraph, [(2, 0), (2, 0)], "duplicate arc (2, 0)"),
+        (Graph, [(5, 1)], "vertex out of range in (5, 1)"),
+        (Digraph, [(1, 1)], "loop (1, 1) not allowed"),
+    ):
+        with pytest.raises(InvalidInputError, match=rf"^{re.escape(text)}$"):
+            make(3, pairs)
+    with pytest.raises(InvalidInputError, match="^graph needs at least one vertex$"):
+        Graph(0)
+    with pytest.raises(InvalidInputError, match="^digraph needs at least one vertex$"):
+        Digraph(0)
+
+
+@pytest.mark.parametrize("make", ["copy", "complement"])
+def test_copies_are_independent(make):
+    """Moves on a copy or a complement leave the original's storage as it was."""
+    for g in (
+        Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)]),
+        Digraph(4, [(0, 1), (1, 2), (2, 0), (2, 3)]),
+    ):
+        before = (list(g._pairs), dict(g._pos), list(g.out_deg), list(g.in_deg))
+        h = getattr(g, make)()
+        assert (h.in_deg is h.out_deg) == isinstance(h, Graph)
+        h._remove(*h.pairs()[0])
+        h._add(*next(p for p in h.grid(h.n) if not h.has(*p)))
+        h._remove(*h.pairs()[-1])
+        assert (g._pairs, g._pos, g.out_deg, g.in_deg) == before
+        g._check_index()
+        h._check_index()
+
+
 def test_symmetric_difference_identity():
     g = Graph(4, [(0, 1), (2, 3)])
     sd = symmetric_difference(g, g.copy())
@@ -102,8 +138,8 @@ def test_decompose_cycle_reversal_brute():
     assert c.length == 6
     assert set(c.vertices) == {0, 1, 2}
     # brute-force walk check: consecutive arcs chain and alternate membership
-    assert set(c.left) == g.arc_set()
-    assert set(c.right) == h.arc_set()
+    assert set(c.left) == g.pair_set()
+    assert set(c.right) == h.pair_set()
 
 
 def _check_decomposition(g, h):
@@ -273,34 +309,26 @@ def test_edgelist_roundtrip():
 
 def _assert_matches_rebuilt(g):
     """g's index structures agree with a graph rebuilt from its own list."""
-    if isinstance(g, Graph):
-        h = Graph(g.n, g.edges())
-        assert g._edges == h._edges
-        assert g._pos == h._pos
-        assert g.degree == h.degree
-        for v in range(g.n):
-            assert g.neighbors(v) == sorted(
-                x for e in g.edge_set() if v in e for x in e if x != v
-            )
-        g._check_index()
-        return
-    h = Digraph(g.n, g.arcs())
-    assert g._arcs == h._arcs
+    h = g.__class__(g.n, g.pairs())
+    assert g._pairs == h._pairs
     assert g._pos == h._pos
+    assert (g.out_deg, g.in_deg) == (h.out_deg, h.in_deg)
+    g._check_index()
+    if isinstance(g, Graph):
+        assert g.degree is g.out_deg is g.in_deg
+        return
     heads, tails = g.adjacency()
-    assert heads == [[v for (u, v) in g._arcs if u == x] for x in range(g.n)]
-    assert tails == [[u for (u, v) in g._arcs if v == x] for x in range(g.n)]
+    assert heads == [[v for (u, v) in g._pairs if u == x] for x in range(g.n)]
+    assert tails == [[u for (u, v) in g._pairs if v == x] for x in range(g.n)]
     h_heads, h_tails = h.adjacency()
     for v in range(g.n):
         assert sorted(heads[v]) == sorted(h_heads[v])
         assert sorted(tails[v]) == sorted(h_tails[v])
-    assert (g.out_deg, g.in_deg) == (h.out_deg, h.in_deg)
-    g._check_index()
 
 
 def _directed_moves(g):
     """Every applicable swap (a, b, c, d) and reorientation (u, v, w) of g."""
-    arcs, pos = sorted(g.arcs()), g._pos
+    arcs, pos = sorted(g.pairs()), g._pos
     swaps = [
         (a, b, c, d)
         for (a, b) in arcs
@@ -333,8 +361,8 @@ def test_digraph_mutators_keep_index_structures(data):
     for _ in range(data.draw(st.integers(1, 30))):
         swaps, triangles = _directed_moves(g)
         offers = [
-            (g._add_arc, [a for a in ordered if a not in g._pos]),
-            (g._remove_arc, sorted(g.arcs())),
+            (g._add, [a for a in ordered if a not in g._pos]),
+            (g._remove, sorted(g.pairs())),
             (functools.partial(swap_arcs, g), swaps),
             (functools.partial(reorient_triangle, g), triangles),
         ]
@@ -350,18 +378,18 @@ def test_graph_mutators_keep_index_structures(data):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     g = Graph(n, data.draw(st.lists(st.sampled_from(pairs), min_size=n, unique=True)))
     for _ in range(data.draw(st.integers(1, 30))):
-        edges = sorted(g.edges())
+        edges = sorted(g.pairs())
         swaps = [
             ((a, b), (c, d), tuple(sorted((a, c))), tuple(sorted((b, d))))
             for (a, b) in edges
             for (c, d) in edges
             if len({a, b, c, d}) == 4
-            and not g.has_edge(a, c)
-            and not g.has_edge(b, d)
+            and not g.has(a, c)
+            and not g.has(b, d)
         ]
         offers = [
-            (g._add_edge, [e for e in pairs if e not in g._pos]),
-            (g._remove_edge, edges),
+            (g._add, [e for e in pairs if e not in g._pos]),
+            (g._remove, edges),
             (functools.partial(swap_edges, g), swaps),
         ]
         mutate, args = data.draw(st.sampled_from([o for o in offers if o[1]]))

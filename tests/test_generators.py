@@ -15,7 +15,7 @@ from .conftest import oracle_cycle_sets
 
 def test_example1_structure():
     g = generate_blocked(BlockedInstanceSpec(blocks=1))
-    assert g.n == 3 and g.arc_set() == {(0, 1), (1, 2), (2, 0)}
+    assert g.n == 3 and g.pair_set() == {(0, 1), (1, 2), (2, 0)}
 
     k = 3
     g = generate_blocked(BlockedInstanceSpec(blocks=k))
@@ -25,7 +25,7 @@ def test_example1_structure():
             assert g.out_deg[v] == 1 + 3 * (k - 1 - i)
             assert g.in_deg[v] == 1 + 3 * i
     # all cross arcs point from lower to higher block
-    for u, v in g.arcs():
+    for u, v in g.pairs():
         assert u // 3 <= v // 3
 
 
@@ -67,8 +67,8 @@ def test_one_direction_family():
     assert g.n == 5
     for c in (0, 1, 2):
         for a in (3, 4):
-            assert g.has_arc(c, a) and not g.has_arc(a, c)
-    assert g.has_arc(3, 4) and g.has_arc(4, 3)
+            assert g.has(c, a) and not g.has(a, c)
+    assert g.has(3, 4) and g.has(4, 3)
     # the triangle survives in every realization of this degree sequence
     s = g.degree_sequence()
     keys = list(enumerate_realization_keys(s))
@@ -85,9 +85,9 @@ def test_clique_partition_family():
     assert g.n == 6
     for c in (0, 1, 2):
         for a in (3, 4):
-            assert g.has_arc(c, a) and g.has_arc(a, c)
-    assert g.has_arc(5, 3) and g.has_arc(3, 5)
-    assert not g.has_arc(5, 0)
+            assert g.has(c, a) and g.has(a, c)
+    assert g.has(5, 3) and g.has(3, 5)
+    assert not g.has(5, 0)
     s = g.degree_sequence()
     keys = list(enumerate_realization_keys(s))
     assert oracle_cycle_sets(s, keys) == [(0, 1, 2)]

@@ -24,7 +24,7 @@ from .conftest import mobile_blocked_instance, swap_alternating_cycle
 
 
 def _pairs(g):
-    return frozenset(g.edge_set() if isinstance(g, Graph) else g.arc_set())
+    return g.pair_set()
 
 
 def _reached(step, *pairs, kind=Graph):
@@ -45,10 +45,10 @@ def _reached(step, *pairs, kind=Graph):
 
 def _always_loops(g, step):
     """No step of 200 moves g, and a loop writes no edge/arc slot."""
-    before = g.edges() if isinstance(g, Graph) else g.arcs()
+    before = list(g.pairs())
     rng = random.Random(0)
     assert not any(step(g, rng) for _ in range(200))
-    assert (g.edges() if isinstance(g, Graph) else g.arcs()) == before
+    assert g.pairs() == before
 
 
 MATCHINGS = {
@@ -146,7 +146,7 @@ def test_swap_alternating_cycle_matches_2swap():
     swap_alternating_cycle(g, cycle)
     assert g == h
     swap_alternating_cycle(g, cycle)  # involution
-    assert g.edge_set() == {(0, 1), (2, 3)}
+    assert g.pair_set() == {(0, 1), (2, 3)}
 
 
 def test_swap_alternating_cycle_matches_reorientation():
@@ -161,7 +161,7 @@ def test_swap_alternating_cycle_rejects_mixed():
     g = Graph(4, [(0, 1), (2, 3)])
     h = Graph(4, [(0, 2), (1, 3)])
     (cycle,) = decompose_alternating(symmetric_difference(g, h))
-    g._remove_edge(0, 1)
-    g._add_edge(0, 2)
+    g._remove(0, 1)
+    g._add(0, 2)
     with pytest.raises(AssertionError):
         swap_alternating_cycle(g, cycle)

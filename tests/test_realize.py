@@ -40,7 +40,7 @@ def test_realize_undirected_examples():
     assert g.degree_sequence().degrees == (1, 1, 1, 1)
     assert realize_undirected(DegreeSequence((0, 0, 0))).m == 0
     tri = realize_undirected(DegreeSequence((2, 2, 2)))
-    assert tri.edge_set() == {(0, 1), (0, 2), (1, 2)}
+    assert tri.pair_set() == {(0, 1), (0, 2), (1, 2)}
     with pytest.raises(RealizationError):
         realize_undirected(DegreeSequence((2, 1)))
 

@@ -42,9 +42,7 @@ from degswap.core import (
     DiDegreeSequence,
     Digraph,
     Graph,
-    arc_index,
     canonical_key,
-    pair_index,
 )
 from degswap.realize import (
     _erdos_gallai_violation,
@@ -144,17 +142,13 @@ def ref_kleitman_wang(s):
 
 def ref_key_bits(g):
     bits = 0
-    if isinstance(g, Graph):
-        for u, v in g.edges():
-            bits |= 1 << pair_index(g.n, u, v)
-    else:
-        for u, v in g.arcs():
-            bits |= 1 << arc_index(g.n, u, v)
+    for u, v in g.pairs():
+        bits |= 1 << g.index(g.n, u, v)
     return bits
 
 
 def ref_induced_3cycles(g):
-    arcs = g.arc_set()
+    arcs = g.pair_set()
 
     def one_way(u, v):  # +1 for the arc u->v alone, -1 for v->u alone, else 0
         return ((u, v) in arcs) - ((v, u) in arcs)
@@ -282,7 +276,7 @@ def ref_run_undirected(g, universe, rb, tau, on_move=None):
     d = 2 * universe.n_pairs + 1
     loop_slot = d - 1
     pos = g._pos
-    edges = g._edges
+    edges = g._pairs
     m = len(edges)
     mm = m * (m - 1)
     moves = 0
@@ -320,7 +314,7 @@ def ref_run_plain(g, universe, rb, tau, on_move=None):
     d = universe.n_pairs + universe.n_2paths + 1
     loop_slot = d - 1
     pos = g._pos
-    arcs = g._arcs
+    arcs = g._pairs
     m = len(arcs)
     mm = m * (m - 1)
     moves = 0
@@ -353,7 +347,7 @@ def ref_run_full(g, universe, rb, tau, on_move=None):
     loop_start = universe.n_pairs + universe.n_2paths
     d = loop_start + (universe.n_2paths == 0)
     pos = g._pos
-    arcs = g._arcs
+    arcs = g._pairs
     m = len(arcs)
     mm = m * (m - 1)
     moves = 0
@@ -404,7 +398,7 @@ def check_undirected(s):
     report = is_graphical(s)
     assert report.graphical == (violation is None)
     if report.graphical:
-        assert report.witness.edges() == ref_havel_hakimi(s), s
+        assert report.witness.pairs() == ref_havel_hakimi(s), s
         assert canonical_key(report.witness).bits == ref_key_bits(report.witness)
     return violation
 
@@ -415,7 +409,7 @@ def check_directed(s):
     report = is_digraphical(s)
     assert report.graphical == (violation is None)
     if report.graphical:
-        assert report.witness.arcs() == ref_kleitman_wang(s), s
+        assert report.witness.pairs() == ref_kleitman_wang(s), s
         assert canonical_key(report.witness).bits == ref_key_bits(report.witness)
     return violation
 
@@ -547,10 +541,10 @@ def test_keys_after_removals_match_reference():
         n = rng.randint(2, 40)
         g = random_graph(rng, n, 0.3)
         h = random_digraph(rng, n, 0.3, 0.5)
-        for e in rng.sample(g.edges(), g.m // 3):
-            g._remove_edge(*e)
-        for a in rng.sample(h.arcs(), h.m // 3):
-            h._remove_arc(*a)
+        for e in rng.sample(g.pairs(), g.m // 3):
+            g._remove(*e)
+        for a in rng.sample(h.pairs(), h.m // 3):
+            h._remove(*a)
         assert canonical_key(g).bits == ref_key_bits(g)
         assert canonical_key(h).bits == ref_key_bits(h)
 
@@ -605,12 +599,12 @@ def test_detect_matches_triple_loop():
 def relabelled(rng, g):
     perm = list(range(g.n))
     rng.shuffle(perm)
-    return Digraph(g.n, [(perm[u], perm[v]) for u, v in g.arcs()])
+    return Digraph(g.n, [(perm[u], perm[v]) for u, v in g.pairs()])
 
 
 def with_planted_3cycles(rng, g):
     """g with up to three vertex-disjoint directed 3-cycles forced in, induced."""
-    arcs = set(g.arcs())
+    arcs = set(g.pairs())
     vs = list(range(g.n))
     rng.shuffle(vs)
     for i in range(0, 3 * rng.randint(1, min(3, g.n // 3)), 3):
@@ -632,7 +626,7 @@ def chain_mutated_digraphs():
     out = []
     for g0 in (realize_directed(DiDegreeSequence(((2, 2),) * 5)), hub_with_back_arc()):
         res = run_chain(g0, ChainConfig(tau=5000, mode="full", seed=13))
-        assert res.moves > 0 and res.graph.arcs() != g0.arcs()
+        assert res.moves > 0 and res.graph.pairs() != g0.pairs()
         out.append(res.graph)
     return out
 
@@ -668,10 +662,10 @@ def check_breaking_walk(g, probe, others, walk):
     for i in range(len(walk) - 1):
         a, b = walk[i], walk[i + 1]
         if i % 2:
-            assert g.has_arc(b, a), walk  # present arc (b, a) into a-
+            assert g.has(b, a), walk  # present arc (b, a) into a-
             used.add((b, a))
         else:
-            assert a != b and not g.has_arc(a, b), walk  # absent arc out of a+
+            assert a != b and not g.has(a, b), walk  # absent arc out of a+
             used.add((a, b))
     assert probe not in used and not used.issuperset(others), walk
 
@@ -729,7 +723,7 @@ def test_frozen_arc_correction_matches_bias_report():
         # any frequency table over ordered pairs will do: sample some
         pairs = [(u, v) for u in range(g0.n) for v in range(g0.n) if u != v]
         freq = {arc: rng.randrange(1, 50) / 50 for arc in rng.sample(pairs, len(pairs) // 3)}
-        freq.update((arc, 1.0) for arc in g0.arcs() if rng.random() < 0.5)
+        freq.update((arc, 1.0) for arc in g0.pairs() if rng.random() < 0.5)
         freq = dict(sorted(freq.items()))
         want = ref_corrected_frequency(s, g0, freq)
         got = correct_frozen_arcs(freq, cycle_set_arcs(g0))
@@ -768,10 +762,7 @@ def run_loop(run, g0, universe, rng, undo):
     log = []
     hook = None
     if undo:
-        if isinstance(g, Graph):
-            add, remove = g._add_edge, g._remove_edge
-        else:
-            add, remove = g._add_arc, g._remove_arc
+        add, remove = g._add, g._remove
 
         def hook(t, removed, added):
             log.append((t, removed, added))
@@ -782,7 +773,7 @@ def run_loop(run, g0, universe, rng, undo):
 
     moves = run(g, universe, rng, 2000, hook)
     g._check_index()
-    return (g.edges() if isinstance(g, Graph) else g.arcs()), moves, log
+    return g.pairs(), moves, log
 
 
 def test_inline_draw_loops_match_randbelow_loops():

@@ -25,11 +25,11 @@ from .conftest import (
 def test_enumerate_against_subset_oracle():
     for degs in ((1, 1, 1, 1), (2, 2, 2), (2, 2, 1, 1), (0, 0, 0), (3, 3, 3, 3)):
         s = DegreeSequence(degs)
-        got = {g.edge_set() for g in enumerate_realizations(s)}
+        got = {g.pair_set() for g in enumerate_realizations(s)}
         assert got == set(subset_enum_undirected(s))
     for pairs in (((1, 1),) * 3, ((2, 2),) * 3, ((1, 1),) * 4, ((2, 1), (1, 2), (1, 1), (0, 0))):
         s = DiDegreeSequence(pairs)
-        got = {g.arc_set() for g in enumerate_realizations(s)}
+        got = {g.pair_set() for g in enumerate_realizations(s)}
         assert got == set(subset_enum_directed(s))
 
 
