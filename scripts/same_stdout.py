@@ -19,12 +19,14 @@ from __future__ import annotations
 
 import argparse
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.dont_write_bytecode = True
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 from inputs import build_instances  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
@@ -35,21 +37,21 @@ BOOT = (
 )
 TIMEOUT_S = 300
 
-# (label, argv, stdin) run once per tree, beside the benchmark commands
+# (label, command line, stdin) run once per tree, beside the benchmark commands
 EXTRA = [
-    ("enumerate-psi", ["enumerate", "--degrees", "2 2 2 2 2", "--kind", "psi"], None),
-    ("enumerate-phi", ["enumerate", "--degrees", "1/1 1/1 1/1 1/1", "--kind", "phi"], None),
-    ("enumerate-phibar-dot", ["enumerate", "--degrees", "2/1 1/2 1/1 1/1", "--kind", "phibar", "--format", "dot"], None),
-    ("generate-example1", ["generate", "--family", "example1", "--blocks", "3"], None),
-    ("generate-one-direction", ["generate", "--family", "one-direction", "--format", "edgelist"], None),
-    ("generate-clique-partition", ["generate", "--family", "clique-partition", "--blocks", "2"], None),
-    ("realize-edgelist", ["realize", "--degrees", "3 3 2 2 2", "--format", "edgelist"], None),
-    ("sample-stdin", ["sample", "--edgelist", "-", "--tau", "500"], "undirected n=5\n0 1\n1 2\n2 3\n3 4\n4 0\n"),
-    ("bad-header", ["sample", "--edgelist", "-"], "mixed n=3\n0 1\n"),
-    ("bad-range", ["recognize", "--edgelist", "-"], "directed n=3\n5 1\n"),
-    ("duplicate-edge", ["recognize", "--edgelist", "-"], "undirected n=3\n0 1\n1 0\n"),
-    ("not-graphical", ["realize", "--degrees", "3 1"], None),
-    ("enumerate-too-large", ["enumerate", "--degrees", "1 " * 12, "--kind", "psi"], None),
+    ("enumerate-psi", "enumerate --degrees '2 2 2 2 2' --kind psi", None),
+    ("enumerate-phi", "enumerate --degrees '1/1 1/1 1/1 1/1' --kind phi", None),
+    ("enumerate-phibar-dot", "enumerate --degrees '2/1 1/2 1/1 1/1' --kind phibar --format dot", None),
+    ("generate-example1", "generate --family example1 --blocks 3", None),
+    ("generate-one-direction", "generate --family one-direction --format edgelist", None),
+    ("generate-clique-partition", "generate --family clique-partition --blocks 2", None),
+    ("realize-edgelist", "realize --degrees '3 3 2 2 2' --format edgelist", None),
+    ("sample-stdin", "sample --edgelist - --tau 500", "undirected n=5\n0 1\n1 2\n2 3\n3 4\n4 0\n"),
+    ("bad-header", "sample --edgelist -", "mixed n=3\n0 1\n"),
+    ("bad-range", "recognize --edgelist -", "directed n=3\n5 1\n"),
+    ("duplicate-edge", "recognize --edgelist -", "undirected n=3\n0 1\n1 0\n"),
+    ("not-graphical", "realize --degrees '3 1'", None),
+    ("enumerate-too-large", "enumerate --degrees '1 1 1 1 1 1 1 1 1 1 1 1' --kind psi", None),
 ]
 
 
@@ -84,9 +86,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     trees = (os.path.abspath(args.parent), os.path.abspath(args.change))
     differing = 0
+    cmds = [c for cmds in WORKLOADS.values() for c in cmds]
     with tempfile.TemporaryDirectory() as work:
         for seed in args.seeds:
-            cmds = [c for cmds in WORKLOADS.values() for c in cmds]
             instances = build_instances(
                 sorted({c.instance for c in cmds}), seed, os.path.join(work, str(seed))
             )
@@ -94,8 +96,8 @@ def main(argv=None) -> int:
                 inst = instances[c.instance]
                 cmd_argv = c.argv(inst.path, not inst.as_sequence, seed)
                 differing += bool(compare(f"seed {seed} {c.label}", trees, cmd_argv))
-    for label, cmd_argv, stdin in EXTRA:
-        differing += bool(compare(label, trees, cmd_argv, stdin))
+    for label, line, stdin in EXTRA:
+        differing += bool(compare(label, trees, shlex.split(line), stdin))
     print(f"{differing} command(s) differ")
     return 1 if differing else 0
 

@@ -23,10 +23,6 @@ from degswap.statespace import decompose_alternating, symmetric_difference
 from .conftest import mobile_blocked_instance, swap_alternating_cycle
 
 
-def _pairs(g):
-    return g.pair_set()
-
-
 def _reached(step, *pairs, kind=Graph):
     """The states one ``step`` leads to from ``kind(4, pairs)``, over 40 seeds.
 
@@ -39,7 +35,7 @@ def _reached(step, *pairs, kind=Graph):
         moved = step(h, random.Random(seed))
         assert moved == (h != g)
         assert h.degree_sequence() == g.degree_sequence()
-        out.add(_pairs(h))
+        out.add(h.pair_set())
     return out
 
 
