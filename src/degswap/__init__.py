@@ -35,9 +35,6 @@ _NAMES = {
         "derive_seed",
         "plan_chain",
         "run_chain",
-        "step_directed_full",
-        "step_directed_plain",
-        "step_undirected",
     ),
     "core": (
         "AlternatingCycle",

@@ -104,9 +104,12 @@ def _breaking_walk(
     out_at = {w: 2, x: 4}
     out_par = {v: None}  # out-copy in S -> the in-copy it was reached from
     in_par = {}  # expanded in-copy -> the out-copy it was reached from
-    fresh = range(g.n)  # in-copies not in S, ascending
-    outs = [v]  # out-copies to expand
-    ins = []  # (z, fresh, skip): z+ reached the in-copies of fresh not in skip
+    outs = []  # out-copies to expand
+    # (z, batch, skip): z+ reached the in-copies of batch not in skip.  v+
+    # reaches every in-copy but its own, its present arcs' heads and x-.
+    skip = {v, x, *heads[v]}
+    ins = [(v, range(g.n), skip)]
+    fresh = sorted(skip)  # in-copies not in S, ascending
 
     def walk_to(z, j):
         # S's tree path to z+, then P from its node j on

@@ -26,13 +26,13 @@ A universe pair is drawn by rejection: two distinct edge/arc list slots
 uniformly, redrawn until they form a universe pair.  The loop keeps no
 pair state, and a universe of P pairs among m slots costs C(m, 2) / P
 expected tries per draw: a few on most input, about 13 around the hub of a
-star with a matching beside it, and m / 2 on a star plus one edge.  A loop
+star with a matching beside it, and m / 2 on a star plus one edge.  The loop
 draws a pair only when its universe holds one, so the redraw ends.
 
-There is one step loop per graph kind (``_run_undirected`` and
-``_run_directed``, which serves ``full`` and ``plain``).  Sampling, the
-public ``step_*`` functions, traces, invariant checks and the one-step
-fidelity check of :mod:`degswap.statespace` all run through it.  A loop
+One step loop, ``_run``, serves all three modes: an undirected 2-swap is
+a directed arc swap with the second edge read in the orientation the
+slot's parity picks.  Sampling, traces, invariant checks and the one-step
+fidelity check of :mod:`degswap.statespace` all run through it.  The loop
 takes the ``random.Random`` itself and draws every integer below a fixed
 bound from ``rng.getrandbits`` by rejection, one call per draw with the
 bound's bit length hoisted out of the loop, so walks and the final
@@ -69,14 +69,14 @@ for a given seed differs; a run that does not switch draws as before.  A
 complement start graph and the window.  An ensemble builds it once for
 all of its runs.
 
-A loop writes each move into the graph's list and position map itself,
+The loop writes each move into the graph's list and position map itself,
 reusing the tuples it drew and gated: each new edge/arc takes over the
 list slot, and the position int, of the one it replaces, and enters the
 map in replacement order, so a run stores no index int its start graph
 does not hold.  The reference mutators of ``tests/conftest.py`` write a
-move the same way, and the tests compare every loop with a reference loop
-that calls them.
-A loop also takes a private ``on_move(t, removed, added)`` hook, called
+move the same way, and the tests compare the loop with reference loops
+that call them.
+The loop also takes a private ``on_move(t, removed, added)`` hook, called
 after every move and never after a loop, with the step index and the
 edge/arc tuples taken out and put in.  The hook may restore the graph
 through the graph's ``_add`` and ``_remove`` methods: the loop keeps
@@ -100,7 +100,7 @@ from .core import (
     canonical_key,
 )
 from .errors import InvalidInputError
-from .names import DEFAULT_SEED, MODE_FULL, MODE_PLAIN, MODE_UNDIRECTED
+from .names import DEFAULT_SEED, MODE_FULL, MODE_PLAIN, MODE_UNDIRECTED, MODES
 
 _MASK64 = (1 << 64) - 1
 
@@ -139,20 +139,30 @@ class MoveUniverse(NamedTuple):
     n_2paths: int
 
     @staticmethod
-    def undirected(s: DegreeSequence) -> "MoveUniverse":
+    def of(s: DegreeSequence | DiDegreeSequence, mode: str) -> "MoveUniverse":
+        """The universe of ``mode`` on the realizations of s."""
         m = s.m
-        n_pairs = _choose2(m) - sum(_choose2(d) for d in s.degrees)
-        if n_pairs < 0:
-            raise InvalidInputError("degree sequence admits no simple graph")
-        return MoveUniverse(MODE_UNDIRECTED, m, n_pairs, 0)
-
-    @staticmethod
-    def directed_full(s: DiDegreeSequence) -> "MoveUniverse":
-        return MoveUniverse(MODE_FULL, *_directed_counts(s))
-
-    @staticmethod
-    def directed_plain(s: DiDegreeSequence) -> "MoveUniverse":
-        return MoveUniverse(MODE_PLAIN, *_directed_counts(s))
+        if mode == MODE_UNDIRECTED:
+            n_pairs = _choose2(m) - sum(_choose2(d) for d in s.degrees)
+            if n_pairs < 0:
+                raise InvalidInputError("degree sequence admits no simple graph")
+            return MoveUniverse(mode, m, n_pairs, 0)
+        if mode not in MODES:
+            raise InvalidInputError(f"unknown mode {mode!r}")
+        if m != sum(s.ins):
+            raise InvalidInputError("out-degree total differs from in-degree total")
+        n_2paths = sum(a * b for a, b in s.pairs)
+        n_pairs = (
+            _choose2(m)
+            - sum(_choose2(a) for a in s.outs)
+            - sum(_choose2(b) for b in s.ins)
+            - n_2paths
+        )
+        # n_pairs alone may be negative (each antiparallel pair shifts one pair
+        # into the stub count twice); the role-disjoint total cannot be
+        if n_pairs + n_2paths < 0:
+            raise InvalidInputError("degree sequence admits no simple digraph")
+        return MoveUniverse(mode, m, n_pairs, n_2paths)
 
     @property
     def elements(self) -> int:
@@ -180,24 +190,6 @@ class MoveUniverse(NamedTuple):
             return sum(1 for _ in iter_nonadjacent_pairs(g)), 0
         pairs = sum(1 for _ in iter_role_disjoint_arc_pairs(g))
         return pairs, sum(x * y for x, y in zip(g.out_deg, g.in_deg))
-
-
-def _directed_counts(s: DiDegreeSequence) -> tuple[int, int, int]:
-    m = s.m
-    if m != sum(s.ins):
-        raise InvalidInputError("out-degree total differs from in-degree total")
-    n_2paths = sum(a * b for a, b in s.pairs)
-    n_pairs = (
-        _choose2(m)
-        - sum(_choose2(a) for a in s.outs)
-        - sum(_choose2(b) for b in s.ins)
-        - n_2paths
-    )
-    # n_pairs alone may be negative (each antiparallel pair shifts one pair
-    # into the stub count twice); the role-disjoint total cannot be
-    if n_pairs + n_2paths < 0:
-        raise InvalidInputError("degree sequence admits no simple digraph")
-    return m, n_pairs, n_2paths
 
 
 def iter_nonadjacent_pairs(g: Graph | Digraph):
@@ -289,15 +281,15 @@ def step_window(d: int, elements: int) -> StepWindow:
 
 
 # ---------------------------------------------------------------------------
-# the step loops
+# the step loop
 #
-# _run_<kind>(g, universe, rng, tau, on_move=None, walk_degree=None,
-# window=None) runs tau steps on g in place and returns the number of moves;
-# rng is the random.Random and on_move follows the module docstring.  The
-# slot count d is walk_degree, by default the universe's own; every slot
-# past the universe's elements is a loop, so a larger d pads the walk with
-# loops.  window is step_window(d, elements) unless given; a universe
-# without elements returns at once, drawing nothing.
+# _run(g, universe, rng, tau, on_move=None, walk_degree=None, window=None)
+# runs tau steps of universe.kind's walk on g in place and returns the
+# number of moves; rng is the random.Random and on_move follows the module
+# docstring.  The slot count d is walk_degree, by default the universe's
+# own; every slot past the universe's elements is a loop, so a larger d pads
+# the walk with loops.  window is step_window(d, elements) unless given; a
+# universe without elements returns at once, drawing nothing.
 #
 # Each fixed-bound integer (the window's d^W and the m(m-1) ordered
 # list-slot pairs) is ``r = grb(k)`` with the bound's bit length k computed
@@ -308,24 +300,32 @@ def step_window(d: int, elements: int) -> StepWindow:
 # decoded, and the window's loop steps are skipped by moving the step
 # iterator (``range_iterator.__setstate__``, O(1)), so a padded walk pays
 # one draw per element step or per W loop steps.
+#
+# Every mode draws a pair (a, b), (c, d) with a != c and b != d, and a
+# 2-swap of it writes (a, d), (c, b).  A graph also redraws a pair that
+# shares an endpoint, and reads its second edge as (d, c) on an even slot,
+# so {a,b},{c,d} re-pairs as {a,c},{b,d} on an even slot and as {a,d},{b,c}
+# on an odd one; each new edge is stored with its smaller endpoint first.
 
 
 def _zero(k: int) -> int:
     return 0
 
 
-def _run_undirected(
-    g: Graph, universe, rng, tau: int, on_move=None, walk_degree=None, window=None
+def _run(
+    g: Graph | Digraph, universe, rng, tau: int, on_move=None, walk_degree=None, window=None
 ) -> int:
+    directed = universe.kind != MODE_UNDIRECTED
+    full = universe.kind == MODE_FULL
     loop_start = universe.elements
-    d = loop_start + 1 if walk_degree is None else walk_degree
+    d = universe.walk_degree if walk_degree is None else walk_degree
     if window is None:
         window = step_window(d, loop_start)
     if not loop_start:
         return 0
     pos = g._pos
-    edges = g._pairs
-    m = len(edges)
+    pairs = g._pairs
+    m = len(pairs)
     m1 = m - 1
     mm = m * m1
     grb = rng.getrandbits
@@ -363,145 +363,64 @@ def _run_undirected(
             j = r - i * m1
             if j >= i:
                 j += 1
-            e1 = edges[i]
-            e2 = edges[j]
+            e1 = pairs[i]
+            e2 = pairs[j]
             a, b = e1
             c, dd = e2
-            if a != c and a != dd and b != c and b != dd:
+            if a != c and b != dd and (directed or (a != dd and b != c)):
                 break
-        if slot & 1:  # re-pair {a,d},{b,c}
+        if directed:
+            if a == dd or b == c:
+                # head-to-tail or antiparallel pair: no swap exists.  Under
+                # full a proper 2-path u -> v -> w reorients when it closes an
+                # induced directed 3-cycle and w carries the strictly largest
+                # index.
+                if not full or (a == dd and b == c):
+                    continue
+                if b == c:  # e1 = (u, v) in slot i, e2 = (v, w) in slot j
+                    u, v, w = a, b, dd
+                else:  # e2 = (u, v), e1 = (v, w): put (u, v)'s slot in i
+                    u, v, w = c, a, b
+                    e1, e2 = e2, e1
+                    i, j = j, i
+                if w <= u or w <= v:
+                    continue
+                e3 = (w, u)
+                k = pos.get(e3)
+                if k is None:
+                    continue
+                f1 = (v, u)
+                f2 = (w, v)
+                f3 = (u, w)
+                if f1 in pos or f2 in pos or f3 in pos:
+                    continue
+                pos[f1] = pos.pop(e1)
+                pos[f2] = pos.pop(e2)
+                pos[f3] = pos.pop(e3)
+                pairs[i] = f1
+                pairs[j] = f2
+                pairs[k] = f3
+                moves += 1
+                if on_move is not None:
+                    on_move(t, (e1, e2, e3), (f1, f2, f3))
+                continue
+            f1 = (a, dd)
+            f2 = (c, b)
+        else:
+            if not slot & 1:
+                c, dd = dd, c
             f1 = (a, dd) if a < dd else (dd, a)
-            f2 = (b, c) if b < c else (c, b)
-        else:  # re-pair {a,c},{b,d}
-            f1 = (a, c) if a < c else (c, a)
-            f2 = (b, dd) if b < dd else (dd, b)
+            f2 = (c, b) if c < b else (b, c)
         if f1 in pos or f2 in pos:
             continue
         pos[f1] = pos.pop(e1)
         pos[f2] = pos.pop(e2)
-        edges[i] = f1
-        edges[j] = f2
+        pairs[i] = f1
+        pairs[j] = f2
         moves += 1
         if on_move is not None:
             on_move(t, (e1, e2), (f1, f2))
     return moves
-
-
-def _run_directed(
-    g: Digraph, universe, rng, tau: int, on_move=None, walk_degree=None, window=None
-) -> int:
-    full = universe.kind == MODE_FULL
-    loop_start = universe.elements
-    d = universe.walk_degree if walk_degree is None else walk_degree
-    if window is None:
-        window = step_window(d, loop_start)
-    if not loop_start:
-        return 0
-    pos = g._pos
-    arcs = g._pairs
-    m = len(arcs)
-    m1 = m - 1
-    mm = m * m1
-    grb = rng.getrandbits
-    dw = window.bound
-    gw = grb if dw > 1 else _zero
-    kw = (dw - 1).bit_length()
-    km = (mm - 1).bit_length()
-    fast = window.fast
-    last = window.cum[-1]
-    w1 = window.width - 1
-    decode = window.decode
-    moves = 0
-    steps = iter(range(tau))
-    skip_to = steps.__setstate__  # the next step index, in O(1)
-    for t in steps:
-        slot = gw(kw)
-        while slot >= dw:
-            slot = gw(kw)
-        if slot >= fast:
-            if slot >= last:  # padding loops
-                if w1:
-                    skip_to(t + w1 + 1)
-                continue
-            k, slot = decode(slot)
-            if k:
-                t += k
-                if t >= tau:
-                    break
-                skip_to(t + 1)
-        while True:
-            r = grb(km)
-            while r >= mm:
-                r = grb(km)
-            i = r // m1
-            j = r - i * m1
-            if j >= i:
-                j += 1
-            e1 = arcs[i]
-            e2 = arcs[j]
-            a, b = e1
-            c, dd = e2
-            if a != c and b != dd:
-                break
-        if a == dd or b == c:
-            # head-to-tail or antiparallel pair: no swap exists.  Under full
-            # a proper 2-path u -> v -> w reorients when it closes an induced
-            # directed 3-cycle and w carries the strictly largest index.
-            if not full or (a == dd and b == c):
-                continue
-            if b == c:  # e1 = (u, v) in slot i, e2 = (v, w) in slot j
-                u, v, w = a, b, dd
-            else:  # e2 = (u, v), e1 = (v, w): put (u, v)'s slot in i
-                u, v, w = c, a, b
-                e1, e2 = e2, e1
-                i, j = j, i
-            if w <= u or w <= v:
-                continue
-            e3 = (w, u)
-            k = pos.get(e3)
-            if k is None:
-                continue
-            f1 = (v, u)
-            f2 = (w, v)
-            f3 = (u, w)
-            if f1 in pos or f2 in pos or f3 in pos:
-                continue
-            pos[f1] = pos.pop(e1)
-            pos[f2] = pos.pop(e2)
-            pos[f3] = pos.pop(e3)
-            arcs[i] = f1
-            arcs[j] = f2
-            arcs[k] = f3
-            moves += 1
-            if on_move is not None:
-                on_move(t, (e1, e2, e3), (f1, f2, f3))
-            continue
-        f1 = (a, dd)
-        f2 = (c, b)
-        if f1 in pos or f2 in pos:
-            continue
-        pos[f1] = pos.pop(e1)
-        pos[f2] = pos.pop(e2)
-        arcs[i] = f1
-        arcs[j] = f2
-        moves += 1
-        if on_move is not None:
-            on_move(t, (e1, e2), (f1, f2))
-    return moves
-
-
-_RUNS = {
-    MODE_UNDIRECTED: _run_undirected,
-    MODE_FULL: _run_directed,
-    MODE_PLAIN: _run_directed,
-}
-
-
-_UNIVERSES = {
-    MODE_UNDIRECTED: MoveUniverse.undirected,
-    MODE_FULL: MoveUniverse.directed_full,
-    MODE_PLAIN: MoveUniverse.directed_plain,
-}
 
 
 def universe_for(g: Graph | Digraph, mode: str) -> MoveUniverse:
@@ -510,9 +429,7 @@ def universe_for(g: Graph | Digraph, mode: str) -> MoveUniverse:
             raise InvalidInputError("undirected mode needs an undirected graph")
     elif not isinstance(g, Digraph):
         raise InvalidInputError(f"{mode} mode needs a digraph")
-    elif mode not in _UNIVERSES:
-        raise InvalidInputError(f"unknown mode {mode!r}")
-    return _UNIVERSES[mode](g.degree_sequence())
+    return MoveUniverse.of(g.degree_sequence(), mode)
 
 
 def complement_universe(g: Graph | Digraph, universe: MoveUniverse):
@@ -524,26 +441,8 @@ def complement_universe(g: Graph | Digraph, universe: MoveUniverse):
     """
     if 2 * universe.m <= g.grid_size(g.n):
         return None
-    bar = _UNIVERSES[universe.kind](g.degree_sequence().complement())
+    bar = MoveUniverse.of(g.degree_sequence().complement(), universe.kind)
     return bar if bar.walk_degree < universe.walk_degree else None
-
-
-def step_undirected(g: Graph, rng: random.Random, universe=None) -> bool:
-    """One undirected chain step in place; True when the graph changed."""
-    universe = universe or universe_for(g, MODE_UNDIRECTED)
-    return _run_undirected(g, universe, rng, 1) == 1
-
-
-def step_directed_full(g: Digraph, rng: random.Random, universe=None) -> bool:
-    """One swap-or-reorient step in place; True when the digraph changed."""
-    universe = universe or universe_for(g, MODE_FULL)
-    return _run_directed(g, universe, rng, 1) == 1
-
-
-def step_directed_plain(g: Digraph, rng: random.Random, universe=None) -> bool:
-    """One swap-only step in place; True when the digraph changed."""
-    universe = universe or universe_for(g, MODE_PLAIN)
-    return _run_directed(g, universe, rng, 1) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +464,7 @@ class ChainConfig(_ChainFields):
     def __new__(cls, tau: int, mode: str, seed: int = DEFAULT_SEED, record_trace: bool = False):
         if tau < 0:
             raise InvalidInputError("tau must be >= 0")
-        if mode not in _RUNS:
+        if mode not in MODES:
             raise InvalidInputError(f"unknown mode {mode!r}")
         if seed < 0:
             # random.Random(-s) is random.Random(s): two seeds, one walk
@@ -664,7 +563,7 @@ def run_chain(
             _check_invariants(g, walked, s0)
 
     d = plan.universe.walk_degree
-    moves = _RUNS[cfg.mode](g, walked, rng, cfg.tau, on_move, d, plan.window)
+    moves = _run(g, walked, rng, cfg.tau, on_move, d, plan.window)
     if plan.complement:
         g = g.complement()
     if trace is not None:

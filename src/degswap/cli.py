@@ -34,8 +34,8 @@ from .names import (
     FAMILY_EXAMPLE1,
     KINDS,
     MODE_FULL,
-    MODE_PLAIN,
     MODE_UNDIRECTED,
+    MODES,
 )
 
 EXIT_OK = 0
@@ -396,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="run a switching chain")
     _add_sequence_args(p, with_edgelist=True)
-    p.add_argument("--mode", choices=[MODE_UNDIRECTED, MODE_FULL, MODE_PLAIN])
+    p.add_argument("--mode", choices=MODES)
     p.add_argument("--tau", type=int, default=1000, help="step count")
     p.add_argument("--seed", default=str(DEFAULT_SEED), help="integer or 'entropy'")
     p.add_argument("--runs", type=int, default=1, help="independent chains")
@@ -435,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="ensemble statistics over many chains")
     _add_sequence_args(p, with_edgelist=True)
-    p.add_argument("--mode", choices=[MODE_UNDIRECTED, MODE_FULL, MODE_PLAIN])
+    p.add_argument("--mode", choices=MODES)
     p.add_argument("--tau", type=int, default=1000)
     p.add_argument("--seed", default=str(DEFAULT_SEED))
     p.add_argument("--runs", type=int, default=100)

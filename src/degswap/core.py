@@ -8,7 +8,7 @@ Graph and Digraph values share one store: their edge or arc list, its
 positions and the degrees, which is all a chain step reads; a scan that
 needs per-vertex neighbors builds them (:meth:`Digraph.adjacency`).
 
-The step loops of :mod:`degswap.chain` write their moves straight into a
+The step loop of :mod:`degswap.chain` writes its moves straight into a
 value's list and position map; a value that is no longer being stepped can
 be shared freely across threads.
 """

@@ -10,6 +10,8 @@ MODE_UNDIRECTED = "undirected"
 MODE_FULL = "full"
 MODE_PLAIN = "plain"
 
+MODES = (MODE_UNDIRECTED, MODE_FULL, MODE_PLAIN)
+
 DEFAULT_SEED = 1729
 
 KIND_PSI = "psi"

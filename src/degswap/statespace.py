@@ -28,8 +28,7 @@ from .chain import (
     MODE_PLAIN,
     MODE_UNDIRECTED,
     MoveUniverse,
-    _RUNS,
-    _UNIVERSES,
+    _run,
     derive_seed,
     iter_nonadjacent_pairs,
     iter_role_disjoint_arc_pairs,
@@ -209,7 +208,7 @@ def build_state_graph(
     keys = sorted(canonical_key(g) for g in graphs)
     realizations = {canonical_key(g): g for g in graphs}
 
-    universe = _UNIVERSES[_KIND_TO_MODE[kind]](s)
+    universe = MoveUniverse.of(s, _KIND_TO_MODE[kind])
 
     arcs: dict[CanonicalKey, dict[CanonicalKey, int]] = {}
     loops: dict[CanonicalKey, int] = {}
@@ -763,7 +762,6 @@ def empirical_transition_check(
     if sg is None:
         sg = build_state_graph(s, kind)
     mode = _KIND_TO_MODE[kind]
-    run = _RUNS[mode]
     walk_degree = sg.universe.walk_degree
     rows = {key: sg.transition_row(key) for key in sg.keys}
     cells = sum(1 for row in rows.values() for p in row.values() if 0.0 < p < 1.0)
@@ -791,7 +789,7 @@ def empirical_transition_check(
             for u, v in removed:
                 add(u, v)
 
-        moves = run(g, universe, rng, steps_per_state, on_move, walk_degree)
+        moves = _run(g, universe, rng, steps_per_state, on_move, walk_degree)
         counts[key] = steps_per_state - moves
 
         row = rows[key]

@@ -10,6 +10,7 @@ import math
 
 import pytest
 
+from degswap.chain import MODE_FULL, MODE_PLAIN, MODE_UNDIRECTED, _run, universe_for
 from degswap.core import (
     AlternatingCycle,
     DegreeSequence,
@@ -80,7 +81,26 @@ def oracle_cycle_sets(s: DiDegreeSequence, keys) -> list[tuple[int, int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# reference mutators: the step loops of degswap.chain write each move in
+# one chain step: degswap.chain._run for a single step, under g's own universe
+
+
+def step_undirected(g: Graph, rng) -> bool:
+    """One undirected chain step in place; True when the graph changed."""
+    return _run(g, universe_for(g, MODE_UNDIRECTED), rng, 1) == 1
+
+
+def step_directed_full(g: Digraph, rng) -> bool:
+    """One swap-or-reorient step in place; True when the digraph changed."""
+    return _run(g, universe_for(g, MODE_FULL), rng, 1) == 1
+
+
+def step_directed_plain(g: Digraph, rng) -> bool:
+    """One swap-only step in place; True when the digraph changed."""
+    return _run(g, universe_for(g, MODE_PLAIN), rng, 1) == 1
+
+
+# ---------------------------------------------------------------------------
+# reference mutators: the step loop of degswap.chain writes each move in
 # this slot placement and map order, and tests/test_reference.py checks them
 # against reference loops that call these
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from degswap.chain import (
-    _RUNS,
+    _run,
     ChainConfig,
     MoveUniverse,
     complement_universe,
@@ -15,9 +15,6 @@ from degswap.chain import (
     plan_chain,
     run_chain,
     step_window,
-    step_directed_full,
-    step_directed_plain,
-    step_undirected,
     universe_for,
 )
 from degswap.core import DegreeSequence, DiDegreeSequence, Digraph, Graph, canonical_key
@@ -31,29 +28,32 @@ from .conftest import (
     hub_with_matching,
     mobile_blocked_instance,
     reorient_triangle,
+    step_directed_full,
+    step_directed_plain,
+    step_undirected,
     swap_arcs,
     swap_edges,
 )
 
 
 def test_universe_counts():
-    u = MoveUniverse.undirected(DegreeSequence((1, 1, 1, 1)))
+    u = MoveUniverse.of(DegreeSequence((1, 1, 1, 1)), "undirected")
     assert (u.n_pairs, u.walk_degree) == (1, 3)
-    u = MoveUniverse.undirected(DegreeSequence((2, 2, 2)))
+    u = MoveUniverse.of(DegreeSequence((2, 2, 2)), "undirected")
     assert (u.n_pairs, u.walk_degree) == (0, 1)
-    u = MoveUniverse.directed_full(DiDegreeSequence(((1, 1),) * 3))
+    u = MoveUniverse.of(DiDegreeSequence(((1, 1),) * 3), "full")
     assert (u.n_pairs, u.n_2paths, u.walk_degree) == (0, 3, 3)
-    u = MoveUniverse.directed_full(DiDegreeSequence(((1, 0), (0, 1), (1, 0), (0, 1))))
+    u = MoveUniverse.of(DiDegreeSequence(((1, 0), (0, 1), (1, 0), (0, 1))), "full")
     assert (u.n_pairs, u.n_2paths, u.walk_degree) == (1, 0, 2)
     # antiparallel-prone: n_pairs is the corrected constant and may go negative
-    u = MoveUniverse.directed_full(DiDegreeSequence(((1, 1), (1, 1))))
+    u = MoveUniverse.of(DiDegreeSequence(((1, 1), (1, 1))), "full")
     assert (u.n_pairs, u.n_2paths, u.walk_degree) == (-1, 2, 1)
 
 
 def test_universe_constancy_over_realizations():
     for pairs in (((1, 1),) * 4, ((2, 1), (1, 2), (1, 1), (1, 1)), ((1, 1),) * 3):
         s = DiDegreeSequence(pairs)
-        u = MoveUniverse.directed_full(s)
+        u = MoveUniverse.of(s, "full")
         for g in enumerate_realizations(s):
             role_disjoint, stubs = u.counts_on(g)
             assert role_disjoint == u.n_pairs + u.n_2paths
@@ -240,7 +240,6 @@ def _exact_rows(sg, mode, complement=False):
     each move by its inverse move, which restores the list order the pair
     draw indexes.
     """
-    run = _RUNS[mode]
     d = sg.universe.walk_degree
     rng = _Scripted()
     rows = {}
@@ -284,12 +283,12 @@ def _exact_rows(sg, mode, complement=False):
         ]
         steps = elements * len(accepted)
         rng.values = script[::-1]
-        moves = run(g, u, rng, steps, undo, d)
+        moves = _run(g, u, rng, steps, undo, d)
         assert not rng.values and items == before
         counts[key] = steps - moves
         if d > elements:
             rng.values = [elements * unit] if d > 1 else []
-            assert run(g, u, rng, 1, undo, d) == 0 and not rng.values
+            assert _run(g, u, rng, 1, undo, d) == 0 and not rng.values
             counts[key] += (d - elements) * len(accepted)
         total = d * len(accepted)
         rows[key] = {dest: Fraction(c, total) for dest, c in counts.items()}

@@ -1,6 +1,7 @@
 """The chain's elementary moves on small cases, through ``step_*`` and ``run_chain``.
 
-The step loops of :mod:`degswap.chain` are the one definition of each move
+The ``step_*`` functions of ``tests/conftest.py`` run one step of the step
+loop of :mod:`degswap.chain`, which is the one definition of each move
 and its gate.  How often each move fires is checked against the state-graph
 oracle by the one-step fidelity test (criterion 6); these cases pin where a
 move leads and which states only loop.
@@ -10,17 +11,17 @@ import random
 
 import pytest
 
-from degswap.chain import (
-    ChainConfig,
-    run_chain,
-    step_directed_full,
-    step_directed_plain,
-    step_undirected,
-)
+from degswap.chain import ChainConfig, run_chain
 from degswap.core import Digraph, Graph
 from degswap.generators import BlockedInstanceSpec, generate_blocked
 from degswap.statespace import decompose_alternating, symmetric_difference
-from .conftest import mobile_blocked_instance, swap_alternating_cycle
+from .conftest import (
+    mobile_blocked_instance,
+    step_directed_full,
+    step_directed_plain,
+    step_undirected,
+    swap_alternating_cycle,
+)
 
 
 def _reached(step, *pairs, kind=Graph):

@@ -11,8 +11,9 @@ integer through a per-draw ``make_randbelow`` call.  The package's versions
 must agree with them exactly: the same violation strings, the same edge/arc
 lists in insertion order (chains and ensembles draw by list index), the
 same key bits, the same sorted triples, the same cycle sets, the same
-corrected frequencies in the same order and, for the step loops, the same
-move counts and the same final generator state.  The one-sweep breaking-walk
+corrected frequencies in the same order and, for the step loop, the same
+move counts and the same final generator state, at the walk's own degree
+and padded past it.  The one-sweep breaking-walk
 search must find a walk exactly when a retry does, and a valid one.
 """
 
@@ -32,9 +33,10 @@ from degswap.chain import (
     MODE_FULL,
     MODE_PLAIN,
     MODE_UNDIRECTED,
-    _RUNS,
+    _run,
     ChainConfig,
     run_chain,
+    step_window,
     universe_for,
 )
 from degswap.core import (
@@ -272,9 +274,10 @@ def make_randbelow(rng):
     return randbelow
 
 
-def ref_run_undirected(g, universe, rb, tau, on_move=None):
-    d = 2 * universe.n_pairs + 1
-    loop_slot = d - 1
+def ref_run_undirected(g, universe, rb, tau, on_move=None, walk_degree=None):
+    # walk_degree pads every reference loop: slots past the elements loop
+    loop_start = 2 * universe.n_pairs
+    d = loop_start + 1 if walk_degree is None else walk_degree
     pos = g._pos
     edges = g._pairs
     m = len(edges)
@@ -282,7 +285,7 @@ def ref_run_undirected(g, universe, rb, tau, on_move=None):
     moves = 0
     for t in range(tau):
         slot = rb(d)
-        if slot == loop_slot:
+        if slot >= loop_start:
             continue
         while True:
             k = rb(mm)
@@ -310,16 +313,16 @@ def ref_run_undirected(g, universe, rb, tau, on_move=None):
     return moves
 
 
-def ref_run_plain(g, universe, rb, tau, on_move=None):
-    d = universe.n_pairs + universe.n_2paths + 1
-    loop_slot = d - 1
+def ref_run_plain(g, universe, rb, tau, on_move=None, walk_degree=None):
+    loop_start = universe.n_pairs + universe.n_2paths
+    d = loop_start + 1 if walk_degree is None else walk_degree
     pos = g._pos
     arcs = g._pairs
     m = len(arcs)
     mm = m * (m - 1)
     moves = 0
     for t in range(tau):
-        if rb(d) == loop_slot:
+        if rb(d) >= loop_start:
             continue
         while True:
             k = rb(mm)
@@ -341,11 +344,11 @@ def ref_run_plain(g, universe, rb, tau, on_move=None):
     return moves
 
 
-def ref_run_full(g, universe, rb, tau, on_move=None):
+def ref_run_full(g, universe, rb, tau, on_move=None, walk_degree=None):
     # ref_run_plain, padded only when there are no 2-paths, and sending each
     # proper 2-path to the reorientation gate
     loop_start = universe.n_pairs + universe.n_2paths
-    d = loop_start + (universe.n_2paths == 0)
+    d = loop_start + (universe.n_2paths == 0) if walk_degree is None else walk_degree
     pos = g._pos
     arcs = g._pairs
     m = len(arcs)
@@ -752,11 +755,12 @@ def loop_cases():
     yield "random graph", random_graph(rng, 14, 0.4)
 
 
-def run_loop(run, g0, universe, rng, undo):
+def run_loop(run, g0, universe, rng, undo, walk_degree=None):
     """Final pair list, move count and move log of one run from a copy of g0.
 
     With ``undo`` the hook logs each move and then restores the graph, as the
-    fidelity check of degswap.statespace does.
+    fidelity check of degswap.statespace does.  The walk has ``walk_degree``
+    slots, by default the universe's own.
     """
     g = g0.copy()
     log = []
@@ -771,7 +775,7 @@ def run_loop(run, g0, universe, rng, undo):
             for u, v in removed:
                 add(u, v)
 
-    moves = run(g, universe, rng, 2000, hook)
+    moves = run(g, universe, rng, 2000, hook, walk_degree)
     g._check_index()
     return g.pairs(), moves, log
 
@@ -787,7 +791,7 @@ def test_inline_draw_loops_match_randbelow_loops():
         for mode, seed, undo in itertools.product(modes, range(3), (False, True)):
             universe = universe_for(g0, mode)
             rng, ref_rng = random.Random(seed), random.Random(seed)
-            got = run_loop(_RUNS[mode], g0, universe, rng, undo)
+            got = run_loop(_run, g0, universe, rng, undo)
             want = run_loop(REF_RUNS[mode], g0, universe, make_randbelow(ref_rng), undo)
             assert got == want, (label, mode, seed, undo)
             assert rng.getstate() == ref_rng.getstate(), (label, mode, seed, undo)
@@ -795,3 +799,31 @@ def test_inline_draw_loops_match_randbelow_loops():
                 reorientations[label] += sum(len(removed) == 3 for _, removed, _ in got[2])
     # the three-slot reorientation write is compared too
     assert reorientations["3-cycle"] and reorientations["2-cycles and a triangle"]
+
+
+def test_inline_draw_loops_match_randbelow_loops_when_padded():
+    # the same at walk degrees d with L + 1 < d < 3L, L the universe's
+    # elements: the walk is padded past its own degree, as a complement walk
+    # is, and the window is still one slot per step, so each reference loop
+    # draws the same slots.  Every loop_cases() graph with L >= 2 takes part;
+    # below that no such d exists.
+    padded = collections.Counter()
+    for label, g0 in loop_cases():
+        modes = (MODE_UNDIRECTED,) if isinstance(g0, Graph) else (MODE_FULL, MODE_PLAIN)
+        for mode in modes:
+            universe = universe_for(g0, mode)
+            elements = universe.elements
+            for d in sorted({elements + 2, 2 * elements, 3 * elements - 1}):
+                if not elements + 1 < d < 3 * elements:
+                    continue
+                assert step_window(d, elements).width == 1
+                padded[mode] += 1
+                for seed, undo in itertools.product(range(3), (False, True)):
+                    rng, ref_rng = random.Random(seed), random.Random(seed)
+                    got = run_loop(_run, g0, universe, rng, undo, d)
+                    want = run_loop(
+                        REF_RUNS[mode], g0, universe, make_randbelow(ref_rng), undo, d
+                    )
+                    assert got == want, (label, mode, d, seed, undo)
+                    assert rng.getstate() == ref_rng.getstate(), (label, mode, d, seed, undo)
+    assert padded == {MODE_UNDIRECTED: 8, MODE_FULL: 18, MODE_PLAIN: 18}

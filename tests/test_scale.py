@@ -1,6 +1,6 @@
 """No super-linear cliff: realize and recognize at n = 20 000, recognize
-example1 with 60 cycle sets, chains on a hub and on a sparse digraph with
-n = 10^5.
+example1 with 60 cycle sets, cycle-set detection on 10^4 disjoint
+3-cycles, chains on a hub and on a sparse digraph with n = 10^5.
 
 With per-round re-sorting greedies, tail-sum feasibility tests and a scan
 over all vertex triples the cold-path instance takes minutes; the
@@ -15,7 +15,7 @@ for a slow machine.
 import random
 import time
 
-from degswap.arcswap import recognize
+from degswap.arcswap import detect_induced_cycle_sets, recognize
 from degswap.chain import ChainConfig, run_chain, universe_for
 from degswap.core import DegreeSequence, DiDegreeSequence, Digraph
 from degswap.generators import BlockedInstanceSpec, generate_blocked
@@ -69,6 +69,38 @@ def test_recognize_example1_with_60_cycle_sets():
     elapsed = time.perf_counter() - start
     assert len(report.cycle_sets) == 60
     assert elapsed < BUDGET_S, f"recognize took {elapsed:.1f} s"
+
+
+def test_cycle_set_detection_on_30000_vertices():
+    # 10^4 disjoint directed 3-cycles, 3000 noise arcs among them, and one
+    # planted cycle set (0, 1, 2): a 3-cycle whose vertices point at every
+    # other vertex, so every realization holds it, in one orientation or the
+    # other.  Each of the other induced 3-cycles is broken by a short walk,
+    # and its sweep must not pay O(n) before finding it.  recognize realizes
+    # the sequence afresh; the digraph itself is where stats and sample
+    # --mode plain detect, and where the 10^4 probes run.
+    n, noise = 30_000, 3_000
+    rng = random.Random(2016)
+    arcs = {(0, 1), (1, 2), (2, 0)}
+    arcs.update((p, v) for p in range(3) for v in range(3, n))
+    for t in range(3, n, 3):
+        arcs.update(((t, t + 1), (t + 1, t + 2), (t + 2, t)))
+    while len(arcs) < 4 * n - 6 + noise:
+        u, v = rng.randrange(3, n), rng.randrange(3, n)
+        if u != v:
+            arcs.add((u, v))
+    g = Digraph(n, arcs)
+    for label, find in (
+        ("recognize", lambda: recognize(g.degree_sequence()).cycle_sets),
+        ("detection", lambda: detect_induced_cycle_sets(g)),
+    ):
+        best = BUDGET_S
+        for _ in range(2):
+            start = time.process_time()
+            sets = find()
+            best = min(best, time.process_time() - start)
+        assert [cs.vertices for cs in sets] == [(0, 1, 2)], label
+        assert best < 1.0, f"{label} took {best:.2f} s of CPU"
 
 
 def test_hub_star_chains_have_no_cliff():
