@@ -15,8 +15,9 @@ plans each run once, then takes the best of ``--repeats`` runs of
 copy of the start graph) divided by the steps.
 
 For each case it prints the µs per step of both trees, as the minimum and
-the median over the rounds, and in how many rounds the change was faster.
-The ``perfbench`` modules are imported from this script's checkout without
+the median over the rounds, the median over the rounds of the change's
+time divided by the parent's, and in how many rounds the change was
+faster.  The ``perfbench`` modules are imported from this script's checkout without
 writing bytecode, so the benchmark directory is left as it is.
 """
 
@@ -97,13 +98,14 @@ def main(argv=None) -> int:
                 times[tree].append(measure(tree, args.repeats, case_argv))
     parent, change = (times[t] for t in trees)
     print(f"{'case':<18} {'parent min':>10} {'change min':>10} "
-          f"{'parent med':>10} {'change med':>10}  change faster")
+          f"{'parent med':>10} {'change med':>10} {'ratio med':>9}  change faster")
     for k, (label, *_) in enumerate(CASES):
         a = [row[k] for row in parent]
         b = [row[k] for row in change]
         faster = sum(y < x for x, y in zip(a, b))
-        print(f"{label:<18} {min(a):>10.3f} {min(b):>10.3f} "
-              f"{statistics.median(a):>10.3f} {statistics.median(b):>10.3f}  {faster}/{len(a)}")
+        ratio = statistics.median(y / x for x, y in zip(a, b))
+        print(f"{label:<18} {min(a):>10.3f} {min(b):>10.3f} {statistics.median(a):>10.3f} "
+              f"{statistics.median(b):>10.3f} {ratio:>9.3f}  {faster}/{len(a)}")
     return 0
 
 

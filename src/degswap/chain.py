@@ -406,11 +406,12 @@ def _run(
                 continue
             f1 = (a, dd)
             f2 = (c, b)
-        else:
-            if not slot & 1:
-                c, dd = dd, c
+        elif slot & 1:  # e2 read as (c, d)
             f1 = (a, dd) if a < dd else (dd, a)
-            f2 = (c, b) if c < b else (b, c)
+            f2 = (b, c) if b < c else (c, b)
+        else:  # e2 read as (d, c)
+            f1 = (a, c) if a < c else (c, a)
+            f2 = (b, dd) if b < dd else (dd, b)
         if f1 in pos or f2 in pos:
             continue
         pos[f1] = pos.pop(e1)
