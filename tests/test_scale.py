@@ -77,8 +77,8 @@ def test_cycle_set_detection_on_30000_vertices():
     # other vertex, so every realization holds it, in one orientation or the
     # other.  Each of the other induced 3-cycles is broken by a short walk,
     # and its sweep must not pay O(n) before finding it.  recognize realizes
-    # the sequence afresh; the digraph itself is where stats and sample
-    # --mode plain detect, and where the 10^4 probes run.
+    # the sequence afresh; the digraph itself is where stats --mode plain
+    # detects, and where the 10^4 probes run.
     n, noise = 30_000, 3_000
     rng = random.Random(2016)
     arcs = {(0, 1), (1, 2), (2, 0)}
