@@ -2,7 +2,7 @@
 
 Usage (from anywhere):
 
-    python3 scripts/step_cost.py PARENT_DIR CHANGE_DIR --rounds 6 --repeats 5
+    python3 scripts/step_cost.py PARENT_DIR CHANGE_DIR --rounds 6
 
 It builds the benchmark's ``sparse-di``, ``sparse-un``, ``dense-di`` and
 ``star`` inputs with ``perfbench/inputs.py`` and times ``run_chain`` on
@@ -10,7 +10,7 @@ them in five cases: ``full`` and ``plain`` on ``sparse-di``, ``undirected``
 on ``sparse-un``, ``full`` on ``dense-di`` and ``undirected`` on ``star``.
 Each round runs every case in one fresh process per tree, ``src`` of that
 tree on the path, and the trees take turns at going first.  A process
-plans each run once, then takes the best of ``--repeats`` runs of
+plans each run once, then takes the best of ``REPEATS`` runs of
 ``time.process_time``, so a figure is CPU time in the loop (plus one O(m)
 copy of the start graph) divided by the steps.
 
@@ -36,6 +36,9 @@ sys.dont_write_bytecode = True
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 from inputs import build_instances  # noqa: E402
+
+REPEATS = 5  # timed runs per case and process; the best one counts
+SEED = 7  # benchmark input seed
 
 # (label, instance, mode, steps per run)
 CASES = [
@@ -70,9 +73,9 @@ print(json.dumps(out))
 """
 
 
-def measure(tree: str, repeats: int, case_argv: list[str]) -> list[float]:
+def measure(tree: str, case_argv: list[str]) -> list[float]:
     done = subprocess.run(
-        [sys.executable, "-B", "-c", CHILD, os.path.join(tree, "src"), str(repeats), *case_argv],
+        [sys.executable, "-B", "-c", CHILD, os.path.join(tree, "src"), str(REPEATS), *case_argv],
         capture_output=True, text=True, cwd=tree, check=True,
     )
     return json.loads(done.stdout)
@@ -83,19 +86,17 @@ def main(argv=None) -> int:
     parser.add_argument("parent", help="checkout to compare against")
     parser.add_argument("change", help="checkout under test")
     parser.add_argument("--rounds", type=int, default=6)
-    parser.add_argument("--repeats", type=int, default=5, help="runs per case and process")
-    parser.add_argument("--seed", type=int, default=7, help="benchmark input seed")
     args = parser.parse_args(argv)
     trees = (os.path.abspath(args.parent), os.path.abspath(args.change))
     times: dict[str, list[list[float]]] = {t: [] for t in trees}
     with tempfile.TemporaryDirectory() as work:
-        instances = build_instances(sorted({c[1] for c in CASES}), args.seed, work)
+        instances = build_instances(sorted({c[1] for c in CASES}), SEED, work)
         case_argv = [
             x for _, name, mode, steps in CASES for x in (instances[name].path, mode, str(steps))
         ]
         for r in range(args.rounds):
             for tree in trees if r % 2 == 0 else trees[::-1]:
-                times[tree].append(measure(tree, args.repeats, case_argv))
+                times[tree].append(measure(tree, case_argv))
     parent, change = (times[t] for t in trees)
     print(f"{'case':<18} {'parent min':>10} {'change min':>10} "
           f"{'parent med':>10} {'change med':>10} {'ratio med':>9}  change faster")
