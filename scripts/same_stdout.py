@@ -42,6 +42,9 @@ EXTRA = [
     ("enumerate-psi", "enumerate --degrees '2 2 2 2 2' --kind psi", None),
     ("enumerate-phi", "enumerate --degrees '1/1 1/1 1/1 1/1' --kind phi", None),
     ("enumerate-phibar-dot", "enumerate --degrees '2/1 1/2 1/1 1/1' --kind phibar --format dot", None),
+    ("enumerate-psi-dot", "enumerate --degrees '2 2 2 2 1 1' --kind psi --format dot", None),
+    ("enumerate-phi-antiparallel-dot", "enumerate --degrees '2/2 2/2 2/2 2/2' --kind phi --format dot", None),
+    ("enumerate-phi-no-2paths-dot", "enumerate --degrees '1/0 0/1 1/0 0/1' --kind phi --format dot", None),
     ("generate-example1", "generate --family example1 --blocks 3", None),
     ("generate-one-direction", "generate --family one-direction --format edgelist", None),
     ("generate-clique-partition", "generate --family clique-partition --blocks 2", None),

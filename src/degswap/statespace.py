@@ -6,9 +6,12 @@ The three state-graph kinds mirror the chain modes:
 * ``phi`` -- directed walk with 2-swaps and 3-cycle reorientations;
 * ``phibar`` -- directed walk with 2-swaps only.
 
-Nodes are realizations (indexed by canonical key), arcs are moves, and loop
-multiplicities follow the per-pair / per-2-path inventory, so the walk is
-regular by construction and its transition row is ``1/walk_degree`` per slot.
+Nodes are realizations (indexed by canonical key) and arcs are moves.  One
+loop applies every element of the chain's selection universe
+(:class:`degswap.chain.MoveUniverse`) to every state: an element whose move
+is gated counts as a loop, as does each of the universe's padding slots, so
+the walk is regular by construction and its transition row is
+``1/walk_degree`` per slot.
 
 The module also holds the symmetric-difference and alternating-cycle lemma
 code behind the distance bounds that :func:`check_diameter_bounds` checks.
@@ -35,6 +38,7 @@ from .chain import (
     universe_for,
 )
 from .core import (
+    DIRECTED,
     UNDIRECTED,
     AlternatingCycle,
     CanonicalKey,
@@ -42,7 +46,6 @@ from .core import (
     DiDegreeSequence,
     Digraph,
     Graph,
-    canonical_key,
     graph_class,
     graph_from_key,
 )
@@ -62,12 +65,12 @@ DEFAULT_MAX_N_DIRECTED = 6
 def enumerate_realization_keys(
     s: DegreeSequence | DiDegreeSequence, max_n: Optional[int] = None
 ) -> Iterator[int]:
-    """Key bit patterns of all realizations, in increasing order.
+    """Key bit patterns of all realizations, each exactly once.
 
     Backtracks over the vertex-pair grid row by row with residual-degree
-    pruning; each realization is produced exactly once.  The resource bound
-    is checked eagerly, before the first key is produced; a bound below 1
-    is invalid input.
+    pruning, so of two keys the one holding the lowest grid position where
+    they differ comes first.  The resource bound is checked eagerly, before
+    the first key is produced; a bound below 1 is invalid input.
     """
     directed = isinstance(s, DiDegreeSequence)
     if max_n is not None:
@@ -78,71 +81,39 @@ def enumerate_realization_keys(
         bound = DEFAULT_MAX_N_DIRECTED if directed else DEFAULT_MAX_N_UNDIRECTED
     if s.n > bound:
         raise ResourceLimitError(f"n={s.n} exceeds enumeration bound {bound}")
-    return _enum_directed_keys(s) if directed else _enum_undirected_keys(s)
+    return _enum_keys(s)
 
 
-def _enum_undirected_keys(s: DegreeSequence) -> Iterator[int]:
+def _enum_keys(s: DegreeSequence | DiDegreeSequence) -> Iterator[int]:
+    # Row i picks outs[i] pairs (i, j), among j > i on a graph and j != i on
+    # a digraph.  res holds the degrees still to collect: every vertex's on
+    # a graph, where outs is res itself, and the in-degrees on a digraph.
     n = s.n
-    res = list(s.degrees)
-
-    def rec(i: int, bits: int) -> Iterator[int]:
-        if i == n:
-            yield bits
-            return
-        # every vertex k >= i can still collect at most n-1-i edges
-        cap = n - 1 - i
-        for k in range(i, n):
-            if res[k] > cap:
-                return
-        d = res[i]
-        cands = [j for j in range(i + 1, n) if res[j] > 0]
-        if d > len(cands):
-            return
-        if d == 0:
-            yield from rec(i + 1, bits)
-            return
-        for combo in itertools.combinations(cands, d):
-            add = 0
-            for j in combo:
-                res[j] -= 1
-                add |= 1 << Graph.index(n, i, j)
-            yield from rec(i + 1, bits | add)
-            for j in combo:
-                res[j] += 1
-
-    yield from rec(0, 0)
-
-
-def _enum_directed_keys(s: DiDegreeSequence) -> Iterator[int]:
-    n = s.n
-    outs = s.outs
-    in_res = list(s.ins)
-    if sum(outs) != sum(in_res):
+    directed = isinstance(s, DiDegreeSequence)
+    index = Digraph.index if directed else Graph.index
+    res = list(s.ins if directed else s.degrees)
+    outs = s.outs if directed else res
+    if directed and s.m != sum(res):
         return
 
     def rec(i: int, bits: int) -> Iterator[int]:
         if i == n:
             yield bits
             return
-        # rows i..n-1 can still feed vertex k at most once each (self excluded)
-        for k in range(n):
-            if in_res[k] > n - i - (1 if k >= i else 0):
+        start = 0 if directed else i  # a graph's rows before i are done
+        # rows i..n-1 can still feed vertex k at most once each (k's own row excluded)
+        for k in range(start, n):
+            if res[k] > n - i - (k >= i):
                 return
-        d = outs[i]
-        cands = [j for j in range(n) if j != i and in_res[j] > 0]
-        if d > len(cands):
-            return
-        if d == 0:
-            yield from rec(i + 1, bits)
-            return
-        for combo in itertools.combinations(cands, d):
+        cands = [j for j in range(start, n) if j != i and res[j] > 0]
+        for combo in itertools.combinations(cands, outs[i]):
             add = 0
             for j in combo:
-                in_res[j] -= 1
-                add |= 1 << Digraph.index(n, i, j)
+                res[j] -= 1
+                add |= 1 << index(n, i, j)
             yield from rec(i + 1, bits | add)
             for j in combo:
-                in_res[j] += 1
+                res[j] += 1
 
     yield from rec(0, 0)
 
@@ -151,8 +122,7 @@ def enumerate_realizations(
     s: DegreeSequence | DiDegreeSequence, max_n: Optional[int] = None
 ) -> list[Graph | Digraph]:
     """All labeled simple realizations of s, each exactly once."""
-    directed = isinstance(s, DiDegreeSequence)
-    kind = "directed" if directed else "undirected"
+    kind = DIRECTED if isinstance(s, DiDegreeSequence) else UNDIRECTED
     return [
         graph_from_key(CanonicalKey(kind, s.n, bits))
         for bits in enumerate_realization_keys(s, max_n)
@@ -192,11 +162,10 @@ def build_state_graph(
 ) -> StateGraph:
     """Explicit move graph over all realizations of s.
 
-    Adjacency comes from applying every selectable move of every state; the
-    universe elements that gate into "do nothing" accumulate as loop
-    multiplicity, plus the padding loop of the kind.  Antiparallel arc pairs
-    count as one loop element each (see :mod:`degswap.chain`), which keeps
-    every state at the same walk degree.
+    Every universe element of every state (see :mod:`degswap.chain`) is
+    applied: a move whose added pairs are all absent becomes an arc, and
+    any other element, like each of the ``walk_degree - elements`` padding
+    slots, counts as a loop, so every state has out-degree ``walk_degree``.
     """
     if kind not in _KIND_TO_MODE:
         raise InvalidInputError(f"unknown state-graph kind {kind!r}")
@@ -204,86 +173,57 @@ def build_state_graph(
     if directed != (kind in (KIND_PHI, KIND_PHIBAR)):
         raise InvalidInputError(f"{kind} does not fit a {type(s).__name__}")
 
-    graphs = enumerate_realizations(s, max_n)
-    keys = sorted(canonical_key(g) for g in graphs)
-    realizations = {canonical_key(g): g for g in graphs}
+    graph_kind = DIRECTED if directed else UNDIRECTED
+    bits_iter = enumerate_realization_keys(s, max_n)
+    keys = sorted(CanonicalKey(graph_kind, s.n, bits) for bits in bits_iter)
+    realizations = {key: graph_from_key(key) for key in keys}
 
     universe = MoveUniverse.of(s, _KIND_TO_MODE[kind])
+    padding = universe.walk_degree - universe.elements
+    pairs_of = iter_role_disjoint_arc_pairs if directed else iter_nonadjacent_pairs
 
     arcs: dict[CanonicalKey, dict[CanonicalKey, int]] = {}
     loops: dict[CanonicalKey, int] = {}
-    n = s.n
     for key in keys:
         g = realizations[key]
+        pos = g._pos
         out: dict[CanonicalKey, int] = {}
-        nloops = 0
-        if kind == KIND_PSI:
-            pos = g._pos
-            for (a, b), (c, d) in iter_nonadjacent_pairs(g):
-                for f1, f2 in (
-                    (_ordered(a, c), _ordered(b, d)),
-                    (_ordered(a, d), _ordered(b, c)),
-                ):
-                    if f1 in pos or f2 in pos:
-                        nloops += 1
-                    else:
-                        dest = _destination(key, ((a, b), (c, d)), (f1, f2))
-                        out[dest] = out.get(dest, 0) + 1
-            nloops += 1  # one padding loop per state
-        elif kind == KIND_PHI:
-            pos = g._pos
-            for (a, b), (c, d) in iter_nonadjacent_pairs(g):
-                if (a, d) in pos or (c, b) in pos:
+        nloops = padding
+        absent = pos.keys().isdisjoint
+        for e1, e2 in pairs_of(g):
+            for move in _elements(kind, pos, e1, e2):
+                if move is None or not absent(move[1]):
                     nloops += 1
                 else:
-                    dest = _destination(key, ((a, b), (c, d)), ((a, d), (c, b)))
+                    dest = _destination(key, *move)
                     out[dest] = out.get(dest, 0) + 1
-            heads, tails = g.adjacency()
-            for v in range(n):
-                for u in tails[v]:
-                    for w in heads[v]:
-                        if u == w:
-                            # an antiparallel pair is one loop element, seen
-                            # once from each of its two centers
-                            if v < u:
-                                nloops += 1
-                            continue
-                        if (
-                            w > u
-                            and w > v
-                            and (w, u) in pos
-                            and (v, u) not in pos
-                            and (w, v) not in pos
-                            and (u, w) not in pos
-                        ):
-                            dest = _destination(
-                                key,
-                                ((u, v), (v, w), (w, u)),
-                                ((v, u), (w, v), (u, w)),
-                            )
-                            out[dest] = out.get(dest, 0) + 1
-                        else:
-                            nloops += 1
-            if universe.n_2paths == 0:
-                nloops += 1  # sink/source-only padding loop
-        else:  # phibar
-            pos = g._pos
-            for (a, b), (c, d) in iter_role_disjoint_arc_pairs(g):
-                if (
-                    a == d
-                    or b == c
-                    or (a, d) in pos
-                    or (c, b) in pos
-                ):
-                    nloops += 1
-                else:
-                    dest = _destination(key, ((a, b), (c, d)), ((a, d), (c, b)))
-                    out[dest] = out.get(dest, 0) + 1
-            nloops += 1  # one padding loop per state
         arcs[key] = out
         loops[key] = nloops
 
-    return StateGraph(kind, n, universe, keys, realizations, arcs, loops)
+    return StateGraph(kind, s.n, universe, keys, realizations, arcs, loops)
+
+
+def _elements(kind: str, pos, e1: tuple[int, int], e2: tuple[int, int]) -> tuple:
+    """The universe elements of one pair: a ``(removed, added)`` move each, None for a loop.
+
+    A psi pair re-pairs two ways.  A vertex-disjoint arc pair 2-swaps.  Under
+    phi a proper 2-path u -> v -> w whose w is the largest vertex and whose
+    (w, u) is present reorients the triple; any other arc pair, antiparallel
+    or head-to-tail, is a loop.
+    """
+    (a, b), (c, d) = e1, e2
+    if kind == KIND_PSI:
+        return (
+            ((e1, e2), (_ordered(a, c), _ordered(b, d))),
+            ((e1, e2), (_ordered(a, d), _ordered(b, c))),
+        )
+    if a != d and b != c:
+        return (((e1, e2), ((a, d), (c, b))),)
+    if kind == KIND_PHI and not (a == d and b == c):
+        u, v, w = (a, b, d) if b == c else (c, a, b)
+        if w > u and w > v and (w, u) in pos:
+            return ((((u, v), (v, w), (w, u)), ((v, u), (w, v), (u, w))),)
+    return (None,)
 
 
 def _ordered(u: int, v: int) -> tuple[int, int]:
@@ -292,11 +232,17 @@ def _ordered(u: int, v: int) -> tuple[int, int]:
 
 def _destination(key: CanonicalKey, removed, added) -> CanonicalKey:
     """The state a move reaches from ``key``: each removed and added pair flips."""
-    index = graph_class(key.kind).index
-    mask = 0
-    for u, v in (*removed, *added):
-        mask |= 1 << index(key.n, u, v)
-    return CanonicalKey(key.kind, key.n, key.bits ^ mask)
+    flip = _pair_bits(key.kind, key.n)
+    bits = key.bits
+    for pair in removed + added:
+        bits ^= flip[pair]
+    return CanonicalKey(key.kind, key.n, bits)
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_bits(kind: str, n: int) -> dict[tuple[int, int], int]:
+    """Each grid pair's key bit."""
+    return {pair: 1 << i for i, pair in enumerate(graph_class(kind).grid(n))}
 
 
 def rule_a_neighbors(sg: StateGraph) -> dict[CanonicalKey, set[CanonicalKey]]:

@@ -1,6 +1,7 @@
 """No super-linear cliff: realize and recognize at n = 20 000, recognize
 example1 with 60 cycle sets, cycle-set detection on 10^4 disjoint
-3-cycles, chains on a hub and on a sparse digraph with n = 10^5.
+3-cycles, the triangle scan on a hub digraph, chains on a hub and on a
+sparse digraph with n = 10^5.
 
 With per-round re-sorting greedies, tail-sum feasibility tests and a scan
 over all vertex triples the cold-path instance takes minutes; the
@@ -15,7 +16,7 @@ for a slow machine.
 import random
 import time
 
-from degswap.arcswap import detect_induced_cycle_sets, recognize
+from degswap.arcswap import detect_induced_cycle_sets, induced_3cycles, recognize
 from degswap.chain import ChainConfig, run_chain, universe_for
 from degswap.core import DegreeSequence, DiDegreeSequence, Digraph
 from degswap.generators import BlockedInstanceSpec, generate_blocked
@@ -97,6 +98,25 @@ def test_cycle_set_detection_on_30000_vertices():
         best = min(best, time.process_time() - start)
     assert [cs.vertices for cs in sets] == [(0, 1, 2)]
     assert best < 1.0, f"detection took {best:.2f} s of CPU"
+
+
+def test_triangle_scan_on_a_hub_digraph():
+    # k arcs into the hub h, k arcs out of it and one arc back from each
+    # out-neighbor k + i to the in-neighbor i: k induced 3-cycles i -> h ->
+    # k + i -> i.  Scanning h's k heads from each in-arc (i, h) costs k^2;
+    # the in-list of i holds one vertex.
+    k = 4000
+    h = 2 * k
+    arcs = [(i, h) for i in range(k)] + [(h, k + i) for i in range(k)]
+    arcs += [(k + i, i) for i in range(k)]
+    g = Digraph(h + 1, arcs)
+    best = BUDGET_S
+    for _ in range(2):
+        start = time.process_time()
+        triples = induced_3cycles(g)
+        best = min(best, time.process_time() - start)
+    assert triples == [(i, k + i, h) for i in range(k)]
+    assert best < 0.25, f"the triangle scan took {best:.2f} s of CPU"
 
 
 def test_hub_star_chains_have_no_cliff():

@@ -2,13 +2,14 @@ import pytest
 
 from degswap import arcswap
 from degswap.chain import complement_universe
-from degswap.core import DegreeSequence, DiDegreeSequence, canonical_key
+from degswap.core import DegreeSequence, DiDegreeSequence, Digraph, Graph, canonical_key
 from degswap.errors import ResourceLimitError
 from degswap.statespace import (
     build_state_graph,
     check_diameter_bounds,
     check_properties,
     empirical_transition_check,
+    enumerate_realization_keys,
     enumerate_realizations,
     rule_a_neighbors,
     to_dot,
@@ -17,20 +18,41 @@ from .conftest import (
     hub_with_back_arc,
     hub_with_matching,
     mobile_blocked_instance,
-    subset_enum_directed,
-    subset_enum_undirected,
 )
 
 
+def grid_subsets_by_sequence(cls, n):
+    """Every subset of cls's n-vertex grid, as key bits, grouped by degree sequence."""
+    grid = list(cls.grid(n))
+    groups = {}
+    for bits in range(1 << len(grid)):
+        outs, ins = [0] * n, [0] * n
+        for i, (u, v) in enumerate(grid):
+            if bits >> i & 1:
+                outs[u] += 1
+                ins[v] += 1
+        if cls is Digraph:
+            seq = DiDegreeSequence(zip(outs, ins))
+        else:
+            seq = DegreeSequence(a + b for a, b in zip(outs, ins))
+        groups.setdefault(seq, []).append(bits)
+    return groups
+
+
 def test_enumerate_against_subset_oracle():
-    for degs in ((1, 1, 1, 1), (2, 2, 2), (2, 2, 1, 1), (0, 0, 0), (3, 3, 3, 3)):
-        s = DegreeSequence(degs)
-        got = {g.pair_set() for g in enumerate_realizations(s)}
-        assert got == set(subset_enum_undirected(s))
-    for pairs in (((1, 1),) * 3, ((2, 2),) * 3, ((1, 1),) * 4, ((2, 1), (1, 2), (1, 1), (0, 0))):
-        s = DiDegreeSequence(pairs)
-        got = {g.pair_set() for g in enumerate_realizations(s)}
-        assert got == set(subset_enum_directed(s))
+    # every degree sequence of a graph with n <= 5 and of a digraph with
+    # n <= 4: the enumerator yields exactly the sequence's subsets of the
+    # grid, each once, and every state of each fitting state graph has the
+    # universe's walk degree, padding slots included
+    for cls, kinds, top in ((Graph, ("psi",), 5), (Digraph, ("phi", "phibar"), 4)):
+        for n in range(1, top + 1):
+            for s, group in grid_subsets_by_sequence(cls, n).items():
+                keys = list(enumerate_realization_keys(s))
+                assert len(set(keys)) == len(keys) and sorted(keys) == group, s
+                for kind in kinds:
+                    sg = build_state_graph(s, kind)
+                    walk_degree = sg.universe.walk_degree
+                    assert all(sg.out_degree(k) == walk_degree for k in sg.keys), (s, kind)
 
 
 def test_enumerate_known_counts():
