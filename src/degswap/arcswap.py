@@ -205,8 +205,7 @@ def induced_3cycles(g: Digraph) -> list[tuple[int, int, int]]:
     Each cycle u -> v -> w -> u is found once, from the arc (u, v) leaving
     its least vertex u: w runs over out(v) or in(u), whichever is shorter,
     and must close the cycle while no arc of the triple has its reversal.
-    O(m * max degree), and O(m) on a hub whose in- and out-arcs share no
-    other vertex.
+    Each arc costs the shorter list, so O(m * max degree) at most.
     """
     return _induced_3cycles(g, *g.adjacency())
 

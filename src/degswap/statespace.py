@@ -174,8 +174,9 @@ def build_state_graph(
         raise InvalidInputError(f"{kind} does not fit a {type(s).__name__}")
 
     graph_kind = DIRECTED if directed else UNDIRECTED
-    bits_iter = enumerate_realization_keys(s, max_n)
-    keys = sorted(CanonicalKey(graph_kind, s.n, bits) for bits in bits_iter)
+    keys = sorted(
+        CanonicalKey(graph_kind, s.n, bits) for bits in enumerate_realization_keys(s, max_n)
+    )
     realizations = {key: graph_from_key(key) for key in keys}
 
     universe = MoveUniverse.of(s, _KIND_TO_MODE[kind])
