@@ -55,6 +55,9 @@ EXTRA = [
     ("duplicate-edge", "recognize --edgelist -", "undirected n=3\n0 1\n1 0\n"),
     ("not-graphical", "realize --degrees '3 1'", None),
     ("enumerate-too-large", "enumerate --degrees '1 1 1 1 1 1 1 1 1 1 1 1' --kind psi", None),
+    ("enumerate-unrealizable-psi", "enumerate --degrees '3 3 1 1' --kind psi", None),
+    ("enumerate-unrealizable-phi-dot", "enumerate --degrees '1/1' --kind phi --format dot", None),
+    ("enumerate-unrealizable-phibar", "enumerate --degrees '1/1' --kind phibar", None),
 ]
 
 

@@ -289,6 +289,7 @@ def _cmd_enumerate(args) -> int:
     from . import statespace
 
     s = _load_sequence(args)
+    realize.require_realizable(s)  # fails as under realize, before the size bound
     sg = statespace.build_state_graph(s, args.kind, max_n=args.max_n)
     props = statespace.check_properties(sg)
     if sg.kind == statespace.KIND_PHIBAR:

@@ -97,9 +97,7 @@ def is_graphical(s: DegreeSequence) -> RealizabilityReport:
 
 
 def realize_undirected(s: DegreeSequence) -> Graph:
-    violation = _erdos_gallai_violation(s)
-    if violation is not None:
-        raise RealizationError(violation)
+    require_realizable(s)
     return _havel_hakimi(s)
 
 
@@ -185,7 +183,13 @@ def is_digraphical(s: DiDegreeSequence) -> RealizabilityReport:
 
 
 def realize_directed(s: DiDegreeSequence) -> Digraph:
-    violation = _fulkerson_chen_violation(s)
+    require_realizable(s)
+    return _kleitman_wang(s)
+
+
+def require_realizable(s: DegreeSequence | DiDegreeSequence) -> None:
+    """Raise RealizationError naming the first violated inequality; builds no witness."""
+    directed = isinstance(s, DiDegreeSequence)
+    violation = (_fulkerson_chen_violation if directed else _erdos_gallai_violation)(s)
     if violation is not None:
         raise RealizationError(violation)
-    return _kleitman_wang(s)

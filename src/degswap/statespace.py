@@ -15,6 +15,10 @@ the walk is regular by construction and its transition row is
 
 The module also holds the symmetric-difference and alternating-cycle lemma
 code behind the distance bounds that :func:`check_diameter_bounds` checks.
+It is written once for both kinds: a graph's edge is read as an arc that is
+out- and in-incident at each of its ends, so one alternating walk
+decomposes either difference and one search finds its 3-walks; only the
+second walk pattern, Q, is limited to digraphs.
 """
 
 from __future__ import annotations
@@ -231,6 +235,10 @@ def _ordered(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
+def _arc(u: int, v: int) -> tuple[int, int]:
+    return (u, v)
+
+
 def _destination(key: CanonicalKey, removed, added) -> CanonicalKey:
     """The state a move reaches from ``key``: each removed and added pair flips."""
     flip = _pair_bits(key.kind, key.n)
@@ -345,6 +353,19 @@ def _bfs_dists(sg: StateGraph, src: CanonicalKey) -> dict[CanonicalKey, int]:
     return dist
 
 
+def _bipartite(sg: StateGraph, comp: list[CanonicalKey]) -> bool:
+    """Whether a loopless strong component 2-colours by BFS depth parity.
+
+    A shortest path between two states of one strong component stays inside
+    it, so depths from the whole graph's BFS are the component's own.
+    """
+    if any(sg.loops[k] for k in comp):
+        return False
+    dist = _bfs_dists(sg, comp[0])
+    members = set(comp)
+    return all((dist[x] - dist[y]) % 2 for x in comp for y in sg.arcs[x] if y in members)
+
+
 def check_properties(sg: StateGraph) -> PropertyReport:
     symmetric = all(
         sg.arcs.get(y, {}).get(x, 0) == mult
@@ -359,28 +380,7 @@ def check_properties(sg: StateGraph) -> PropertyReport:
     comp_sizes = sorted((len(c) for c in comps), reverse=True)
 
     # a component is aperiodic here iff it carries a loop or an odd cycle
-    non_bip = True
-    for comp in comps:
-        if any(sg.loops[k] > 0 for k in comp):
-            continue
-        color = {comp[0]: 0}
-        queue = deque([comp[0]])
-        bipartite = True
-        members = set(comp)
-        while queue and bipartite:
-            node = queue.popleft()
-            for nxt in sg.arcs[node]:
-                if nxt not in members:
-                    continue
-                if nxt not in color:
-                    color[nxt] = color[node] ^ 1
-                    queue.append(nxt)
-                elif color[nxt] == color[node]:
-                    bipartite = False
-                    break
-        if bipartite:
-            non_bip = False
-            break
+    non_bip = not any(_bipartite(sg, comp) for comp in comps)
 
     diameters = []
     for comp in comps:
@@ -512,151 +512,80 @@ class AlternatingWalk(NamedTuple):
     def arcs(self) -> tuple[tuple[tuple[int, int], str], ...]:
         """The walk's three arcs with their side labels.
 
-        Directed membership pattern: (v1,v2) and (v3,v4) on one side,
-        (v3,v2) on the other.  Undirected: edges {v1,v2}, {v3,v4}, {v2,v3}.
+        (v1,v2) and (v3,v4) on one side, (v3,v2) on the other; a graph's
+        edges come as (smaller, larger) vertex pairs.
         """
         v1, v2, v3, v4 = self.vertices
         a, b = ("left", "right") if self.pattern == "P" else ("right", "left")
-        if self.kind == UNDIRECTED:
-            return (
-                (_ordered(v1, v2), a),
-                (_ordered(v2, v3), b),
-                (_ordered(v3, v4), a),
-            )
-        return (((v1, v2), a), ((v3, v2), b), ((v3, v4), a))
+        edge = _arc if self.kind == DIRECTED else _ordered
+        return ((edge(v1, v2), a), (edge(v3, v2), b), (edge(v3, v4), a))
 
 
 def decompose_alternating(sd: SymmetricDifference) -> list[AlternatingCycle]:
     """Partition a balanced symmetric difference into alternating cycles.
 
-    Greedy extraction: walk alternating sides until the walk's start state
-    recurs, close the cycle there, repeat on the unused remainder.  The
-    result partitions the arcs; cycle count is not guaranteed minimal.
+    Greedy extraction: from the least unused left pair, walk alternating
+    sides, leaving the current vertex along an unused out-arc and entering
+    it along an unused in-arc in turn, always towards the least neighbour,
+    until the walk's start state recurs; close the cycle there and repeat
+    on the unused remainder.  A graph's edge is both out- and in-incident at
+    each end, so one walk serves both kinds.  The result partitions the
+    pairs; the cycle count is not guaranteed minimal.
     """
     if not sd.is_balanced():
         raise InvalidInputError("symmetric difference is not degree-balanced")
-    if sd.kind == UNDIRECTED:
-        return _decompose_undirected(sd)
-    return _decompose_directed(sd)
-
-
-def _decompose_undirected(sd: SymmetricDifference) -> list[AlternatingCycle]:
-    # unused side-labeled incidences per vertex
-    inc: dict[int, list[set[int]]] = {}
-
-    def add(u, v, side):
-        inc.setdefault(u, [set(), set()])[side].add(v)
-        inc.setdefault(v, [set(), set()])[side].add(u)
-
-    for u, v in sd.left_only:
-        add(u, v, 0)
-    for u, v in sd.right_only:
-        add(u, v, 1)
-
-    cycles = []
-    pending = sorted(sd.left_only)
-    for start_edge in pending:
-        u0, v0 = start_edge
-        if v0 not in inc[u0][0]:
-            continue  # consumed by an earlier cycle
-        walk = [u0]
-        left, right = [], []
-        cur, side = u0, 0
-        while True:
-            if side == 0:
-                nxt = min(inc[cur][0])
-                inc[cur][0].discard(nxt)
-                inc[nxt][0].discard(cur)
-                left.append(_ordered(cur, nxt))
-            else:
-                nxt = min(inc[cur][1])
-                inc[cur][1].discard(nxt)
-                inc[nxt][1].discard(cur)
-                right.append(_ordered(cur, nxt))
-            cur, side = nxt, 1 - side
-            if cur == u0 and side == 0:
-                break
-            walk.append(cur)
-        cycles.append(
-            AlternatingCycle(sd.kind, tuple(walk), tuple(left), tuple(right))
-        )
-    return cycles
-
-
-def _decompose_directed(sd: SymmetricDifference) -> list[AlternatingCycle]:
-    # Walk state alternates between "emit an unused out-arc of cur" and
-    # "consume an unused in-arc of cur", switching sides each step; balance
-    # guarantees the walk only closes back at its start state.
+    directed = sd.kind == DIRECTED
+    edge = _arc if directed else _ordered
     out_un: dict[tuple[int, int], set[int]] = {}  # (v, side) -> unused heads
-    in_un: dict[tuple[int, int], set[int]] = {}  # (v, side) -> unused tails
-    for side, arcs in ((0, sd.left_only), (1, sd.right_only)):
-        for u, v in arcs:
+    in_un = {} if directed else out_un  # (v, side) -> unused tails
+    for side, pairs in ((0, sd.left_only), (1, sd.right_only)):
+        for u, v in pairs:
             out_un.setdefault((u, side), set()).add(v)
             in_un.setdefault((v, side), set()).add(u)
 
+    # Side and direction flip together on every step, so ``emitting`` alone
+    # marks side 0; balance guarantees the walk only closes back at its start.
     cycles = []
-    for start_arc in sorted(sd.left_only):
-        u0, v0 = start_arc
-        if v0 not in out_un.get((u0, 0), ()):
-            continue
+    for u0, v0 in sorted(sd.left_only):
+        if v0 not in out_un[(u0, 0)]:
+            continue  # consumed by an earlier cycle
         walk = [u0]
-        left, right = [], []
+        sides: tuple[list, list] = ([], [])
         cur, side, emitting = u0, 0, True
         while True:
-            if emitting:
-                nxt = min(out_un[(cur, side)])
-                out_un[(cur, side)].discard(nxt)
-                in_un[(nxt, side)].discard(cur)
-                (left if side == 0 else right).append((cur, nxt))
-            else:
-                nxt = min(in_un[(cur, side)])
-                in_un[(cur, side)].discard(nxt)
-                out_un[(nxt, side)].discard(cur)
-                (left if side == 0 else right).append((nxt, cur))
+            ahead, back = (out_un, in_un) if emitting else (in_un, out_un)
+            nxt = min(ahead[(cur, side)])
+            ahead[(cur, side)].discard(nxt)
+            back[(nxt, side)].discard(cur)
+            sides[side].append(edge(cur, nxt) if emitting else edge(nxt, cur))
             cur, side, emitting = nxt, 1 - side, not emitting
-            if cur == u0 and side == 0 and emitting:
+            if cur == u0 and emitting:
                 break
             walk.append(cur)
-        cycles.append(
-            AlternatingCycle(sd.kind, tuple(walk), tuple(left), tuple(right))
-        )
+        cycles.append(AlternatingCycle(sd.kind, tuple(walk), *map(tuple, sides)))
     return cycles
 
 
 def find_disjoint_3walk(sd: SymmetricDifference) -> Optional[AlternatingWalk]:
     """Search for a 4-distinct-vertex alternating 3-walk in the difference.
 
-    Undirected: edges {v1,v2}, {v3,v4} on the left side and {v2,v3} on the
-    right.  Directed: arcs (v1,v2), (v3,v4) left with (v3,v2) right
-    (pattern P), or the same shape with sides exchanged (pattern Q).
-    Returns None when no such walk exists.
+    Pattern P: arcs (v1,v2), (v3,v4) on the left side and (v3,v2) on the
+    right; on a graph the arcs are edges, and each right edge is tried in
+    both directions.  Pattern Q (digraphs only): the same shape with sides
+    exchanged.  Returns None when no such walk exists.
     """
-    if sd.kind == UNDIRECTED:
-        left_at: dict[int, set[int]] = {}
-        for u, v in sd.left_only:
-            left_at.setdefault(u, set()).add(v)
-            left_at.setdefault(v, set()).add(u)
-        for u, v in sorted(sd.right_only):
-            for v2, v3 in ((u, v), (v, u)):
-                for v1 in sorted(left_at.get(v2, ())):
-                    if v1 == v3:
-                        continue
-                    for v4 in sorted(left_at.get(v3, ())):
-                        if v4 in (v1, v2):
-                            continue
-                        return AlternatingWalk(sd.kind, (v1, v2, v3, v4), "P")
-        return None
-
-    for pattern, mids, outers in (
-        ("P", sd.right_only, sd.left_only),
-        ("Q", sd.left_only, sd.right_only),
-    ):
-        in_of: dict[int, set[int]] = {}
+    directed = sd.kind == DIRECTED
+    patterns = (("P", sd.right_only, sd.left_only), ("Q", sd.left_only, sd.right_only))
+    for pattern, mids, outers in patterns if directed else patterns[:1]:
         out_of: dict[int, set[int]] = {}
+        in_of = {} if directed else out_of
         for u, v in outers:
             out_of.setdefault(u, set()).add(v)
             in_of.setdefault(v, set()).add(u)
-        for v3, v2 in sorted(mids):
+        mids = sorted(mids)
+        if not directed:
+            mids = [arc for u, v in mids for arc in ((v, u), (u, v))]
+        for v3, v2 in mids:
             for v1 in sorted(in_of.get(v2, ())):
                 if v1 == v3:
                     continue

@@ -185,6 +185,21 @@ def test_enumerate_resource_exit_3(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("fmt", ["json", "dot"])
+@pytest.mark.parametrize(
+    "degrees, kind",
+    [("3 3 1 1", "psi"), ("1/1", "phi"), ("1/1", "phibar"), (" ".join(["1"] * 13), "psi")],
+)
+def test_enumerate_unrealizable_exit_2(capsys, degrees, kind, fmt):
+    # no state graph is printed, and the message is realize's, also above
+    # the enumeration bound
+    _, _, realize_err = run_cli(capsys, "realize", "--degrees", degrees)
+    code, out, err = run_cli(
+        capsys, "enumerate", "--degrees", degrees, "--kind", kind, "--format", fmt
+    )
+    assert (code, out, err) == (2, "", realize_err)
+
+
 def test_generate_and_recognize_roundtrip(tmp_path, capsys):
     code, out, _ = run_cli(
         capsys,

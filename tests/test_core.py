@@ -25,6 +25,8 @@ from degswap.statespace import (
     symmetric_difference,
 )
 from .conftest import (
+    all_digraphical_sequences,
+    all_graphical_sequences,
     reorient_triangle,
     swap_alternating_cycle,
     swap_arcs,
@@ -192,6 +194,23 @@ def test_decompose_reassembles_directed(data):
     _check_decomposition(g, h)
 
 
+def realization_pairs(sequences):
+    """Every ordered pair of realizations of each sequence, each with itself too."""
+    for s in sequences:
+        reals = enumerate_realizations(s)
+        for g in reals:
+            for h in reals:
+                yield g, h
+
+
+def test_decompose_reassembles_every_small_pair():
+    # every graphical sequence with n <= 5 and digraphical one with n <= 4
+    sequences = [s for n in range(1, 6) for s, _ in all_graphical_sequences(n, 4)]
+    sequences += [s for n in range(1, 5) for s, _ in all_digraphical_sequences(n, 3)]
+    for g, h in realization_pairs(sequences):
+        _check_decomposition(g, h)
+
+
 def test_decompose_rejects_unbalanced():
     g = Graph(3, [(0, 1)])
     h = Graph(3, [(0, 1), (1, 2)])
@@ -200,19 +219,49 @@ def test_decompose_rejects_unbalanced():
 
 
 def test_find_3walk_undirected_always_exists():
-    reals = enumerate_realizations(DegreeSequence((2, 2, 1, 1, 2)))
-    for g in reals:
-        for h in reals:
-            if g == h:
-                continue
-            sd = symmetric_difference(g, h)
-            walk = find_disjoint_3walk(sd)
-            assert walk is not None
-            (e1, s1), (e2, s2), (e3, s3) = walk.arcs()
+    # every non-increasing graphical sequence with n <= 6
+    sequences = [
+        s
+        for n in range(1, 7)
+        for s, _ in all_graphical_sequences(n, n - 1)
+        if list(s.degrees) == sorted(s.degrees, reverse=True)
+    ]
+    count = 0
+    for g, h in realization_pairs(sequences):
+        if g == h:
+            continue
+        count += 1
+        sd = symmetric_difference(g, h)
+        walk = find_disjoint_3walk(sd)
+        assert walk is not None
+        (e1, s1), (e2, s2), (e3, s3) = walk.arcs()
+        assert len(set(walk.vertices)) == 4
+        assert (s1, s2, s3) == ("left", "right", "left")
+        assert e1 in sd.left_only and e3 in sd.left_only
+        assert e2 in sd.right_only
+    assert count == 27110
+
+
+def test_find_3walk_directed_absent_only_on_a_reversed_triangle():
+    # every digraphical sequence with n <= 4, and with n = 5 and degrees
+    # <= 1, where a reversed triangle can sit beside a 2-cycle: no P or Q
+    # walk exists exactly when the difference is 6 arcs on 3 vertices
+    sequences = [s for n in range(1, 5) for s, _ in all_digraphical_sequences(n, 3)]
+    sequences += [s for s, _ in all_digraphical_sequences(5, 1)]
+    walkless = 0
+    for g, h in realization_pairs(sequences):
+        if g == h:
+            continue
+        sd = symmetric_difference(g, h)
+        walk = find_disjoint_3walk(sd)
+        reversed_triangle = sd.size == 6 and len(sd.vertices()) == 3
+        assert (walk is None) == reversed_triangle, (g, h)
+        walkless += walk is None
+        if walk is not None:
             assert len(set(walk.vertices)) == 4
-            assert (s1, s2, s3) == ("left", "right", "left")
-            assert e1 in sd.left_only and e3 in sd.left_only
-            assert e2 in sd.right_only
+            for arc, side in walk.arcs():
+                assert arc in (sd.left_only if side == "left" else sd.right_only)
+    assert walkless == 594
 
 
 def test_find_3walk_cycle_reversal_absent():

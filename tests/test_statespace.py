@@ -5,6 +5,7 @@ from degswap.chain import complement_universe
 from degswap.core import DegreeSequence, DiDegreeSequence, Digraph, Graph, canonical_key
 from degswap.errors import ResourceLimitError
 from degswap.statespace import (
+    StateGraph,
     build_state_graph,
     check_diameter_bounds,
     check_properties,
@@ -93,6 +94,39 @@ def test_phi_two_triangles():
     assert sg.loops[a] == sg.loops[b] == 2
     row = sg.transition_row(a)
     assert row[b] == pytest.approx(1 / 3) and row[a] == pytest.approx(2 / 3)
+
+
+def hand_built(edges, one_way=(), loops=()):
+    """A StateGraph with unit arcs both ways along ``edges``, one way along
+    ``one_way`` and a single loop at each state of ``loops``; states are letters."""
+    keys = sorted({k for pair in (*edges, *one_way) for k in pair} | set(loops))
+    arcs = {k: {} for k in keys}
+    for x, y in edges:
+        arcs[x][y] = arcs[y][x] = 1
+    for x, y in one_way:
+        arcs[x][y] = 1
+    loop_count = {k: int(k in loops) for k in keys}
+    return StateGraph("phi", 0, None, keys, {}, arcs, loop_count)
+
+
+def test_check_properties_on_hand_built_state_graphs():
+    square = check_properties(hand_built(["ab", "bc", "cd", "da"]))
+    assert square == (True, True, 2, False, True, [4], [2])
+    triangle = check_properties(hand_built(["ab", "bc", "ca"]))
+    assert triangle == (True, True, 2, True, True, [3], [1])
+    # a loop makes the square aperiodic, and so does a one-way odd cycle
+    assert check_properties(hand_built(["ab", "bc", "cd", "da"], loops="a")).non_bipartite
+    assert check_properties(hand_built([], one_way=["ab", "bc", "ca"])).non_bipartite
+    # one bipartite component is enough
+    two = check_properties(hand_built(["ab", "cd", "de", "ec"]))
+    assert not two.non_bipartite and not two.strongly_connected
+    assert two.component_sizes == [3, 2] and not two.regular
+    assert check_properties(hand_built(["ab", "cd", "de", "ec"], loops="ab")).non_bipartite
+    one_way = check_properties(hand_built([], one_way=["ab"], loops="b"))
+    assert not one_way.symmetric and one_way.regular and one_way.component_sizes == [1, 1]
+    path = check_properties(hand_built(["ab", "bc"]))
+    assert path.symmetric and not path.regular and path.degree is None
+    assert not path.non_bipartite and path.diameters == [2]
 
 
 def test_phibar_two_isolated_triangles():
