@@ -291,15 +291,15 @@ def _cmd_enumerate(args) -> int:
     s = _load_sequence(args)
     realize.require_realizable(s)  # fails as under realize, before the size bound
     sg = statespace.build_state_graph(s, args.kind, max_n=args.max_n)
+    if args.format == "dot":
+        _emit(statespace.to_dot(sg))
+        return EXIT_OK
     props = statespace.check_properties(sg)
     if sg.kind == statespace.KIND_PHIBAR:
         arc_swap = arcswap.recognize(s).is_arc_swap
     else:
         arc_swap = None
     bounds = statespace.check_diameter_bounds(sg, arc_swap=arc_swap)
-    if args.format == "dot":
-        _emit(statespace.to_dot(sg))
-        return EXIT_OK
     _emit(
         _dumps(
             {

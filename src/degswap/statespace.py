@@ -11,7 +11,10 @@ loop applies every element of the chain's selection universe
 (:class:`degswap.chain.MoveUniverse`) to every state: an element whose move
 is gated counts as a loop, as does each of the universe's padding slots, so
 the walk is regular by construction and its transition row is
-``1/walk_degree`` per slot.
+``1/walk_degree`` per slot.  More than :data:`MAX_STATES` realizations
+are over budget.  The structural checks all read one iteration of reach
+bitsets over the states (``_reach``): strong components, diameters,
+bipartiteness and the distance bounds.
 
 The module also holds the symmetric-difference and alternating-cycle lemma
 code behind the distance bounds that :func:`check_diameter_bounds` checks.
@@ -27,7 +30,6 @@ import functools
 import itertools
 import math
 import random
-from collections import deque
 from typing import Iterator, NamedTuple, Optional
 
 from .chain import (
@@ -60,6 +62,9 @@ _KIND_TO_MODE = {KIND_PSI: MODE_UNDIRECTED, KIND_PHI: MODE_FULL, KIND_PHIBAR: MO
 
 DEFAULT_MAX_N_UNDIRECTED = 8
 DEFAULT_MAX_N_DIRECTED = 6
+# The state budget: a sequence with more realizations raises ResourceLimitError
+# in build_state_graph as soon as the enumeration passes it, before any row.
+MAX_STATES = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +175,7 @@ def build_state_graph(
     applied: a move whose added pairs are all absent becomes an arc, and
     any other element, like each of the ``walk_degree - elements`` padding
     slots, counts as a loop, so every state has out-degree ``walk_degree``.
+    More than :data:`MAX_STATES` realizations raise ResourceLimitError.
     """
     if kind not in _KIND_TO_MODE:
         raise InvalidInputError(f"unknown state-graph kind {kind!r}")
@@ -178,9 +184,10 @@ def build_state_graph(
         raise InvalidInputError(f"{kind} does not fit a {type(s).__name__}")
 
     graph_kind = DIRECTED if directed else UNDIRECTED
-    keys = sorted(
-        CanonicalKey(graph_kind, s.n, bits) for bits in enumerate_realization_keys(s, max_n)
-    )
+    found = list(itertools.islice(enumerate_realization_keys(s, max_n), MAX_STATES + 1))
+    if len(found) > MAX_STATES:
+        raise ResourceLimitError(f"realization count exceeds the state budget of {MAX_STATES}")
+    keys = sorted(CanonicalKey(graph_kind, s.n, bits) for bits in found)
     realizations = {key: graph_from_key(key) for key in keys}
 
     universe = MoveUniverse.of(s, _KIND_TO_MODE[kind])
@@ -295,78 +302,46 @@ class PropertyReport(NamedTuple):
     diameters: list[int]
 
 
-def _strong_components(sg: StateGraph) -> list[list[CanonicalKey]]:
-    # Kosaraju with explicit stacks; loops are irrelevant to components.
-    order = []
-    seen = set()
-    for root in sg.keys:
-        if root in seen:
-            continue
-        stack = [(root, iter(sg.arcs[root]))]
-        seen.add(root)
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append((nxt, iter(sg.arcs[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                order.append(node)
-                stack.pop()
+class _Reach(NamedTuple):
+    """Reach levels of a state graph, its states numbered by their place in ``sg.keys``.
 
-    rev: dict[CanonicalKey, list[CanonicalKey]] = {k: [] for k in sg.keys}
-    for x, row in sg.arcs.items():
-        for y in row:
-            rev[y].append(x)
-
-    comps = []
-    assigned = set()
-    for root in reversed(order):
-        if root in assigned:
-            continue
-        comp = [root]
-        assigned.add(root)
-        queue = deque([root])
-        while queue:
-            node = queue.popleft()
-            for nxt in rev[node]:
-                if nxt not in assigned:
-                    assigned.add(nxt)
-                    comp.append(nxt)
-                    queue.append(nxt)
-        comps.append(comp)
-    return comps
-
-
-def _bfs_dists(sg: StateGraph, src: CanonicalKey) -> dict[CanonicalKey, int]:
-    dist = {src: 0}
-    queue = deque([src])
-    while queue:
-        node = queue.popleft()
-        for nxt in sg.arcs[node]:
-            if nxt not in dist:
-                dist[nxt] = dist[node] + 1
-                queue.append(nxt)
-    return dist
-
-
-def _bipartite(sg: StateGraph, comp: list[CanonicalKey]) -> bool:
-    """Whether a loopless strong component 2-colours by BFS depth parity.
-
-    A shortest path between two states of one strong component stays inside
-    it, so depths from the whole graph's BFS are the component's own.
+    ``rows[i]`` lists the states one arc out of i.  ``levels[k][i]`` is the
+    bitset of the states within k arcs of i, iterated as ``levels[k + 1][i] =
+    levels[k][i] | OR over rows[i] of levels[k][j]`` until nothing changes;
+    the last index D is the largest finite distance.  Two states share a
+    strong component iff they reach the same set, so ``components`` groups
+    them by it: largest first, equal sizes in the order of their first state.
     """
-    if any(sg.loops[k] for k in comp):
-        return False
-    dist = _bfs_dists(sg, comp[0])
-    members = set(comp)
-    return all((dist[x] - dist[y]) % 2 for x in comp for y in sg.arcs[x] if y in members)
+
+    rows: list[list[int]]
+    levels: list[list[int]]
+    components: list[list[int]]
+
+
+def _reach(sg: StateGraph) -> _Reach:
+    index = {key: i for i, key in enumerate(sg.keys)}
+    rows = [[index[y] for y in sg.arcs[x]] for x in sg.keys]
+    level = [1 << i for i in range(len(rows))]
+    levels = []
+    while not levels or level != levels[-1]:
+        levels.append(level)
+        prev, level = level, []
+        for reach, row in zip(prev, rows):
+            for j in row:
+                reach |= prev[j]
+            level.append(reach)
+    groups: dict[int, list[int]] = {}
+    for i, reach in enumerate(level):
+        groups.setdefault(reach, []).append(i)
+    return _Reach(rows, levels, sorted(groups.values(), key=len, reverse=True))
 
 
 def check_properties(sg: StateGraph) -> PropertyReport:
+    """Symmetry, regularity, aperiodicity and strong components of a state graph.
+
+    ``diameters`` pairs with ``component_sizes``, largest component first; a
+    shortest path between two states of one component stays inside it.
+    """
     symmetric = all(
         sg.arcs.get(y, {}).get(x, 0) == mult
         for x, row in sg.arcs.items()
@@ -376,29 +351,25 @@ def check_properties(sg: StateGraph) -> PropertyReport:
     regular = len(degrees) == 1
     degree = degrees.pop() if regular else None
 
-    comps = _strong_components(sg)
-    comp_sizes = sorted((len(c) for c in comps), reverse=True)
-
-    # a component is aperiodic here iff it carries a loop or an odd cycle
-    non_bip = not any(_bipartite(sg, comp) for comp in comps)
-
+    rows, levels, comps = _reach(sg)
     diameters = []
-    for comp in comps:
-        worst = 0
-        for src in comp:
-            dist = _bfs_dists(sg, src)
-            worst = max(worst, max(dist[k] for k in comp))
-        diameters.append(worst)
-
-    return PropertyReport(
-        symmetric=symmetric,
-        regular=regular,
-        degree=degree,
-        non_bipartite=non_bip,
-        strongly_connected=len(comps) == 1,
-        component_sizes=comp_sizes,
-        diameters=diameters,
-    )
+    non_bip = True  # a component is aperiodic here iff it carries a loop or an odd cycle
+    for members in comps:
+        inside = sum(1 << i for i in members)
+        diameters.append(max(
+            next(k for k, level in enumerate(levels) if level[i] & inside == inside)
+            for i in members
+        ))
+        if non_bip and not any(sg.loops[sg.keys[i]] for i in members):
+            # bipartite iff every arc inside joins opposite depth parities from one state
+            src, odd = members[0], 0
+            for k in range(1, len(levels), 2):
+                odd |= levels[k][src] & ~levels[k - 1][src]
+            non_bip = not all(
+                (odd >> x ^ odd >> y) & 1 for x in members for y in rows[x] if inside >> y & 1
+            )
+    sizes = [len(c) for c in comps]
+    return PropertyReport(symmetric, regular, degree, non_bip, len(comps) == 1, sizes, diameters)
 
 
 class BoundReport(NamedTuple):
@@ -419,6 +390,11 @@ def check_diameter_bounds(sg: StateGraph, arc_swap: Optional[bool] = None) -> Bo
     dist <= (|G delta G'|/2 - 1) * (n+1), but only for arc-swap sequences
     (pass ``arc_swap``; for 6-arc differences on 3 vertices this expression
     equals the sharper 2n+2 promise, so no separate case is needed).
+
+    From each state, the difference sizes to all states are counted at once,
+    bit-sliced over state bitsets.  A pair whose bound is at least the last
+    reach level D needs only to be reachable; any other pair is looked up in
+    the level of its bound.
     """
     if sg.kind == KIND_PHIBAR:
         if arc_swap is None:
@@ -426,23 +402,42 @@ def check_diameter_bounds(sg: StateGraph, arc_swap: Optional[bool] = None) -> Bo
         if not arc_swap:
             return BoundReport(sg.kind, False, 0, [])
 
+    keys = sg.keys
+    scale = sg.n + 1 if sg.kind == KIND_PHIBAR else 1
+
+    def bound(size: int) -> int:
+        return (size // 2 - 1) * scale
+
+    levels = _reach(sg).levels
+    last = len(levels) - 1
+    everyone = (1 << len(keys)) - 1
+    width = max((key.bits.bit_length() for key in keys), default=0)
+    # holders[p]: the states holding grid pair p
+    holders = [
+        int("".join("01"[key.bits >> p & 1] for key in reversed(keys)), 2) for p in range(width)
+    ]
+    near = [(size, bound(size)) for size in range(width + 1) if bound(size) < last]
     violations = []
-    checked = 0
-    n = sg.n
-    for x in sg.keys:
-        dist = _bfs_dists(sg, x)
-        for y in sg.keys:
-            if y == x:
-                continue
-            diff = x.diff_size(y)
-            bound = diff // 2 - 1
-            if sg.kind == KIND_PHIBAR:
-                bound *= n + 1
-            checked += 1
-            d = dist.get(y)
-            if d is None or d > bound:
-                violations.append((x.hex(), y.hex(), -1 if d is None else d, bound))
-    return BoundReport(sg.kind, True, checked, violations)
+    for i, key in enumerate(keys):
+        # counts[t]: the states whose difference from key has bit t set in its size
+        counts = [0] * width.bit_length()
+        for p, held in enumerate(holders):
+            carry = held ^ everyone if key.bits >> p & 1 else held
+            for t, count in enumerate(counts):
+                counts[t], carry = count ^ carry, count & carry
+        late = everyone & ~levels[last][i]  # unreachable
+        for size, limit in near:
+            exact = everyone
+            for t, count in enumerate(counts):
+                exact &= count if size >> t & 1 else ~count
+            late |= exact & ~(levels[limit][i] if limit >= 0 else 0)
+        late &= ~(1 << i)
+        while late:
+            j = (late & -late).bit_length() - 1
+            late ^= 1 << j
+            dist = next((k for k, level in enumerate(levels) if level[i] >> j & 1), -1)
+            violations.append((key.hex(), keys[j].hex(), dist, bound(key.diff_size(keys[j]))))
+    return BoundReport(sg.kind, True, len(keys) * (len(keys) - 1), violations)
 
 
 # ---------------------------------------------------------------------------

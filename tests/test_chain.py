@@ -618,14 +618,15 @@ def test_full_mode_uniform_over_antiparallel_mix():
 def test_plain_mode_uniform_within_component():
     # non-arc-swap instance: the swap-only walk must stay in its component
     # and sample that component uniformly
-    from degswap.statespace import _strong_components, build_state_graph
+    from degswap.statespace import _reach, build_state_graph
     from .conftest import chi2_sf
 
     g0 = mobile_blocked_instance()
     s = g0.degree_sequence()
     sg = build_state_graph(s, "phibar", max_n=7)
     start = canonical_key(g0)
-    component = next(c for c in _strong_components(sg) if start in c)
+    index = sg.keys.index(start)
+    component = [sg.keys[i] for i in next(c for c in _reach(sg).components if index in c)]
     assert len(component) == 4
     counts = {}
     runs, tau = 2000, 1200

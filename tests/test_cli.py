@@ -170,7 +170,15 @@ def test_enumerate_json(capsys):
     assert payload["bounds_ok"] is True
 
 
-def test_enumerate_dot(capsys):
+def test_enumerate_dot(capsys, monkeypatch):
+    # the dot text is all --format dot prints, so the checks are not run
+    from degswap import statespace
+
+    def unused(*args, **kwargs):
+        raise AssertionError("a check ran under --format dot")
+
+    monkeypatch.setattr(statespace, "check_properties", unused)
+    monkeypatch.setattr(statespace, "check_diameter_bounds", unused)
     code, out, _ = run_cli(
         capsys, "enumerate", "--degrees", "1/1 1/1 1/1", "--kind", "phi", "--format", "dot"
     )
@@ -183,6 +191,20 @@ def test_enumerate_resource_exit_3(capsys):
         capsys, "enumerate", "--degrees", " ".join(["1/1"] * 7), "--kind", "phi"
     )
     assert code == 3
+
+
+def test_enumerate_state_budget_exit_3(capsys):
+    # 3 x 8 is inside the default n bound but has 19 355 states, over the
+    # state budget; the enumeration stops as it passes the budget
+    import time
+
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "enumerate", "--degrees", "3 3 3 3 3 3 3 3", "--kind", "psi"
+    )
+    elapsed = time.perf_counter() - start
+    assert (code, out) == (3, "") and "state budget" in json.loads(err)["error"]
+    assert elapsed < 5.0, f"enumerate took {elapsed:.1f} s to exit 3"
 
 
 @pytest.mark.parametrize("fmt", ["json", "dot"])

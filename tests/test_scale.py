@@ -1,7 +1,8 @@
 """No super-linear cliff: realize and recognize at n = 20 000, recognize
 example1 with 60 cycle sets, cycle-set detection on 10^4 disjoint
 3-cycles, the triangle scan on a hub digraph, chains on a hub and on a
-sparse digraph with n = 10^5.
+sparse digraph with n = 10^5, and the state-graph checks of ``enumerate``
+on 6057 states.
 
 With per-round re-sorting greedies, tail-sum feasibility tests and a scan
 over all vertex triples the cold-path instance takes minutes; the
@@ -10,7 +11,9 @@ pair list of 5 * 10^7 candidates per move if they materialized the rare
 pairs instead of drawing them by rejection.  The sparse chains check that a
 move costs O(1) whatever n is: a step that touched per-vertex state in
 proportion to n or m would take minutes.  The budget leaves a wide margin
-for a slow machine.
+for a slow machine.  ``enumerate`` answers its checks from reach bitsets;
+a breadth-first search from every state, run once per check, did not finish
+within a minute.
 """
 
 import random
@@ -149,3 +152,39 @@ def test_sparse_chains_at_100000_vertices():
         assert res.graph.degree_sequence() == g0.degree_sequence()
     elapsed = time.perf_counter() - start
     assert elapsed < BUDGET_S, f"sparse chains took {elapsed:.1f} s"
+
+
+def test_enumerate_checks_6057_states_end_to_end():
+    # psi on 3 3 3 3 2 2 2 2, n = 8, inside the default bound: the command
+    # builds the state graph, checks its properties and checks the distance
+    # bound of each of its 3.7 * 10^7 ordered state pairs
+    import json
+    import os
+    import subprocess
+    import sys
+
+    import degswap
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(degswap.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = ["enumerate", "--degrees", "3 3 3 3 2 2 2 2", "--kind", "psi"]
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "degswap", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    elapsed = time.perf_counter() - start
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {
+        "kind": "psi",
+        "node_count": 6057,
+        "degree": 59,
+        "symmetric": True,
+        "regular": True,
+        "non_bipartite": True,
+        "components": [6057],
+        "diameter": 6,
+        "bounds_ok": True,
+        "bounds_applicable": True,
+    }
+    assert elapsed < 15.0, f"enumerate took {elapsed:.1f} s"

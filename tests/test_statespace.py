@@ -1,6 +1,6 @@
 import pytest
 
-from degswap import arcswap
+from degswap import arcswap, statespace
 from degswap.chain import complement_universe
 from degswap.core import DegreeSequence, DiDegreeSequence, Digraph, Graph, canonical_key
 from degswap.errors import ResourceLimitError
@@ -127,6 +127,12 @@ def test_check_properties_on_hand_built_state_graphs():
     path = check_properties(hand_built(["ab", "bc"]))
     assert path.symmetric and not path.regular and path.degree is None
     assert not path.non_bipartite and path.diameters == [2]
+    # diameters pair with component_sizes, largest component first
+    tail = check_properties(hand_built(["cd", "de", "ef"], one_way=["ac"]))
+    assert tail.component_sizes == [4, 1] and tail.diameters == [3, 0]
+    # a diameter spans its own component only: a reaches c, outside {a, b}, in 2
+    exit_arc = check_properties(hand_built(["ab"], one_way=["bc"]))
+    assert exit_arc.component_sizes == [2, 1] and exit_arc.diameters == [1, 0]
 
 
 def test_phibar_two_isolated_triangles():
@@ -187,6 +193,36 @@ def test_diameter_bounds_examples():
     assert rep.applicable == arc_swap
     if rep.applicable:
         assert rep.ok
+
+
+def test_diameter_bounds_catch_perturbed_arcs():
+    # negative control: psi on 1 1 1 1 is a triangle of 3 states whose
+    # pairwise differences all have 4 pairs, so every bound is 1
+    sg = build_state_graph(DegreeSequence((1, 1, 1, 1)), "psi")
+    a, b, c = sg.keys
+    arcs = {x: dict(row) for x, row in sg.arcs.items()}
+    del arcs[a][b], arcs[b][a]
+    rep = check_diameter_bounds(sg._replace(arcs=arcs))
+    assert rep.checked_pairs == 6
+    assert rep.violations == [(a.hex(), b.hex(), 2, 1), (b.hex(), a.hex(), 2, 1)]
+    # a state with no arc out reaches nothing: distance -1
+    arcs = {x: dict(row) for x, row in sg.arcs.items()}
+    arcs[c] = {}
+    rep = check_diameter_bounds(sg._replace(arcs=arcs))
+    assert rep.checked_pairs == 6
+    assert rep.violations == [(c.hex(), a.hex(), -1, 1), (c.hex(), b.hex(), -1, 1)]
+
+
+def test_state_budget(monkeypatch):
+    # more realizations than MAX_STATES raise before any row is built;
+    # 3 x 8 has 19 355
+    with pytest.raises(ResourceLimitError, match="state budget"):
+        build_state_graph(DegreeSequence((3,) * 8), "psi")
+    monkeypatch.setattr(statespace, "MAX_STATES", 3)
+    assert build_state_graph(DegreeSequence((1, 1, 1, 1)), "psi").node_count == 3
+    monkeypatch.setattr(statespace, "MAX_STATES", 2)
+    with pytest.raises(ResourceLimitError, match="state budget of 2"):
+        build_state_graph(DegreeSequence((1, 1, 1, 1)), "psi")
 
 
 def test_phibar_bounds_skipped_for_non_arc_swap():
