@@ -53,6 +53,7 @@ EXTRA = [
     ("bad-header", "sample --edgelist -", "mixed n=3\n0 1\n"),
     ("bad-range", "recognize --edgelist -", "directed n=3\n5 1\n"),
     ("duplicate-edge", "recognize --edgelist -", "undirected n=3\n0 1\n1 0\n"),
+    ("header-only-out-of-memory", "sample --edgelist -", "directed n=10000000\n0 1\n"),
     ("not-graphical", "realize --degrees '3 1'", None),
     ("enumerate-too-large", "enumerate --degrees '1 1 1 1 1 1 1 1 1 1 1 1' --kind psi", None),
     ("enumerate-unrealizable-psi", "enumerate --degrees '3 3 1 1' --kind psi", None),

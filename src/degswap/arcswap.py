@@ -270,7 +270,7 @@ def reduce_sequence(
                 )
             outs[v] -= 1
             ins[v] -= 1
-    return DiDegreeSequence(zip(outs, ins))
+    return DiDegreeSequence._of(tuple(outs), tuple(ins))
 
 
 def recognize(s: DiDegreeSequence) -> ArcSwapReport:

@@ -89,6 +89,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from itertools import accumulate
+from operator import mul
 from typing import NamedTuple, Optional
 
 from .core import (
@@ -117,8 +118,9 @@ def derive_seed(base: int, index: int) -> int:
 # the selection universe
 
 
-def _choose2(x: int) -> int:
-    return x * (x - 1) // 2
+def _choose2_sum(ds: tuple[int, ...]) -> int:
+    """The sum of d choose 2 over ds, summed in C."""
+    return (sum(map(mul, ds, ds)) - sum(ds)) // 2
 
 
 class MoveUniverse(NamedTuple):
@@ -143,7 +145,7 @@ class MoveUniverse(NamedTuple):
         """The universe of ``mode`` on the realizations of s."""
         m = s.m
         if mode == MODE_UNDIRECTED:
-            n_pairs = _choose2(m) - sum(_choose2(d) for d in s.degrees)
+            n_pairs = m * (m - 1) // 2 - _choose2_sum(s.outs)
             if n_pairs < 0:
                 raise InvalidInputError("degree sequence admits no simple graph")
             return MoveUniverse(mode, m, n_pairs, 0)
@@ -151,13 +153,8 @@ class MoveUniverse(NamedTuple):
             raise InvalidInputError(f"unknown mode {mode!r}")
         if m != sum(s.ins):
             raise InvalidInputError("out-degree total differs from in-degree total")
-        n_2paths = sum(a * b for a, b in s.pairs)
-        n_pairs = (
-            _choose2(m)
-            - sum(_choose2(a) for a in s.outs)
-            - sum(_choose2(b) for b in s.ins)
-            - n_2paths
-        )
+        n_2paths = sum(map(mul, s.outs, s.ins))
+        n_pairs = m * (m - 1) // 2 - _choose2_sum(s.outs) - _choose2_sum(s.ins) - n_2paths
         # n_pairs alone may be negative (each antiparallel pair shifts one pair
         # into the stub count twice); the role-disjoint total cannot be
         if n_pairs + n_2paths < 0:

@@ -294,12 +294,10 @@ def _cmd_enumerate(args) -> int:
     if args.format == "dot":
         _emit(statespace.to_dot(sg))
         return EXIT_OK
-    props = statespace.check_properties(sg)
-    if sg.kind == statespace.KIND_PHIBAR:
-        arc_swap = arcswap.recognize(s).is_arc_swap
-    else:
-        arc_swap = None
-    bounds = statespace.check_diameter_bounds(sg, arc_swap=arc_swap)
+    arc_swap = arcswap.recognize(s).is_arc_swap if sg.kind == statespace.KIND_PHIBAR else None
+    reach = statespace._reach(sg)  # one iteration serves both checks
+    props = statespace._properties(sg, reach)
+    bounds = statespace._bounds(sg, arc_swap, reach)
     _emit(
         _dumps(
             {

@@ -29,34 +29,60 @@ DIRECTED = "directed"
 
 
 class _Sequence:
-    """An immutable value with one tuple field, named by its one slot.
+    """Prescribed degrees as two stored int tuples, ``outs`` and ``ins``.
 
-    Equal to a value of the same class with an equal field, and hashed as
-    the one-field tuple.  Not a NamedTuple: a sequence iterates its entries.
+    A graph's sequence holds its one degree tuple under both names, as
+    :class:`_Pairs` shares one degree list.  Equal to a value of the same
+    class with equal tuples.  A subclass sets ``_symmetric`` and names its
+    constructor's view of the tuples, ``_view``, which ``repr`` and
+    iteration show.
     """
 
-    __slots__ = ()
+    __slots__ = ("outs", "ins")
+
+    @classmethod
+    def _of(cls, outs: tuple[int, ...], ins: tuple[int, ...]):
+        """The value over two checked tuples, as they are: O(1)."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "outs", outs)
+        object.__setattr__(s, "ins", ins)
+        return s
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
-    def _field(self) -> tuple:
-        return getattr(self, self.__slots__[0])
+    @property
+    def n(self) -> int:
+        return len(self.outs)
+
+    @property
+    def m(self) -> int:
+        """Edge or arc count of any realization: the out-degree total, halved on a graph."""
+        return sum(self.outs) // (2 if self._symmetric else 1)
+
+    def complement(self):
+        """Degrees of the complement of a realization: n - 1 - d for every entry."""
+        top = self.n - 1
+        outs = tuple([top - d for d in self.outs])
+        return self._of(outs, outs if self._symmetric else tuple([top - d for d in self.ins]))
+
+    def __iter__(self) -> Iterator:
+        return iter(getattr(self, self._view))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._field() == other._field()
+        return self.outs == other.outs and self.ins == other.ins
 
     def __hash__(self) -> int:
-        return hash((self._field(),))
+        return hash((self.outs, self.ins))
 
     def __repr__(self) -> str:
-        return f"{self.__class__.__name__}({self.__slots__[0]}={self._field()!r})"
+        return f"{self.__class__.__name__}({self._view}={getattr(self, self._view)!r})"
 
     def __reduce__(self):
-        # unpickling cannot assign the slot, so it constructs the value again
-        return self.__class__, (self._field(),)
+        # unpickling cannot assign the slots; pickle keeps a graph's one tuple shared
+        return self._of, (self.outs, self.ins)
 
 
 class DegreeSequence(_Sequence):
@@ -65,7 +91,8 @@ class DegreeSequence(_Sequence):
     Entries of 0 are permitted; isolated vertices are harmless.
     """
 
-    __slots__ = ("degrees",)
+    __slots__ = ()
+    _symmetric, _view = True, "degrees"
 
     def __init__(self, degrees: Iterable[int]):
         degs = tuple(int(d) for d in degrees)
@@ -73,34 +100,20 @@ class DegreeSequence(_Sequence):
             raise InvalidInputError("degree sequence needs at least one vertex")
         if any(d < 0 for d in degs):
             raise InvalidInputError(f"negative degree in {degs}")
-        object.__setattr__(self, "degrees", degs)
+        object.__setattr__(self, "outs", degs)
+        object.__setattr__(self, "ins", degs)
 
     @property
-    def n(self) -> int:
-        return len(self.degrees)
-
-    @property
-    def total(self) -> int:
-        return sum(self.degrees)
-
-    @property
-    def m(self) -> int:
-        """Edge count of any realization (total degree halved)."""
-        return self.total // 2
-
-    def complement(self) -> "DegreeSequence":
-        """Degrees of the complement of a realization: n - 1 - d each."""
-        n = self.n
-        return DegreeSequence(n - 1 - d for d in self.degrees)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.degrees)
+    def degrees(self) -> tuple[int, ...]:
+        """The degree tuple stored as both ``outs`` and ``ins``."""
+        return self.outs
 
 
 class DiDegreeSequence(_Sequence):
     """Prescribed (out, in) degree pairs for a digraph, one pair per vertex."""
 
-    __slots__ = ("pairs",)
+    __slots__ = ()
+    _symmetric, _view = False, "pairs"
 
     def __init__(self, pairs: Iterable[tuple[int, int]]):
         ps = tuple((int(a), int(b)) for a, b in pairs)
@@ -108,32 +121,13 @@ class DiDegreeSequence(_Sequence):
             raise InvalidInputError("degree sequence needs at least one vertex")
         if any(a < 0 or b < 0 for a, b in ps):
             raise InvalidInputError(f"negative degree in {ps}")
-        object.__setattr__(self, "pairs", ps)
+        object.__setattr__(self, "outs", tuple(a for a, _ in ps))
+        object.__setattr__(self, "ins", tuple(b for _, b in ps))
 
     @property
-    def n(self) -> int:
-        return len(self.pairs)
-
-    @property
-    def outs(self) -> tuple[int, ...]:
-        return tuple(a for a, _ in self.pairs)
-
-    @property
-    def ins(self) -> tuple[int, ...]:
-        return tuple(b for _, b in self.pairs)
-
-    @property
-    def m(self) -> int:
-        """Arc count of any realization (the common out/in total)."""
-        return sum(self.outs)
-
-    def complement(self) -> "DiDegreeSequence":
-        """Degrees of the complement of a realization: (n - 1 - a, n - 1 - b) each."""
-        n = self.n
-        return DiDegreeSequence((n - 1 - a, n - 1 - b) for a, b in self.pairs)
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(self.pairs)
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """The (out, in) pair of every vertex, built on each access: O(n)."""
+        return tuple(zip(self.outs, self.ins))
 
 
 # ---------------------------------------------------------------------------
@@ -152,9 +146,9 @@ class _Pairs:
     or remove (swap-with-last) touches one or two of each.
 
     A subclass sets ``kind``, its nouns, ``_symmetric`` (pairs are
-    unordered) and the vertex-pair grid of its canonical keys: ``grid(n)``,
-    every pair in key-bit order, and ``index(n, u, v)``, a pair's position
-    in it.
+    unordered), its ``_sequence`` class and the vertex-pair grid of its
+    canonical keys: ``grid(n)``, every pair in key-bit order, and
+    ``index(n, u, v)``, a pair's position in it.
     """
 
     __slots__ = ("n", "_pairs", "_pos", "out_deg", "in_deg")
@@ -194,6 +188,11 @@ class _Pairs:
 
     def pair_set(self) -> frozenset[tuple[int, int]]:
         return frozenset(self._pairs)
+
+    def degree_sequence(self) -> DegreeSequence | DiDegreeSequence:
+        """The stored degrees as a sequence value: O(n), no per-vertex tuples."""
+        outs = tuple(self.out_deg)
+        return self._sequence._of(outs, outs if self._symmetric else tuple(self.in_deg))
 
     def has(self, u: int, v: int) -> bool:
         if self._symmetric and u > v:
@@ -273,15 +272,12 @@ class Graph(_Pairs):
     __slots__ = ()
 
     kind = UNDIRECTED
-    _noun, _pair_noun, _symmetric = "graph", "edge", True
+    _noun, _pair_noun, _symmetric, _sequence = "graph", "edge", True, DegreeSequence
 
     @property
     def degree(self) -> list[int]:
         """Per-vertex degrees: the one list behind ``out_deg`` and ``in_deg``."""
         return self.out_deg
-
-    def degree_sequence(self) -> DegreeSequence:
-        return DegreeSequence(self.out_deg)
 
     @staticmethod
     def grid(n: int) -> Iterator[tuple[int, int]]:
@@ -304,7 +300,7 @@ class Digraph(_Pairs):
     __slots__ = ()
 
     kind = DIRECTED
-    _noun, _pair_noun, _symmetric = "digraph", "arc", False
+    _noun, _pair_noun, _symmetric, _sequence = "digraph", "arc", False, DiDegreeSequence
 
     def adjacency(self) -> tuple[list[list[int]], list[list[int]]]:
         """Fresh per-vertex ``(heads, tails)`` lists in arc-list order: O(n + m).
@@ -317,9 +313,6 @@ class Digraph(_Pairs):
             heads[u].append(v)
             tails[v].append(u)
         return heads, tails
-
-    def degree_sequence(self) -> DiDegreeSequence:
-        return DiDegreeSequence(zip(self.out_deg, self.in_deg))
 
     @staticmethod
     def grid(n: int) -> Iterator[tuple[int, int]]:

@@ -107,7 +107,7 @@ def realize_undirected(s: DegreeSequence) -> Graph:
 
 def _fulkerson_chen_violation(s: DiDegreeSequence) -> Optional[str]:
     n = s.n
-    for i, (a, b) in enumerate(s.pairs):
+    for i, (a, b) in enumerate(zip(s.outs, s.ins)):
         if a > n - 1 or b > n - 1:
             return f"degree pair {(a, b)} at vertex {i} exceeds n-1={n - 1}"
     if sum(s.outs) != sum(s.ins):
@@ -147,7 +147,7 @@ def _kleitman_wang(s: DiDegreeSequence) -> Digraph:
     # with plain lowest-index ties ((1,0),(0,1),(1,1)) strands vertex 3's
     # out-stub.  Heap entries go stale when their vertex's residuals move on
     # and are dropped when popped.
-    heap = [(-b, -a, i) for i, (a, b) in enumerate(s.pairs) if b > 0]
+    heap = [(-b, -a, i) for i, (a, b) in enumerate(zip(out_res, in_res)) if b > 0]
     heapify(heap)
     for v in order:
         d = out_res[v]

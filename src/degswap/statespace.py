@@ -100,7 +100,7 @@ def _enum_keys(s: DegreeSequence | DiDegreeSequence) -> Iterator[int]:
     n = s.n
     directed = isinstance(s, DiDegreeSequence)
     index = Digraph.index if directed else Graph.index
-    res = list(s.ins if directed else s.degrees)
+    res = list(s.ins)
     outs = s.outs if directed else res
     if directed and s.m != sum(res):
         return
@@ -342,6 +342,10 @@ def check_properties(sg: StateGraph) -> PropertyReport:
     ``diameters`` pairs with ``component_sizes``, largest component first; a
     shortest path between two states of one component stays inside it.
     """
+    return _properties(sg, _reach(sg))
+
+
+def _properties(sg: StateGraph, reach: _Reach) -> PropertyReport:
     symmetric = all(
         sg.arcs.get(y, {}).get(x, 0) == mult
         for x, row in sg.arcs.items()
@@ -351,7 +355,7 @@ def check_properties(sg: StateGraph) -> PropertyReport:
     regular = len(degrees) == 1
     degree = degrees.pop() if regular else None
 
-    rows, levels, comps = _reach(sg)
+    rows, levels, comps = reach
     diameters = []
     non_bip = True  # a component is aperiodic here iff it carries a loop or an odd cycle
     for members in comps:
@@ -396,6 +400,11 @@ def check_diameter_bounds(sg: StateGraph, arc_swap: Optional[bool] = None) -> Bo
     reach level D needs only to be reachable; any other pair is looked up in
     the level of its bound.
     """
+    return _bounds(sg, arc_swap, None)
+
+
+def _bounds(sg: StateGraph, arc_swap: Optional[bool], reach: Optional[_Reach]) -> BoundReport:
+    # reads reach, or iterates its own once the bounds apply
     if sg.kind == KIND_PHIBAR:
         if arc_swap is None:
             raise InvalidInputError("phibar bounds need the arc-swap verdict")
@@ -408,7 +417,7 @@ def check_diameter_bounds(sg: StateGraph, arc_swap: Optional[bool] = None) -> Bo
     def bound(size: int) -> int:
         return (size // 2 - 1) * scale
 
-    levels = _reach(sg).levels
+    levels = (reach or _reach(sg)).levels
     last = len(levels) - 1
     everyone = (1 << len(keys)) - 1
     width = max((key.bits.bit_length() for key in keys), default=0)

@@ -179,11 +179,49 @@ def test_enumerate_dot(capsys, monkeypatch):
 
     monkeypatch.setattr(statespace, "check_properties", unused)
     monkeypatch.setattr(statespace, "check_diameter_bounds", unused)
+    monkeypatch.setattr(statespace, "_reach", unused)
     code, out, _ = run_cli(
         capsys, "enumerate", "--degrees", "1/1 1/1 1/1", "--kind", "phi", "--format", "dot"
     )
     assert code == 0
     assert out.startswith('digraph "phi"')
+
+
+@pytest.mark.parametrize(
+    "degrees, kind",
+    [
+        ("2 2 2 2 2", "psi"),
+        ("1/1 1/1 1/1 1/1", "phi"),
+        ("2/2 2/2 2/2 2/2", "phibar"),
+        ("1/1 1/1 1/1", "phibar"),  # two components, bounds not applicable
+    ],
+)
+def test_enumerate_iterates_reach_levels_once(capsys, monkeypatch, degrees, kind):
+    # both checks read one iteration of the reach levels, and report what the
+    # public checks report
+    from degswap import arcswap, statespace
+    from degswap.core import parse_degree_sequence
+
+    reach, calls = statespace._reach, []
+
+    def counted(sg):
+        calls.append(sg)
+        return reach(sg)
+
+    monkeypatch.setattr(statespace, "_reach", counted)
+    code, out, _ = run_cli(capsys, "enumerate", "--degrees", degrees, "--kind", kind)
+    assert code == 0 and len(calls) == 1
+    s = parse_degree_sequence(degrees)
+    sg = statespace.build_state_graph(s, kind)
+    props = statespace.check_properties(sg)
+    arc_swap = arcswap.recognize(s).is_arc_swap if kind == "phibar" else None
+    bounds = statespace.check_diameter_bounds(sg, arc_swap=arc_swap)
+    payload = json.loads(out)
+    assert (payload["components"], payload["diameter"]) == (
+        props.component_sizes, max(props.diameters)
+    )
+    assert (payload["non_bipartite"], payload["degree"]) == (props.non_bipartite, props.degree)
+    assert (payload["bounds_ok"], payload["bounds_applicable"]) == (bounds.ok, bounds.applicable)
 
 
 def test_enumerate_resource_exit_3(capsys):

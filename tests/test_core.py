@@ -343,6 +343,38 @@ def test_degree_sequence_text_roundtrip():
         parse_degree_sequence("1 2/1")
 
 
+def test_sequences_store_outs_and_ins():
+    import pickle
+
+    s = DegreeSequence([3, 2, 0, 1])
+    ds = DiDegreeSequence([(2, 0), (1, 1), (0, 2)])
+    # both kinds keep two stored tuples; a graph's sequence shares one
+    graph_seqs = [cls(3, [(0, 1)]).degree_sequence() for cls in (Graph, Digraph)]
+    for seq in (s, ds, *graph_seqs):
+        assert seq.outs is seq.outs and seq.ins is seq.ins
+    assert s.outs is s.ins is s.degrees == (3, 2, 0, 1)
+    g_seq = Graph(3, [(0, 1), (1, 2)]).degree_sequence()
+    assert g_seq.outs is g_seq.ins and g_seq == DegreeSequence([1, 2, 1])
+    assert (ds.outs, ds.ins, ds.pairs) == ((2, 1, 0), (0, 1, 2), ((2, 0), (1, 1), (0, 2)))
+    di_seq = Digraph(3, [(0, 1), (0, 2)]).degree_sequence()
+    assert di_seq == DiDegreeSequence([(2, 0), (0, 1), (0, 1)])
+    assert (s.n, s.m, ds.n, ds.m) == (4, 3, 3, 3)
+    assert (list(s), list(ds)) == ([3, 2, 0, 1], [(2, 0), (1, 1), (0, 2)])
+    assert repr(s) == "DegreeSequence(degrees=(3, 2, 0, 1))"
+    assert repr(ds) == "DiDegreeSequence(pairs=((2, 0), (1, 1), (0, 2)))"
+    bar = s.complement()
+    assert bar == DegreeSequence([0, 1, 3, 2]) and bar.outs is bar.ins
+    assert ds.complement() == DiDegreeSequence([(0, 2), (1, 1), (2, 0)])
+    for seq in (s, ds):
+        back = pickle.loads(pickle.dumps(seq))
+        assert back == seq and hash(back) == hash(seq) and type(back) is type(seq)
+        assert (back.outs is back.ins) is (seq is s)
+        with pytest.raises(AttributeError):
+            back.outs = ()
+    assert s != DiDegreeSequence([(3, 3), (2, 2), (0, 0), (1, 1)])
+    assert len({s, DegreeSequence((3, 2, 0, 1)), ds, DiDegreeSequence(ds.pairs)}) == 2
+
+
 def test_edgelist_roundtrip():
     g = Digraph(4, [(0, 1), (1, 0), (2, 3)])
     assert parse_edgelist(format_edgelist(g)) == g

@@ -1,8 +1,9 @@
 """No super-linear cliff: realize and recognize at n = 20 000, recognize
 example1 with 60 cycle sets, cycle-set detection on 10^4 disjoint
 3-cycles, the triangle scan on a hub digraph, chains on a hub and on a
-sparse digraph with n = 10^5, and the state-graph checks of ``enumerate``
-on 6057 states.
+sparse digraph with n = 10^5, the state-graph checks of ``enumerate`` on
+6057 states, and ``sample`` on an edge list whose header names 10^7
+vertices.
 
 With per-round re-sorting greedies, tail-sum feasibility tests and a scan
 over all vertex triples the cold-path instance takes minutes; the
@@ -152,6 +153,44 @@ def test_sparse_chains_at_100000_vertices():
         assert res.graph.degree_sequence() == g0.degree_sequence()
     elapsed = time.perf_counter() - start
     assert elapsed < BUDGET_S, f"sparse chains took {elapsed:.1f} s"
+
+
+def test_header_only_edgelist_exits_3_in_bounded_time_and_memory():
+    # "directed n=10000000" and one arc: the vertex count alone sets the
+    # work, until the dense key's buffer fails.  The degree lists, the
+    # degree sequence and the chain set-up are O(n) with a small constant;
+    # per-vertex pair tuples and sums over them in Python took 16.8 s and
+    # 1.6 GB
+    import os
+    import subprocess
+    import sys
+
+    import degswap
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(degswap.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    start = time.perf_counter()
+    with subprocess.Popen(
+        [sys.executable, "-m", "degswap", "sample", "--edgelist", "-"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as proc:
+        proc.stdin.write(b"directed n=10000000\n0 1\n")
+        proc.stdin.close()
+        while True:  # os.wait4 reports the child's own peak RSS
+            pid, status, usage = os.wait4(proc.pid, os.WNOHANG)
+            if pid or time.perf_counter() - start > BUDGET_S:
+                break
+            time.sleep(0.02)
+        if not pid:
+            proc.kill()
+            raise AssertionError(f"sample did not end within {BUDGET_S:.0f} s")
+        elapsed = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)  # reaped above
+        out, err = proc.stdout.read(), proc.stderr.read()
+    assert (proc.returncode, err, out) == (3, b'{"error": "out of memory"}\n', b"")
+    peak_mb = usage.ru_maxrss / 1024  # KiB on Linux
+    assert peak_mb < 1024, f"sample peaked at {peak_mb:.0f} MB"
+    assert elapsed < 10.0, f"sample took {elapsed:.1f} s"
 
 
 def test_enumerate_checks_6057_states_end_to_end():
