@@ -38,16 +38,20 @@ bound from ``rng.getrandbits`` by rejection, one call per draw with the
 bound's bit length hoisted out of the loop, so walks and the final
 generator state depend on the draws alone.
 
-A step's slot comes from a window (:func:`step_window`): one draw below
-d^W decides up to W steps, the run of loop slots and the first element
-slot after it, with exactly the probabilities of W independent uniform
-slots; the window is exact because slot draws do not depend on the graph.
-W grows with the expected run of loops between elements and is 1 on every
-direct walk, where the window is the one-slot draw and walks are as
-before.  Only a padded complement walk (below) with at least twice as
-many loop slots as elements gets W > 1, and so prints a different walk
-for a given seed; it pays one draw per element step or per W loop steps
-instead of one per step.  A universe without elements draws nothing.
+A step's slot comes from a window (:func:`step_window`): one uniform draw
+below d^W decides up to W steps, the run of loop slots and whether an
+element slot ends it, with exactly the probabilities of W independent
+uniform slots; the window is exact because slot draws do not depend on the
+graph.  W is 1 while a walk has fewer than twice as many loop slots as
+elements, every direct walk included, and the step then draws its one
+slot below d as before, so those walks do not change.  A padded complement
+walk (below) with at least twice as many loop slots as elements gets
+W > 1, about four times the expected run of loops, and so prints a
+different walk for a given seed.  Its draw is lazy: 64 random bits decide
+the window but about W * 2^-64 of the time, and the element's slot is not
+drawn (an undirected step draws its one re-pairing bit), so it pays about
+one 64-bit draw per element step instead of one draw per step.  A universe
+without elements draws nothing.
 
 Dense input walks the complement.  A 2-swap of G is a 2-swap of its
 complement H, and a reorientation of an induced directed 3-cycle of G is
@@ -87,8 +91,7 @@ it.
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
-from itertools import accumulate
+from bisect import bisect_left, bisect_right
 from operator import mul
 from typing import NamedTuple, Optional
 
@@ -215,66 +218,113 @@ def iter_role_disjoint_arc_pairs(g: Digraph):
 # the slot window
 #
 # A step draws one of d slots uniformly; the first L (the universe's
-# elements) draw a pair and the other q = d - L are loops.  A window draws
-# the slots of up to W steps at once: one integer r below d^W, read as W
-# base-d digits, most significant first, of which only the first element
-# slot and the run of loop slots before it are used.  Outcome k < W (k
-# loops, then an element step) holds q^k * L * d^(W-1-k) of the d^W values
-# and outcome W (W loops) holds q^W, exactly the counts of W independent
-# uniform slots; cum[k] is the cumulative count through outcome k, and
-# within outcome k, (r - cum[k-1]) // (q^k * d^(W-1-k)) is the element's
-# slot, uniform in [0, L).  The digits past the element are dropped and the
-# next step draws a fresh window: slot draws do not depend on the graph, so
-# the walk is the one-slot-per-step walk with the same transition matrix.
+# elements) draw a pair and the other q = d - L are loops.  A window decides
+# up to W steps from one integer U uniform below d^W, read as W base-d
+# digits, most significant first: outcome k < W is k loop slots, then an
+# element slot, and outcome W is W loop slots.  Outcome k < W holds
+# q^k * L * d^(W-1-k) of the d^W values and outcome W holds q^W, exactly
+# the counts of W independent uniform slots, so the outcome is
+# bisect_right(cum, U) over the thresholds cum[k] = d^W - q^(k+1) * d^(W-1-k),
+# the values through outcome k.  The digits past the element slot are
+# dropped and the next step draws a fresh window: slot draws do not depend
+# on the graph, so the walk is the one-slot-per-step walk with the same
+# transition matrix.
 #
-# W = 1 leaves the table [L] and the draw is the one-slot draw itself, so a
-# direct walk (q <= 1) draws exactly as a per-step slot draw does.  W grows
-# with the expected run of loops q / L, up to _MAX_WINDOW, so only a walk
-# padded well past its elements (a dense input's complement walk) gets
-# W > 1.  There one draw replaces about min(W, d / L) slot draws.  Wider
-# windows than 64 were no faster on a near-complete digraph (d / L = 143,
-# caps 32 to 256 within noise), and each draw costs W * log2(d) bits.
+# U is drawn lazily (Knuth and Yao, 1976).  The draw takes V uniform below
+# c * d^W, with c = 2^(P + b) // d^W for b the bit length of d^W - 1, and
+# reads U = V // c, uniform below d^W; outcome k < W then holds the V below
+# c * cum[k], so the outcome is bisect_right over the scaled thresholds.
+# V's top P = _PREFIX_BITS bits come first and decide the outcome by a
+# bisect over the scaled thresholds' prefixes, unless they equal one of them
+# or the prefix of c * d^W; only then are V's b low bits drawn and V compared
+# with the exact scaled thresholds, about W * 2^-64 of the time.  A V at or
+# past c * d^W, under 2^-64 of the time, is redrawn.  The table holds W + 1
+# prefixes of at most 64 bits, built with one multiplication and one
+# division per threshold; a tie recomputes the thresholds it needs in
+# closed form.
+#
+# The element's slot is not drawn: a directed walk never reads it, and an
+# undirected step reads only its parity, a fair bit independent of the rest
+# because L = 2 * n_pairs is even, so a windowed undirected step draws that
+# bit alone.
+#
+# W = 1 whenever q < 2L, every direct walk (q <= 1) included: such a step
+# draws its slot below d itself, and those walks are unchanged.  Past that,
+# W is 4q // L up to _MAX_WINDOW, so all but about e^-4 of the windows end
+# in an element step, and a padded walk pays about one 64-bit draw per
+# element step.
 
-_MAX_WINDOW = 64
+_MAX_WINDOW = 1024
+_PREFIX_BITS = 64
 
 
 class StepWindow(NamedTuple):
     """The exact windowed slot draw of a walk with d slots, L of them elements.
 
-    ``bound`` is d^W; a draw r below ``fast`` is the element slot r itself
-    (``fast`` is L when W == 1, else 0), and ``cum`` and ``units`` decode
-    the rest (see :meth:`decode`).
+    A window draws V below ``scale`` * d^W as ``top_bits`` high bits, then
+    ``shift`` low bits only on a tie.  ``tops`` holds the prefixes
+    ``threshold(k) >> shift`` for k <= W (see :meth:`draw`).
     """
 
     width: int
-    bound: int
-    fast: int
-    cum: tuple[int, ...]
-    units: tuple[int, ...]
+    slots: int
+    elements: int
+    scale: int
+    top_bits: int
+    shift: int
+    tops: tuple[int, ...]
 
-    def decode(self, r: int) -> tuple[int, int]:
-        """(k, slot): k loop steps, then an element step with that slot.
+    def threshold(self, k: int) -> int:
+        """scale * cum[k], cum[k] the values of U below d^W with outcome at most k.
 
-        k == width means the window is all loops, and slot is -1.
+        cum[W] is d^W itself.
         """
-        k = bisect_right(self.cum, r)
-        if k == self.width:
-            return k, -1
-        return k, (r - (self.cum[k - 1] if k else 0)) // self.units[k]
+        d, w = self.slots, self.width
+        rest = (d - self.elements) ** (k + 1) * d ** (w - 1 - k) if k < w else 0
+        return self.scale * (d**w - rest)
+
+    def draw(self, grb) -> int:
+        """One window's outcome from the bit source grb (``getrandbits``).
+
+        k < width is k loop steps, then an element step; k == width is
+        width loop steps.  The outcome is bisect_right(cum, U) for U
+        uniform below d^W.
+        """
+        tops = self.tops
+        while True:
+            top = grb(self.top_bits)
+            k = bisect_right(tops, top)
+            if tops[k - 1] != top:  # no prefix is top, and tops[W] >= 2^P - 1, so k <= W
+                return k
+            v = top << self.shift | grb(self.shift)
+            j = bisect_left(tops, top)
+            while j < k and v >= self.threshold(j):
+                j += 1
+            if j <= self.width:
+                return j
+            # V >= scale * d^W: redraw
 
 
 def step_window(d: int, elements: int) -> StepWindow:
     """The window of a walk with d slots, the first ``elements`` of them elements.
 
-    W is the expected run of loops between elements, q // L, clamped to
-    [1, _MAX_WINDOW]; W = 1 whenever q < 2L, so every direct walk (q <= 1)
-    gets the one-slot draw.  A walk without elements never draws.
+    W is 1 while q = d - L is below 2L, so every direct walk (q <= 1) gets
+    the one-slot draw, and 4q // L up to _MAX_WINDOW past that.  A walk
+    without elements never draws.
     """
     q = d - elements
-    width = max(1, min(_MAX_WINDOW, q // elements)) if elements else 1
-    units = tuple(q**k * d ** (width - 1 - k) for k in range(width))
-    cum = tuple(accumulate(elements * u for u in units))
-    return StepWindow(width, d**width, elements if width == 1 else 0, cum, units)
+    width = min(_MAX_WINDOW, 4 * q // elements) if elements and q >= 2 * elements else 1
+    bound = d**width
+    shift = (bound - 1).bit_length()
+    scale = (1 << (_PREFIX_BITS + shift)) // bound
+    span = scale * bound  # V's range
+    rest = scale * q * d ** (width - 1)  # span - scale * cum[k], from k = 0
+    tops = [(span - rest) >> shift]
+    for _ in range(width - 1):
+        rest = rest * q // d
+        tops.append((span - rest) >> shift)
+    tops.append(span >> shift)
+    return StepWindow(width, d, elements, scale, _PREFIX_BITS, shift, tuple(tops))
 
 
 # ---------------------------------------------------------------------------
@@ -288,21 +338,23 @@ def step_window(d: int, elements: int) -> StepWindow:
 # the walk with loops.  window is step_window(d, elements) unless given; a
 # universe without elements returns at once, drawing nothing.
 #
-# Each fixed-bound integer (the window's d^W and the m(m-1) ordered
-# list-slot pairs) is ``r = grb(k)`` with the bound's bit length k computed
-# once, then ``while r >= bound: r = grb(k)``.  A bound of 1 draws nothing,
-# so d == 1 swaps grb for _zero; the pair bound exceeds 1 whenever a pair
-# is drawn.  With W == 1 a draw at or past fast == L is a loop slot and
-# continues at once, and one below is the slot; with W > 1 every draw is
-# decoded, and the window's loop steps are skipped by moving the step
-# iterator (``range_iterator.__setstate__``, O(1)), so a padded walk pays
-# one draw per element step or per W loop steps.
+# Each fixed-bound integer (the slot below d on a one-slot walk and the
+# m(m-1) ordered list-slot pairs) is ``r = grb(k)`` with the bound's bit
+# length k computed once, then ``while r >= bound: r = grb(k)``.  A bound of
+# 1 draws nothing, so d == 1 swaps grb for _zero; the pair bound exceeds 1
+# whenever a pair is drawn.  With W == 1 a slot at or past L is a loop and
+# continues at once, and one below is the element's slot.  With W > 1 each
+# window is one StepWindow.draw, and its loop steps are skipped by moving
+# the step iterator (``range_iterator.__setstate__``, O(1)), so a padded
+# walk pays one window per element step or per W loop steps; an undirected
+# element step then draws its parity bit alone.
 #
 # Every mode draws a pair (a, b), (c, d) with a != c and b != d, and a
 # 2-swap of it writes (a, d), (c, b).  A graph also redraws a pair that
-# shares an endpoint, and reads its second edge as (d, c) on an even slot,
-# so {a,b},{c,d} re-pairs as {a,c},{b,d} on an even slot and as {a,d},{b,c}
-# on an odd one; each new edge is stored with its smaller endpoint first.
+# shares an endpoint, and reads its second edge as (d, c) on an even slot
+# (a windowed step: a 0 parity bit), so {a,b},{c,d} re-pairs as {a,c},{b,d}
+# on an even slot and as {a,d},{b,c} on an odd one; each new edge is stored
+# with its smaller endpoint first.
 
 
 def _zero(k: int) -> int:
@@ -326,32 +378,33 @@ def _run(
     m1 = m - 1
     mm = m * m1
     grb = rng.getrandbits
-    dw = window.bound
-    gw = grb if dw > 1 else _zero
-    kw = (dw - 1).bit_length()
+    gw = grb if d > 1 else _zero
+    kd = (d - 1).bit_length()
     km = (mm - 1).bit_length()
-    fast = window.fast
-    last = window.cum[-1]
     w1 = window.width - 1
-    decode = window.decode
+    draw = window.draw
     moves = 0
     steps = iter(range(tau))
     skip_to = steps.__setstate__  # the next step index, in O(1)
     for t in steps:
-        slot = gw(kw)
-        while slot >= dw:
-            slot = gw(kw)
-        if slot >= fast:
-            if slot >= last:  # padding loops: keep per-slot probability at 1/walk_degree
-                if w1:
-                    skip_to(t + w1 + 1)
-                continue
-            k, slot = decode(slot)
+        if w1:
+            k = draw(grb)
             if k:
+                if k > w1:  # W padding loops: keep per-slot probability at 1/walk_degree
+                    skip_to(t + k)
+                    continue
                 t += k
                 if t >= tau:
                     break
                 skip_to(t + 1)
+            if not directed:
+                slot = grb(1)
+        else:
+            slot = gw(kd)
+            while slot >= d:
+                slot = gw(kd)
+            if slot >= loop_start:  # padding loops: keep per-slot probability at 1/walk_degree
+                continue
         while True:
             r = grb(km)
             while r >= mm:

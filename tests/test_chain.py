@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import random
 import types
@@ -10,6 +11,7 @@ from degswap.chain import (
     _run,
     ChainConfig,
     MoveUniverse,
+    StepWindow,
     complement_universe,
     derive_seed,
     plan_chain,
@@ -228,15 +230,19 @@ def _exact_rows(sg, mode, complement=False):
 
     A step from each state (with ``complement``, from its complement under
     the complement's own universe, padded to sg's walk degree d, as
-    run_chain walks a dense input) draws a slot, then one accepted ordered
-    list-slot pair; every (slot, pair) outcome weighs 1/d x 1/(accepted
-    ordered pairs).  The slots past the universe's elements draw no pair and
-    are scored once; with d == 1 the one slot is not drawn.  A walk with a
-    window of W > 1 steps draws its slot as the window's first digit: slot
-    s is scripted as r = s * d^(W-1) and a loop as r = L * d^(W-1), which
-    decode to that slot, or a loop, at the window's first step;
-    test_window_outcomes_are_independent_slots checks the other outcomes.
-    The element slots run as one scripted run per state whose hook undoes
+    run_chain walks a dense input) is scripted through every draw sequence
+    that ends in a pair draw, each weighed exactly.  A one-slot walk (W = 1)
+    draws a slot, then one accepted ordered list-slot pair: every
+    (slot, pair) outcome weighs 1/d x 1/(accepted ordered pairs), and with
+    d == 1 the one slot is not drawn.  A walk with windows of W > 1 steps
+    draws the zero-loop window, whose outcome has probability L/d, then an
+    undirected step's re-pairing bit, then the pair: every (bit, pair)
+    outcome weighs L/d x 1/2 x 1/(accepted ordered pairs), and a directed
+    one L/d x 1/(accepted ordered pairs).  The loop slots draw no pair and
+    are scored once, as a loop slot or as a window whose first step loops;
+    test_window_outcomes_are_independent_slots and
+    test_lazy_window_draw_is_the_exact_outcome check the windows' outcomes.
+    The element draws run as one scripted run per state whose hook undoes
     each move by its inverse move, which restores the list order the pair
     draw indexes.
     """
@@ -255,7 +261,7 @@ def _exact_rows(sg, mode, complement=False):
             if dest is None:
                 dest = canonical_key(g)
                 dest = dests[removed, added] = dest.complement() if complement else dest
-            counts[dest] = counts.get(dest, 0) + 1
+            counts[dest] = counts.get(dest, 0) + weight
             if isinstance(g, Graph):
                 swap_edges(g, *added, *removed)
             elif len(removed) == 3:
@@ -267,7 +273,7 @@ def _exact_rows(sg, mode, complement=False):
 
         items = g.pairs()
         elements = u.elements
-        unit = step_window(d, elements).units[0]  # d^(W-1)
+        window = step_window(d, elements)
         before = list(items)
         m = len(items)
         accepted = [
@@ -277,21 +283,28 @@ def _exact_rows(sg, mode, complement=False):
             if i != j
             and (len({a, b, c, e}) == 4 if isinstance(g, Graph) else a != c and b != e)
         ]
-        script = [
-            x for slot in range(elements) for r in accepted
-            for x in ((slot * unit, r) if d > 1 else (r,))
-        ]
-        steps = elements * len(accepted)
+        if window.width == 1:
+            heads = [(slot,) if d > 1 else () for slot in range(elements)]
+            weight = Fraction(1, d * len(accepted))
+            loop = [elements] if d > 1 else []
+        else:
+            tops = window.tops
+            zero = 0  # V's top bits below the first threshold's prefix
+            loop = [tops[0] + 1]  # past it, so at least one loop step
+            assert bisect.bisect_right(tops, zero) == 0 and 0 < bisect.bisect_right(tops, loop[0])
+            heads = [(zero, bit) for bit in (0, 1)] if isinstance(g, Graph) else [(zero,)]
+            weight = Fraction(elements, d * len(heads) * len(accepted))
+        script = [x for head in heads for r in accepted for x in (*head, r)]
+        steps = len(heads) * len(accepted)
         rng.values = script[::-1]
-        moves = _run(g, u, rng, steps, undo, d)
+        moves = _run(g, u, rng, steps, undo, d, window)
         assert not rng.values and items == before
-        counts[key] = steps - moves
+        counts[key] = (steps - moves) * weight
         if d > elements:
-            rng.values = [elements * unit] if d > 1 else []
-            assert _run(g, u, rng, 1, undo, d) == 0 and not rng.values
-            counts[key] += (d - elements) * len(accepted)
-        total = d * len(accepted)
-        rows[key] = {dest: Fraction(c, total) for dest, c in counts.items()}
+            rng.values = loop
+            assert _run(g, u, rng, 1, undo, d, window) == 0 and not rng.values
+            counts[key] += Fraction(d - elements, d)
+        rows[key] = counts
     return rows
 
 
@@ -305,9 +318,9 @@ def test_one_step_kernel_is_the_state_graph_row_exactly():
         (DegreeSequence((2, 2, 2, 2, 1, 1)), ("psi",)),
     ]
     switched = [
-        (DiDegreeSequence(((3, 3),) * 5), ("phi", "phibar")),  # windows of 6 steps
+        (DiDegreeSequence(((3, 3),) * 5), ("phi", "phibar")),  # windows of 26 steps
         (DegreeSequence((3, 3, 3, 3, 2, 2)), ("psi",)),  # one-slot draws
-        (DegreeSequence((4,) * 6), ("psi",)),  # windows of 9 steps
+        (DegreeSequence((4,) * 6), ("psi",)),  # windows of 36 steps
     ]
     modes = {"psi": "undirected", "phi": "full", "phibar": "plain"}
     widths = set()
@@ -332,34 +345,100 @@ def test_one_step_kernel_is_the_state_graph_row_exactly():
     assert {k for k, c, w in widths if c and w > 1} == {"psi", "phi", "phibar"}
 
 
-def test_window_outcomes_are_independent_slots():
-    # every draw r below d^W of a window, decoded, against W independent
-    # uniform slots: outcome (k, s) is k loop slots, then element slot s;
-    # (W, -1) is W loop slots.  Exact integer counts, over widths 1 to 6,
-    # q = 0, q = 1 and L = 0 included.
+# (d, L, cap on W): direct and one-slot padded draws (W = 1; q = 0, q = 1
+# and L = 0 included), then windows of 2 to 6 steps, q = 2L included
+_WINDOW_CASES = [
+    (1, 1, None), (4, 4, None), (5, 4, None), (2, 1, None), (3, 0, None),
+    (5, 2, None), (7, 3, None),
+    (3, 1, 2), (3, 1, 3), (3, 1, 6), (6, 2, 2), (6, 2, 4), (9, 3, 3),
+    (10, 3, 2), (10, 3, 4), (7, 2, 4), (5, 1, 5),
+]
+
+
+def _window_thresholds(d, elements, width):
+    """cum[k] for k < W, from the outcome weights q^k * L * d^(W-1-k)."""
+    q = d - elements
+    return list(itertools.accumulate(q**k * elements * d ** (width - 1 - k) for k in range(width)))
+
+
+def test_window_outcomes_are_independent_slots(monkeypatch):
+    # every U below d^W of a window, read through its thresholds, against W
+    # independent uniform slots: outcome k < W is k loop slots, then an
+    # element slot; outcome W is W loop slots.  Exact integer counts, over
+    # widths 1 to 6.  The closed-form thresholds and the window's prefix
+    # table are checked against the accumulated weights.
     seen = set()
-    for d, elements in (
-        (1, 1), (4, 4), (5, 4), (2, 1), (3, 0), (5, 2),
-        (10, 3), (9, 2), (11, 2), (6, 1), (7, 1),
-    ):
+    for d, elements, cap in _WINDOW_CASES:
+        monkeypatch.setattr("degswap.chain._MAX_WINDOW", cap or 1024)
         w = step_window(d, elements)
         W = w.width
-        assert W == 1 or (d - elements >= 2 * elements and W == (d - elements) // elements)
-        assert w.bound == d**W
-        decoded = Counter()
-        for r in range(w.bound):
-            k, slot = w.decode(r)
-            if r < w.fast:
-                assert (k, slot) == (0, r)
-            assert (k == W) == (r >= w.cum[-1])
-            decoded[k, slot] += 1
+        q = d - elements
+        assert W == (min(cap, 4 * q // elements) if elements and q >= 2 * elements else 1)
+        assert W == (cap or 1)
+        cum = _window_thresholds(d, elements, W)
+        assert cum == [d**W - q ** (k + 1) * d ** (W - 1 - k) for k in range(W)]
+        scaled = [w.scale * c for c in cum] + [w.scale * d**W]
+        assert [w.threshold(k) for k in range(W + 1)] == scaled
+        assert w.tops == tuple(t >> w.shift for t in scaled)
+        assert max(w.tops) <= 1 << 64 and w.top_bits == 64
+        decoded = Counter(bisect.bisect_right(cum, u) for u in range(d**W))
         independent = Counter()
         for slots in itertools.product(range(d), repeat=W):
-            k = next((i for i, x in enumerate(slots) if x < elements), W)
-            independent[k, slots[k] if k < W else -1] += 1
+            independent[next((i for i, x in enumerate(slots) if x < elements), W)] += 1
         assert decoded == independent, (d, elements)
         seen.add(W)
     assert seen == {1, 2, 3, 4, 5, 6}
+
+
+class _Redraw(Exception):
+    pass
+
+
+def test_lazy_window_draw_is_the_exact_outcome(monkeypatch):
+    # With 3 prefix bits, every (top, low) bit pattern of V through
+    # StepWindow.draw: V below scale * d^W gives bisect_right(cum, V // scale),
+    # i.e. U = V // scale, each U from exactly scale patterns; V at or past
+    # it is redrawn; and the low bits are drawn exactly when top equals a
+    # threshold's prefix or d^W's, which happens here often.
+    monkeypatch.setattr("degswap.chain._PREFIX_BITS", 3)
+    for d, elements, cap in _WINDOW_CASES:
+        if cap is None:
+            continue
+        monkeypatch.setattr("degswap.chain._MAX_WINDOW", cap)
+        w = step_window(d, elements)
+        W, shift, scale = w.width, w.shift, w.scale
+        assert w.top_bits == 3 and 1 << shift >= d**W
+        cum = _window_thresholds(d, elements, W)
+        outcomes = Counter()
+        ties = redraws = 0
+        for top, low in itertools.product(range(8), range(1 << shift)):
+            calls = []
+
+            def grb(k):
+                calls.append(k)
+                if len(calls) == 1:
+                    assert k == 3
+                    return top
+                if len(calls) == 2:  # only a tie draws past the top bits
+                    assert k == shift
+                    return low
+                raise _Redraw
+
+            try:
+                k = w.draw(grb)
+            except _Redraw:
+                k = None
+            assert (len(calls) > 1) == (top in w.tops), (d, elements, W, top)
+            ties += len(calls) > 1
+            v = top << shift | low
+            if v < scale * d**W:
+                assert k == bisect.bisect_right(cum, v // scale), (d, elements, W, v)
+                outcomes[v // scale] += 1
+            else:
+                assert k is None, (d, elements, W, v)
+                redraws += 1
+        assert outcomes == dict.fromkeys(range(d**W), scale)
+        assert ties and redraws == (8 << shift) - scale * d**W > 0
 
 
 class _CountingRandom(random.Random):
@@ -386,21 +465,35 @@ def test_padded_walks_draw_once_per_element_step_or_window(monkeypatch):
         rngs.append(_CountingRandom(seed))
         return rngs[-1]
 
+    windows = Counter()
+    draw = StepWindow.draw
+
+    def counting_draw(self, grb):
+        k = draw(self, grb)
+        windows[k < self.width] += 1  # True: the window ends in an element step
+        return k
+
     monkeypatch.setattr("degswap.chain.random", types.SimpleNamespace(Random=counting))
+    monkeypatch.setattr(StepWindow, "draw", counting_draw)
     tau = 200_000
     for mode in ("full", "plain"):
         plan = plan_chain(g0, mode)
         w = plan.window
         assert plan.complement and w.width >= 32
+        windows.clear()
         res = run_chain(g0, ChainConfig(tau=tau, mode=mode, seed=3))
         assert res.moves > 0 and res.graph.degree_sequence() == g0.degree_sequence()
         calls = rngs[-1].calls
-        window_calls = calls.pop((w.bound - 1).bit_length())
-        pair_calls = sum(calls.values())  # each element step draws >= 1 pair
-        assert pair_calls > 0
-        # windows <= element steps + tau / W, with under two draws each on average
-        assert window_calls <= 2 * (pair_calls + tau / w.width), mode
-        assert window_calls + pair_calls < tau / 10, mode
+        # the last window may end past tau, so its element step is not run
+        element_steps = windows[True] - 1
+        assert element_steps >= res.moves
+        bits = sum(k * c for k, c in calls.items())
+        assert bits < 256 * element_steps, mode
+        # all but a few windows end in an element step, and each draws 64
+        # bits but about W * 2^-64 of the time
+        assert windows[False] < element_steps / 10, mode
+        assert calls[64] == windows[True] + windows[False], mode
+        assert sum(calls.values()) < tau / 10, mode
     # m-bar = 0: no element, so no draw at all, and the run still loops
     # tau times with its trace and invariants intact
     complete = Digraph(n, [(u, v) for u in range(n) for v in range(n) if u != v])
