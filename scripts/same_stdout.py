@@ -59,6 +59,9 @@ EXTRA = [
     ("enumerate-unrealizable-psi", "enumerate --degrees '3 3 1 1' --kind psi", None),
     ("enumerate-unrealizable-phi-dot", "enumerate --degrees '1/1' --kind phi --format dot", None),
     ("enumerate-unrealizable-phibar", "enumerate --degrees '1/1' --kind phibar", None),
+    ("stats-full-on-graph", "stats --degrees '2 2 2' --mode full", None),
+    ("stats-undirected-on-digraph-workers", "stats --degrees '1/1 1/1 1/1' --mode undirected --workers 2", None),
+    ("sample-full-on-graph", "sample --degrees '2 2 2' --mode full", None),
 ]
 
 

@@ -31,12 +31,12 @@ draws a pair only when its universe holds one, so the redraw ends.
 
 One step loop, ``_run``, serves all three modes: an undirected 2-swap is
 a directed arc swap with the second edge read in the orientation the
-slot's parity picks.  Sampling, traces, invariant checks and the one-step
-fidelity check of :mod:`degswap.statespace` all run through it.  The loop
-takes the ``random.Random`` itself and draws every integer below a fixed
-bound from ``rng.getrandbits`` by rejection, one call per draw with the
-bound's bit length hoisted out of the loop, so walks and the final
-generator state depend on the draws alone.
+slot's parity picks.  Sampling and the one-step fidelity check of
+:mod:`degswap.statespace` run through it.  The loop takes the
+``random.Random`` itself and draws every integer below a fixed bound from
+``rng.getrandbits`` by rejection, one call per draw with the bound's bit
+length hoisted out of the loop, so walks and the final generator state
+depend on the draws alone.
 
 A step's slot comes from a window (:func:`step_window`): one uniform draw
 below d^W decides up to W steps, the run of loop slots and whether an
@@ -85,7 +85,8 @@ after every move and never after a loop, with the step index and the
 edge/arc tuples taken out and put in.  The hook may restore the graph
 through the graph's ``_add`` and ``_remove`` methods: the loop keeps
 no graph-derived state, so the next step sees the graph as the hook left
-it.
+it.  :func:`run_chain` installs no hook; the tests observe its runs, key
+by key or with invariant checks after each move, by wrapping ``_run``.
 """
 
 from __future__ import annotations
@@ -93,16 +94,9 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, bisect_right
 from operator import mul
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
-from .core import (
-    CanonicalKey,
-    DegreeSequence,
-    DiDegreeSequence,
-    Digraph,
-    Graph,
-    canonical_key,
-)
+from .core import DegreeSequence, DiDegreeSequence, Digraph, Graph
 from .errors import InvalidInputError
 from .names import DEFAULT_SEED, MODE_FULL, MODE_PLAIN, MODE_UNDIRECTED, MODES
 
@@ -179,17 +173,6 @@ class MoveUniverse(NamedTuple):
         if self.kind == MODE_FULL:
             return self.n_pairs + self.n_2paths + (1 if self.n_2paths == 0 else 0)
         return self.n_pairs + self.n_2paths + 1
-
-    def counts_on(self, g: Graph | Digraph) -> tuple[int, int]:
-        """Direct (universe pairs, stub 2-paths) counts on g.
-
-        Constancy check: ``pairs == n_pairs + n_2paths`` and
-        ``stubs == n_2paths`` on every realization of the sequence.
-        """
-        if isinstance(g, Graph):
-            return sum(1 for _ in iter_nonadjacent_pairs(g)), 0
-        pairs = sum(1 for _ in iter_role_disjoint_arc_pairs(g))
-        return pairs, sum(x * y for x, y in zip(g.out_deg, g.in_deg))
 
 
 def iter_nonadjacent_pairs(g: Graph | Digraph):
@@ -504,7 +487,6 @@ class _ChainFields(NamedTuple):
     tau: int
     mode: str
     seed: int = DEFAULT_SEED
-    record_trace: bool = False
 
 
 class ChainConfig(_ChainFields):
@@ -512,7 +494,7 @@ class ChainConfig(_ChainFields):
 
     __slots__ = ()
 
-    def __new__(cls, tau: int, mode: str, seed: int = DEFAULT_SEED, record_trace: bool = False):
+    def __new__(cls, tau: int, mode: str, seed: int = DEFAULT_SEED):
         if tau < 0:
             raise InvalidInputError("tau must be >= 0")
         if mode not in MODES:
@@ -520,7 +502,7 @@ class ChainConfig(_ChainFields):
         if seed < 0:
             # random.Random(-s) is random.Random(s): two seeds, one walk
             raise InvalidInputError("seed must be >= 0")
-        return super().__new__(cls, tau, mode, seed, record_trace)
+        return super().__new__(cls, tau, mode, seed)
 
     @classmethod
     def _make(cls, iterable):
@@ -532,7 +514,6 @@ class ChainResult(NamedTuple):
     graph: Graph | Digraph
     moves: int
     loops: int
-    trace: Optional[list[CanonicalKey]]
 
 
 class ChainPlan(NamedTuple):
@@ -565,69 +546,22 @@ def plan_chain(g0: Graph | Digraph, mode: str) -> ChainPlan:
     return ChainPlan(mode, universe, walked, bar is not None, start, window)
 
 
-def run_chain(
-    g0: Graph | Digraph | ChainPlan, cfg: ChainConfig, check_invariants: bool = False
-) -> ChainResult:
+def run_chain(g0: Graph | Digraph | ChainPlan, cfg: ChainConfig) -> ChainResult:
     """Run tau steps from g0; deterministic given (g0, seed).
 
     g0 may be given as its :func:`plan_chain` for ``cfg.mode``, which walks
     exactly as g0 itself does.  The run walks a copy of g0, or g0's
     complement when that walk is shorter (:func:`complement_universe`),
     padded to g0's walk degree and complemented back at the end; the two
-    have the same transition matrix.
-
-    With ``check_invariants`` the start state and the state after every move
-    check the walked graph's index structures against its edge/arc list,
-    then re-derive its degree sequence and universe counts and assert
-    constancy (a loop leaves the graph, and so the counts, unchanged).  A
-    trace records g0's side: the complement of each key on a complement
-    walk.
+    have the same transition matrix.  The step loop runs without a move
+    hook.
     """
     plan = g0 if isinstance(g0, ChainPlan) else plan_chain(g0, cfg.mode)
     if plan.mode != cfg.mode:
         raise InvalidInputError(f"a {plan.mode} plan cannot run mode {cfg.mode!r}")
-    walked = plan.walked
     g = plan.start.copy()
-    if plan.complement:
-
-        def key(h):
-            return canonical_key(h).complement()
-
-    else:
-        key = canonical_key
-
     rng = random.Random(cfg.seed)
-    trace = [key(g)] if cfg.record_trace else None
-    on_move = None
-    if trace is not None or check_invariants:
-        s0 = g.degree_sequence()
-
-        def on_move(t, removed, added):
-            if trace is not None:
-                # loop steps repeat the previous key: entry t + 1 is step t
-                trace.extend([trace[-1]] * (t - len(trace) + 1))
-                trace.append(key(g))
-            if check_invariants:
-                _check_invariants(g, walked, s0)
-
-        if check_invariants:
-            _check_invariants(g, walked, s0)
-
-    d = plan.universe.walk_degree
-    moves = _run(g, walked, rng, cfg.tau, on_move, d, plan.window)
+    moves = _run(g, plan.walked, rng, cfg.tau, None, plan.universe.walk_degree, plan.window)
     if plan.complement:
         g = g.complement()
-    if trace is not None:
-        trace.extend([trace[-1]] * (cfg.tau + 1 - len(trace)))
-    return ChainResult(g, moves, cfg.tau - moves, trace)
-
-
-def _check_invariants(g, universe: MoveUniverse, s0) -> None:
-    g._check_index()
-    if g.degree_sequence() != s0:
-        raise AssertionError("degree sequence drifted")
-    pairs, stubs = universe.counts_on(g)
-    if pairs != universe.n_pairs + universe.n_2paths:
-        raise AssertionError("universe pair count drifted")
-    if stubs != universe.n_2paths:
-        raise AssertionError("2-path count drifted")
+    return ChainResult(g, moves, cfg.tau - moves)

@@ -108,13 +108,11 @@ def _realize(s: DegreeSequence | DiDegreeSequence) -> Graph | Digraph:
     return realize.realize_undirected(s)
 
 
-def _load_graph_or_sequence(args):
-    """(graph, sequence) with the graph realized on demand."""
+def _load_graph(args) -> Graph | Digraph:
+    """The start graph: the edge list's, or the greedy realization of the sequence."""
     if getattr(args, "edgelist", None) is not None:
-        g = parse_edgelist(_read_text(args.edgelist))
-        return g, g.degree_sequence()
-    s = _load_sequence(args)
-    return _realize(s), s
+        return parse_edgelist(_read_text(args.edgelist))
+    return _realize(_load_sequence(args))
 
 
 def _emit(payload: str) -> None:
@@ -201,10 +199,10 @@ def _cmd_realize(args) -> int:
     return EXIT_OK
 
 
-def _mode_for(args, s) -> str:
+def _mode_for(args, g: Graph | Digraph) -> str:
     if args.mode is not None:
         return args.mode
-    return MODE_UNDIRECTED if isinstance(s, DegreeSequence) else MODE_FULL
+    return MODE_UNDIRECTED if isinstance(g, Graph) else MODE_FULL
 
 
 def _cmd_sample(args) -> int:
@@ -214,8 +212,8 @@ def _cmd_sample(args) -> int:
         raise InvalidInputError("--workers must be >= 1")
     if args.runs > 1 and args.format == "edgelist":
         raise InvalidInputError("--emit edgelist prints one graph; it needs --runs 1")
-    g0, s = _load_graph_or_sequence(args)
-    mode = _mode_for(args, s)
+    g0 = _load_graph(args)
+    mode = _mode_for(args, g0)
     seed = _parse_seed(args.seed)
     cfg = chain.ChainConfig(tau=args.tau, mode=mode, seed=seed)
     if args.runs == 1:
@@ -337,11 +335,11 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    g0, s = _load_graph_or_sequence(args)
-    mode = _mode_for(args, s)
+    g0 = _load_graph(args)
+    mode = _mode_for(args, g0)
     seed = _parse_seed(args.seed)
     cfg = chain.ChainConfig(tau=args.tau, mode=mode, seed=seed)
-    report = stats.ensemble_stats(s, cfg, args.runs, workers=args.workers, g0=g0)
+    report = stats.ensemble_stats(g0, cfg, args.runs, workers=args.workers)
     payload = {
         "mode": mode,
         "tau": args.tau,

@@ -18,10 +18,10 @@ from collections import Counter
 from typing import NamedTuple, Optional
 
 from . import arcswap
-from .chain import MODE_UNDIRECTED, ChainConfig, derive_seed, plan_chain, run_chain
-from .core import UNDIRECTED, DegreeSequence, DiDegreeSequence, Digraph, Graph, canonical_key
+from .chain import ChainConfig, ChainPlan, derive_seed, plan_chain, run_chain
+from .core import UNDIRECTED, Digraph, Graph, canonical_key
 from .errors import InvalidInputError
-from .realize import realize_directed, realize_undirected
+from .names import MODE_PLAIN
 
 
 class StatsReport(NamedTuple):
@@ -79,18 +79,17 @@ class Ensemble:
         return self
 
 
-def _run_block(block, g0: Graph | Digraph) -> Ensemble:
-    """Runs ``lo .. hi - 1`` of ``block = (lo, hi, cfg, runs, tally)`` from g0, merged.
+def _run_block(block, plan: ChainPlan) -> Ensemble:
+    """Runs ``lo .. hi - 1`` of ``block = (lo, hi, cfg, runs, tally)`` from plan, merged.
 
-    The block plans its runs once (:func:`degswap.chain.plan_chain`) and
-    hands the plan to one ``run_chain`` call per run.  ``run_chain``
-    (config as second positional argument) and ``count_directed_3cycles``
-    are module globals: a tracer that rebinds them sees every run, in
-    forked block processes too.
+    The plan (:func:`degswap.chain.plan_chain`) is the ensemble's, built
+    once before any block forks; each run is one ``run_chain(plan, cfg)``
+    call.  ``run_chain`` (config as second positional argument) and
+    ``count_directed_3cycles`` are module globals: a tracer that rebinds
+    them sees every run, in forked block processes too.
     """
     lo, hi, cfg, runs, tally = block
-    directed = g0.kind != UNDIRECTED
-    plan = plan_chain(g0, cfg.mode)
+    directed = plan.start.kind != UNDIRECTED
     out = Ensemble()
     for i in range(lo, hi):
         result = run_chain(plan, ChainConfig(cfg.tau, cfg.mode, derive_seed(cfg.seed, i)))
@@ -107,8 +106,8 @@ def _run_block(block, g0: Graph | Digraph) -> Ensemble:
     return out
 
 
-def _fork_block(block, g0: Graph | Digraph) -> tuple[int, int]:
-    """Fork a process that runs ``block`` from its inherited g0: (pid, read end).
+def _fork_block(block, plan: ChainPlan) -> tuple[int, int]:
+    """Fork a process that runs ``block`` from its inherited plan: (pid, read end).
 
     The child pickles the block's :class:`Ensemble`, or the exception the
     block raised, down a pipe and ends with ``os._exit``, so it never
@@ -128,7 +127,7 @@ def _fork_block(block, g0: Graph | Digraph) -> tuple[int, int]:
     try:
         os.close(read_end)
         try:
-            sent = _run_block(block, g0)
+            sent = _run_block(block, plan)
         except BaseException as exc:  # sent to the parent, which re-raises it
             sent = exc
         data = pickle.dumps(sent)
@@ -152,22 +151,24 @@ def run_ensemble(
 ) -> Ensemble:
     """Chains ``0 .. runs - 1`` from g0, chain ``i`` seeded ``derive_seed(cfg.seed, i)``.
 
-    ``tally`` adds the arc and motif counts.  The runs are cut into ``size =
-    min(workers, runs, CPUs)`` contiguous blocks (1 where ``os.fork`` is
-    missing).  The caller's process forks one child per block after the
-    first, each inheriting g0, runs the first block itself, then reads and
-    reaps the children in block order, whether or not its own block
-    raised.  Each child sends back one merged :class:`Ensemble`, or the
-    exception its block raised, which is raised here.  Forking is safe
-    only in a process without threads; the command line starts none.
+    ``tally`` adds the arc and motif counts.  The runs' plan is built first,
+    so a mode that does not fit g0 fails before any fork.  The runs are cut
+    into ``size = min(workers, runs, CPUs)`` contiguous blocks (1 where
+    ``os.fork`` is missing).  The caller's process forks one child per block
+    after the first, each inheriting the plan, runs the first block itself,
+    then reads and reaps the children in block order, whether or not its
+    own block raised.  Each child sends back one merged :class:`Ensemble`,
+    or the exception its block raised, which is raised here.  Forking is
+    safe only in a process without threads; the command line starts none.
     """
+    plan = plan_chain(g0, cfg.mode)
     size = min(workers, runs, os.cpu_count() or 1) if hasattr(os, "fork") else 1
     blocks = [(runs * b // size, runs * (b + 1) // size, cfg, runs, tally) for b in range(size)]
     children = []
     try:
         for block in blocks[1:]:
-            children.append(_fork_block(block, g0))
-        total = _run_block(blocks[0], g0)
+            children.append(_fork_block(block, plan))
+        total = _run_block(blocks[0], plan)
     finally:
         sent = [_reap_block(pid, read_end) for pid, read_end in children]
     # in block order, so ``last`` ends up from the last block
@@ -182,34 +183,24 @@ def run_ensemble(
 
 
 def ensemble_stats(
-    s: DegreeSequence | DiDegreeSequence,
-    cfg: ChainConfig,
-    runs: int,
-    workers: int = 1,
-    g0: Optional[Graph | Digraph] = None,
+    g0: Graph | Digraph, cfg: ChainConfig, runs: int, workers: int = 1
 ) -> StatsReport:
     """Aggregate K independent chains from g0; deterministic in (g0, cfg.seed, runs).
 
-    g0 defaults to the greedy realization of ``s``; a given g0 must realize
-    ``s``.  The aggregate does not depend on ``workers``.
+    The aggregate does not depend on ``workers``.  A mode that does not fit
+    g0 raises :class:`InvalidInputError` from the chain's plan.
     """
-    directed = isinstance(s, DiDegreeSequence)
-    if directed == (cfg.mode == MODE_UNDIRECTED):
-        raise InvalidInputError(f"mode {cfg.mode!r} does not fit the sequence kind")
     if runs < 1:
         raise InvalidInputError("runs must be >= 1")
     if workers < 1:
         raise InvalidInputError("workers must be >= 1")
 
-    if g0 is None:
-        g0 = realize_directed(s) if directed else realize_undirected(s)
-    elif g0.degree_sequence() != s:
-        raise InvalidInputError("g0 does not realize the sequence")
+    directed = g0.kind != UNDIRECTED
     total = run_ensemble(g0, cfg, runs, workers, tally=True)
     freq = {arc: c / runs for arc, c in sorted(total.arcs.items())}
 
     corrected = None
-    if directed and cfg.mode == "plain":
+    if cfg.mode == MODE_PLAIN:
         corrected = correct_frozen_arcs(freq, arcswap.cycle_set_arcs(g0))
 
     return StatsReport(

@@ -7,16 +7,28 @@ certify it.
 
 import itertools
 import math
+from typing import NamedTuple, Optional
 
 import pytest
 
-from degswap.chain import MODE_FULL, MODE_PLAIN, MODE_UNDIRECTED, _run, universe_for
+from degswap import chain
+from degswap.chain import (
+    MODE_FULL,
+    MODE_PLAIN,
+    MODE_UNDIRECTED,
+    _run,
+    iter_nonadjacent_pairs,
+    iter_role_disjoint_arc_pairs,
+    universe_for,
+)
 from degswap.core import (
     AlternatingCycle,
+    CanonicalKey,
     DegreeSequence,
     DiDegreeSequence,
     Digraph,
     Graph,
+    canonical_key,
 )
 
 
@@ -97,6 +109,89 @@ def step_directed_full(g: Digraph, rng) -> bool:
 def step_directed_plain(g: Digraph, rng) -> bool:
     """One swap-only step in place; True when the digraph changed."""
     return _run(g, universe_for(g, MODE_PLAIN), rng, 1) == 1
+
+
+# ---------------------------------------------------------------------------
+# observed runs: degswap.chain.run_chain with a move hook on its step loop
+
+
+def universe_counts(g: Graph | Digraph) -> tuple[int, int]:
+    """Direct (universe pairs, stub 2-paths) counts on g.
+
+    Constancy oracle: ``pairs == n_pairs + n_2paths`` and ``stubs ==
+    n_2paths`` of the sequence's universe on every realization.
+    """
+    if isinstance(g, Graph):
+        return sum(1 for _ in iter_nonadjacent_pairs(g)), 0
+    pairs = sum(1 for _ in iter_role_disjoint_arc_pairs(g))
+    return pairs, sum(x * y for x, y in zip(g.out_deg, g.in_deg))
+
+
+def check_invariants(g: Graph | Digraph, universe, s0) -> None:
+    """Assert g's index structures, its degree sequence s0 and its universe counts."""
+    g._check_index()
+    assert g.degree_sequence() == s0, "degree sequence drifted"
+    pairs, stubs = universe_counts(g)
+    assert pairs == universe.n_pairs + universe.n_2paths, "universe pair count drifted"
+    assert stubs == universe.n_2paths, "2-path count drifted"
+
+
+class ObservedRun(NamedTuple):
+    """A run_chain result, plus the walk's keys when traced."""
+
+    graph: Graph | Digraph
+    moves: int
+    loops: int
+    trace: Optional[list[CanonicalKey]]
+
+
+def observed_run(g0, cfg, trace: bool = False, check: bool = False) -> ObservedRun:
+    """``run_chain(g0, cfg)`` with an ``on_move`` hook on the step loop it calls.
+
+    ``degswap.chain._run`` is wrapped for this one call, so run_chain itself
+    runs, and the hook reads the walked graph without drawing.  ``trace``
+    records g0's side of the walk, tau + 1 keys: the start's, then entry
+    t + 1 after step t (a loop repeats the previous key; a complement walk
+    records the complement of each walked key).  ``check`` applies
+    :func:`check_invariants` to the walked graph at the start and after
+    every move; a loop leaves the graph, and so the counts, unchanged.
+    """
+    plan = g0 if isinstance(g0, chain.ChainPlan) else chain.plan_chain(g0, cfg.mode)
+    if plan.complement:
+
+        def key(h):
+            return canonical_key(h).complement()
+
+    else:
+        key = canonical_key
+    keys = [] if trace else None
+    inner = chain._run
+
+    def hooked(g, universe, rng, tau, on_move=None, walk_degree=None, window=None):
+        assert on_move is None
+        s0 = g.degree_sequence()
+
+        def observe(t, removed, added):
+            if keys is not None:
+                keys.extend([keys[-1]] * (t - len(keys) + 1))
+                keys.append(key(g))
+            if check:
+                check_invariants(g, universe, s0)
+
+        if keys is not None:
+            keys.append(key(g))
+        if check:
+            check_invariants(g, universe, s0)
+        return inner(g, universe, rng, tau, observe, walk_degree, window)
+
+    chain._run = hooked
+    try:
+        result = chain.run_chain(g0, cfg)
+    finally:
+        chain._run = inner
+    if keys is not None:
+        keys.extend([keys[-1]] * (cfg.tau + 1 - len(keys)))
+    return ObservedRun(*result, keys)
 
 
 # ---------------------------------------------------------------------------

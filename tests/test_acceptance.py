@@ -18,7 +18,7 @@ from degswap.generators import (
     BlockedInstanceSpec,
     generate_blocked,
 )
-from degswap.realize import is_digraphical, realize_directed
+from degswap.realize import is_digraphical, realize_directed, realize_undirected
 from degswap.statespace import (
     build_state_graph,
     check_diameter_bounds,
@@ -70,7 +70,7 @@ def full_mode_ensemble():
     s = DiDegreeSequence(((1, 1),) * 3)
     t0 = time.perf_counter()
     report = ensemble_stats(
-        s,
+        realize_directed(s),
         ChainConfig(tau=10_000, mode="full", seed=ACCEPT_SEED),
         runs=3000,
         workers=_WORKERS,
@@ -279,7 +279,7 @@ def test_criterion_5_uniform_sampling(full_mode_ensemble):
     ok = False
     try:
         und_report = ensemble_stats(
-            DegreeSequence((1, 1, 1, 1)),
+            realize_undirected(DegreeSequence((1, 1, 1, 1))),
             ChainConfig(tau=10_000, mode="undirected", seed=ACCEPT_SEED + 1),
             runs=3000,
             workers=_WORKERS,
@@ -400,7 +400,7 @@ def test_criterion_9_bias_report(full_mode_ensemble):
 
         # swap-only sampling: frequencies freeze at 0/1; the correction is 1/2
         report = ensemble_stats(
-            s, ChainConfig(tau=1000, mode="plain", seed=ACCEPT_SEED), runs=50
+            g0, ChainConfig(tau=1000, mode="plain", seed=ACCEPT_SEED), runs=50
         )
         for arc in cycle_arcs:
             rev = (arc[1], arc[0])

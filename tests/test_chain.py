@@ -29,12 +29,14 @@ from .conftest import (
     hub_with_back_arc,
     hub_with_matching,
     mobile_blocked_instance,
+    observed_run,
     reorient_triangle,
     step_directed_full,
     step_directed_plain,
     step_undirected,
     swap_arcs,
     swap_edges,
+    universe_counts,
 )
 
 
@@ -57,7 +59,7 @@ def test_universe_constancy_over_realizations():
         s = DiDegreeSequence(pairs)
         u = MoveUniverse.of(s, "full")
         for g in enumerate_realizations(s):
-            role_disjoint, stubs = u.counts_on(g)
+            role_disjoint, stubs = universe_counts(g)
             assert role_disjoint == u.n_pairs + u.n_2paths
             assert stubs == u.n_2paths
 
@@ -78,7 +80,7 @@ def test_chain_config_replace_is_checked():
     with pytest.raises(InvalidInputError):
         cfg._replace(seed=-1)
     with pytest.raises(InvalidInputError):
-        ChainConfig._make((1, "sideways", 0, False))
+        ChainConfig._make((1, "sideways", 0))
     assert cfg._replace(tau=7, seed=3) == ChainConfig(tau=7, mode="full", seed=3)
     assert type(cfg._replace(mode="plain")) is ChainConfig
 
@@ -173,8 +175,8 @@ def test_complete_and_one_short_inputs_loop_on_the_complement():
         for mode in modes:
             u = universe_for(g0, mode)
             assert complement_universe(g0, u).walk_degree == 1 < u.walk_degree
-            cfg = ChainConfig(tau=300, mode=mode, seed=2, record_trace=True)
-            res = run_chain(g0, cfg, check_invariants=True)
+            cfg = ChainConfig(tau=300, mode=mode, seed=2)
+            res = observed_run(g0, cfg, trace=True, check=True)
             assert res.graph == g0 and res.graph is not g0
             assert (res.moves, res.loops) == (0, 300)
             assert set(res.trace) == {canonical_key(g0)}
@@ -498,8 +500,8 @@ def test_padded_walks_draw_once_per_element_step_or_window(monkeypatch):
     # tau times with its trace and invariants intact
     complete = Digraph(n, [(u, v) for u in range(n) for v in range(n) if u != v])
     for mode in ("full", "plain"):
-        cfg = ChainConfig(tau=tau, mode=mode, seed=3, record_trace=True)
-        res = run_chain(complete, cfg, check_invariants=True)
+        cfg = ChainConfig(tau=tau, mode=mode, seed=3)
+        res = observed_run(complete, cfg, trace=True, check=True)
         assert (res.moves, res.loops) == (0, tau)
         assert len(res.trace) == tau + 1 and set(res.trace) == {canonical_key(complete)}
         assert not rngs[-1].calls
@@ -516,8 +518,8 @@ def test_a_plan_runs_as_its_start_graph():
     for g0, mode in cases:
         plan = plan_chain(g0, mode)
         for seed in range(3):
-            cfg = ChainConfig(tau=500, mode=mode, seed=seed, record_trace=True)
-            a, b = run_chain(g0, cfg), run_chain(plan, cfg)
+            cfg = ChainConfig(tau=500, mode=mode, seed=seed)
+            a, b = observed_run(g0, cfg, trace=True), observed_run(plan, cfg, trace=True)
             assert a.graph == b.graph and a.trace == b.trace and a.moves == b.moves
         assert plan.start is g0 or plan.start == g0.complement()
     with pytest.raises(InvalidInputError):
@@ -525,8 +527,8 @@ def test_a_plan_runs_as_its_start_graph():
 
 
 def test_move_hook_leaves_the_walk_unchanged():
-    # traces and invariant checks ride on the sampling loop's per-move hook;
-    # installing it must not change a single draw
+    # traces and invariant checks ride on the step loop's per-move hook,
+    # installed around run_chain; installing it must not change a single draw
     cases = [
         (realize_undirected(DegreeSequence((1, 1, 1, 1))), "undirected"),
         (realize_undirected(DegreeSequence((2, 2, 2, 1, 1))), "undirected"),
@@ -540,10 +542,8 @@ def test_move_hook_leaves_the_walk_unchanged():
         for seed in range(4):
             cfg = ChainConfig(tau=600, mode=mode, seed=seed)
             bare = run_chain(g0, cfg)
-            traced = run_chain(
-                g0, ChainConfig(tau=600, mode=mode, seed=seed, record_trace=True)
-            )
-            checked = run_chain(g0, cfg, check_invariants=True)
+            traced = observed_run(g0, cfg, trace=True)
+            checked = observed_run(g0, cfg, check=True)
             key = canonical_key(bare.graph)
             for hooked in (traced, checked):
                 assert canonical_key(hooked.graph) == key
@@ -556,7 +556,7 @@ def test_move_hook_leaves_the_walk_unchanged():
 
 def test_trace_records_moves():
     g = realize_undirected(DegreeSequence((1, 1, 1, 1)))
-    res = run_chain(g, ChainConfig(tau=200, mode="undirected", seed=1, record_trace=True))
+    res = observed_run(g, ChainConfig(tau=200, mode="undirected", seed=1), trace=True)
     changes = sum(1 for a, b in zip(res.trace, res.trace[1:]) if a != b)
     assert changes == res.moves > 0
 
@@ -567,14 +567,12 @@ def test_invariants_hold_throughout():
         (realize_directed(DiDegreeSequence(((1, 1),) * 4)), "full"),
         (realize_directed(DiDegreeSequence(((1, 1),) * 4)), "plain"),
     ):
-        run_chain(g0, ChainConfig(tau=400, mode=mode, seed=7), check_invariants=True)
+        observed_run(g0, ChainConfig(tau=400, mode=mode, seed=7), check=True)
 
 
 def test_invariants_on_rejection_sampling_path():
     for g0, mode in _rejection_path_cases():
-        res = run_chain(
-            g0, ChainConfig(tau=800, mode=mode, seed=3), check_invariants=True
-        )
+        res = observed_run(g0, ChainConfig(tau=800, mode=mode, seed=3), check=True)
         assert res.moves > 0
 
 
@@ -635,9 +633,7 @@ def test_unique_realization_always_loops():
 
 def test_all_matchings_visited():
     g = realize_undirected(DegreeSequence((1, 1, 1, 1)))
-    res = run_chain(
-        g, ChainConfig(tau=2000, mode="undirected", seed=3, record_trace=True)
-    )
+    res = observed_run(g, ChainConfig(tau=2000, mode="undirected", seed=3), trace=True)
     assert len(set(res.trace)) == 3
 
 
@@ -745,8 +741,8 @@ def test_rare_pair_long_walks_are_uniform():
         (hub_with_back_arc(), "full", 41, 42),
         (hub_with_matching(20, 1, "out"), "plain", 21, 43),
     ):
-        cfg = ChainConfig(tau=tau, mode=mode, seed=seed, record_trace=True)
-        res = run_chain(g0, cfg)
+        cfg = ChainConfig(tau=tau, mode=mode, seed=seed)
+        res = observed_run(g0, cfg, trace=True)
         counts = {}
         for key in res.trace[every::every]:
             counts[key] = counts.get(key, 0) + 1

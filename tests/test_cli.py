@@ -464,6 +464,24 @@ def test_sample_bad_tau_fails_before_the_pool(capsys, monkeypatch):
     assert "tau" in json.loads(err)["error"]
 
 
+def test_stats_mode_mismatch_fails_before_the_pool(capsys, monkeypatch):
+    # the ensemble plans its runs before it forks, and the plan's mode check
+    # prints the same message as sample's
+    import os
+
+    def no_fork():
+        raise AssertionError("block process forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    code, out, err = run_cli(
+        capsys, "stats", "--degrees", "1/1 1/1 1/1", "--mode", "undirected",
+        "--workers", "2",
+    )
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "undirected mode needs an undirected graph"}
+
+
 def test_sample_rejects_edgelist_with_many_runs(capsys):
     code, out, err = run_cli(
         capsys, "sample", "--degrees", "1 1 1 1", "--runs", "3", "--emit", "edgelist"
