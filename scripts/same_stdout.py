@@ -62,6 +62,8 @@ EXTRA = [
     ("stats-full-on-graph", "stats --degrees '2 2 2' --mode full", None),
     ("stats-undirected-on-digraph-workers", "stats --degrees '1/1 1/1 1/1' --mode undirected --workers 2", None),
     ("sample-full-on-graph", "sample --degrees '2 2 2' --mode full", None),
+    ("stats-zero-runs-not-graphical", "stats --runs 0 --degrees '3 1'", None),
+    ("stats-zero-workers-not-graphical", "stats --workers 0 --degrees '3 1'", None),
 ]
 
 

@@ -22,7 +22,6 @@ _NAMES = {
         "InducedCycleSet",
         "arc_probability_bias",
         "detect_induced_cycle_sets",
-        "find_breaking_walk",
         "recognize",
         "reduce_sequence",
     ),
@@ -66,7 +65,6 @@ _NAMES = {
     "statespace": (
         "AlternatingWalk",
         "BoundReport",
-        "ComparisonReport",
         "PropertyReport",
         "StateGraph",
         "SymmetricDifference",
@@ -74,8 +72,6 @@ _NAMES = {
         "check_diameter_bounds",
         "check_properties",
         "decompose_alternating",
-        "empirical_transition_check",
-        "enumerate_realizations",
         "find_disjoint_3walk",
         "symmetric_difference",
     ),

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .core import AlternatingCycle, DiDegreeSequence, Digraph
+from .core import DiDegreeSequence, Digraph
 from .errors import (
     InternalInconsistencyError,
     InvalidInputError,
@@ -163,40 +163,6 @@ def _breaking_walk(
                                 return walk
             ins.clear()
     return None
-
-
-def _swap_cycle(walk: list[int]) -> AlternatingCycle:
-    """The swap cycle of a breaking walk: the probe, then the walk backwards."""
-    removed = [(walk[0], walk[-1])]
-    added = []
-    for i in range(len(walk) - 1):
-        a, b = walk[i], walk[i + 1]
-        if i % 2:
-            removed.append((b, a))  # present arc into the in-copy a-
-        else:
-            added.append((a, b))  # absent arc out of the out-copy a+
-    verts = (walk[0],) + tuple(reversed(walk[1:]))
-    return AlternatingCycle("directed", verts, tuple(removed), tuple(added))
-
-
-def find_breaking_walk(
-    g: Digraph, cycle: tuple[int, int, int], arc: tuple[int, int]
-) -> Optional[AlternatingCycle]:
-    """Swap cycle removing ``arc`` that leaves the triple without a 3-cycle.
-
-    ``cycle`` is a vertex triple inducing a directed 3-cycle in g and ``arc``
-    one of its arcs.  Absent result means no simple symmetric swap through
-    this arc can break the triple.
-    """
-    arcs = _cycle_orientation(g, tuple(cycle))
-    if arcs is None:
-        raise InvalidInputError(f"{cycle} does not induce a directed 3-cycle")
-    if tuple(arc) not in arcs:
-        raise InvalidInputError(f"{arc} is not an arc of the induced 3-cycle")
-    v, w = arc
-    x = next(b for a, b in arcs if a == w)
-    walk = _breaking_walk(g, v, w, x, *g.adjacency())
-    return None if walk is None else _swap_cycle(walk)
 
 
 def induced_3cycles(g: Digraph) -> list[tuple[int, int, int]]:

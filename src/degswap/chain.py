@@ -31,8 +31,10 @@ draws a pair only when its universe holds one, so the redraw ends.
 
 One step loop, ``_run``, serves all three modes: an undirected 2-swap is
 a directed arc swap with the second edge read in the orientation the
-slot's parity picks.  Sampling and the one-step fidelity check of
-:mod:`degswap.statespace` run through it.  The loop takes the
+slot's parity picks.  Sampling runs through it, and so does the one-step
+fidelity check in ``tests/conftest.py`` (``empirical_transition_check``),
+which compares its steps with the state graphs of
+:mod:`degswap.statespace`.  The loop takes the
 ``random.Random`` itself and draws every integer below a fixed bound from
 ``rng.getrandbits`` by rejection, one call per draw with the bound's bit
 length hoisted out of the loop, so walks and the final generator state
@@ -85,7 +87,8 @@ after every move and never after a loop, with the step index and the
 edge/arc tuples taken out and put in.  The hook may restore the graph
 through the graph's ``_add`` and ``_remove`` methods: the loop keeps
 no graph-derived state, so the next step sees the graph as the hook left
-it.  :func:`run_chain` installs no hook; the tests observe its runs, key
+it; the fidelity check in ``tests/conftest.py`` undoes every move this
+way.  :func:`run_chain` installs no hook; the tests observe its runs, key
 by key or with invariant checks after each move, by wrapping ``_run``.
 """
 

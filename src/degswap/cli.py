@@ -205,11 +205,16 @@ def _mode_for(args, g: Graph | Digraph) -> str:
     return MODE_UNDIRECTED if isinstance(g, Graph) else MODE_FULL
 
 
-def _cmd_sample(args) -> int:
+def _check_runs(args) -> None:
+    """``--runs`` and ``--workers`` of sample and stats, before any input is read."""
     if args.runs < 1:
         raise InvalidInputError("--runs must be >= 1")
     if args.workers < 1:
         raise InvalidInputError("--workers must be >= 1")
+
+
+def _cmd_sample(args) -> int:
+    _check_runs(args)
     if args.runs > 1 and args.format == "edgelist":
         raise InvalidInputError("--emit edgelist prints one graph; it needs --runs 1")
     g0 = _load_graph(args)
@@ -335,6 +340,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    _check_runs(args)
     g0 = _load_graph(args)
     mode = _mode_for(args, g0)
     seed = _parse_seed(args.seed)

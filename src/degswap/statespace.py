@@ -6,7 +6,8 @@ The three state-graph kinds mirror the chain modes:
 * ``phi`` -- directed walk with 2-swaps and 3-cycle reorientations;
 * ``phibar`` -- directed walk with 2-swaps only.
 
-Nodes are realizations (indexed by canonical key) and arcs are moves.  One
+Nodes are realizations, held only as their sorted canonical keys
+(:func:`degswap.core.graph_from_key` decodes one), and arcs are moves.  One
 loop applies every element of the chain's selection universe
 (:class:`degswap.chain.MoveUniverse`) to every state: an element whose move
 is gated counts as a loop, as does each of the universe's padding slots, so
@@ -14,7 +15,8 @@ the walk is regular by construction and its transition row is
 ``1/walk_degree`` per slot.  More than :data:`MAX_STATES` realizations
 are over budget.  The structural checks all read one iteration of reach
 bitsets over the states (``_reach``): strong components, diameters,
-bipartiteness and the distance bounds.
+bipartiteness and the distance bounds.  The module runs no chain: the
+tests check the sampling loop's one-step rows against these state graphs.
 
 The module also holds the symmetric-difference and alternating-cycle lemma
 code behind the distance bounds that :func:`check_diameter_bounds` checks.
@@ -28,8 +30,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
-import random
 from typing import Iterator, NamedTuple, Optional
 
 from .chain import (
@@ -37,11 +37,8 @@ from .chain import (
     MODE_PLAIN,
     MODE_UNDIRECTED,
     MoveUniverse,
-    _run,
-    derive_seed,
     iter_nonadjacent_pairs,
     iter_role_disjoint_arc_pairs,
-    universe_for,
 )
 from .core import (
     DIRECTED,
@@ -127,17 +124,6 @@ def _enum_keys(s: DegreeSequence | DiDegreeSequence) -> Iterator[int]:
     yield from rec(0, 0)
 
 
-def enumerate_realizations(
-    s: DegreeSequence | DiDegreeSequence, max_n: Optional[int] = None
-) -> list[Graph | Digraph]:
-    """All labeled simple realizations of s, each exactly once."""
-    kind = DIRECTED if isinstance(s, DiDegreeSequence) else UNDIRECTED
-    return [
-        graph_from_key(CanonicalKey(kind, s.n, bits))
-        for bits in enumerate_realization_keys(s, max_n)
-    ]
-
-
 # ---------------------------------------------------------------------------
 # explicit state graphs
 
@@ -147,7 +133,6 @@ class StateGraph(NamedTuple):
     n: int
     universe: MoveUniverse
     keys: list[CanonicalKey]  # sorted
-    realizations: dict[CanonicalKey, Graph | Digraph]
     arcs: dict[CanonicalKey, dict[CanonicalKey, int]]  # multiplicities
     loops: dict[CanonicalKey, int]
 
@@ -175,7 +160,9 @@ def build_state_graph(
     applied: a move whose added pairs are all absent becomes an arc, and
     any other element, like each of the ``walk_degree - elements`` padding
     slots, counts as a loop, so every state has out-degree ``walk_degree``.
-    More than :data:`MAX_STATES` realizations raise ResourceLimitError.
+    Each state is decoded from its key inside the row loop, and only the
+    keys are kept.  More than :data:`MAX_STATES` realizations raise
+    ResourceLimitError.
     """
     if kind not in _KIND_TO_MODE:
         raise InvalidInputError(f"unknown state-graph kind {kind!r}")
@@ -188,7 +175,6 @@ def build_state_graph(
     if len(found) > MAX_STATES:
         raise ResourceLimitError(f"realization count exceeds the state budget of {MAX_STATES}")
     keys = sorted(CanonicalKey(graph_kind, s.n, bits) for bits in found)
-    realizations = {key: graph_from_key(key) for key in keys}
 
     universe = MoveUniverse.of(s, _KIND_TO_MODE[kind])
     padding = universe.walk_degree - universe.elements
@@ -197,7 +183,7 @@ def build_state_graph(
     arcs: dict[CanonicalKey, dict[CanonicalKey, int]] = {}
     loops: dict[CanonicalKey, int] = {}
     for key in keys:
-        g = realizations[key]
+        g = graph_from_key(key)
         pos = g._pos
         out: dict[CanonicalKey, int] = {}
         nloops = padding
@@ -212,7 +198,7 @@ def build_state_graph(
         arcs[key] = out
         loops[key] = nloops
 
-    return StateGraph(kind, s.n, universe, keys, realizations, arcs, loops)
+    return StateGraph(kind, s.n, universe, keys, arcs, loops)
 
 
 def _elements(kind: str, pos, e1: tuple[int, int], e2: tuple[int, int]) -> tuple:
@@ -259,33 +245,6 @@ def _destination(key: CanonicalKey, removed, added) -> CanonicalKey:
 def _pair_bits(kind: str, n: int) -> dict[tuple[int, int], int]:
     """Each grid pair's key bit."""
     return {pair: 1 << i for i, pair in enumerate(graph_class(kind).grid(n))}
-
-
-def rule_a_neighbors(sg: StateGraph) -> dict[CanonicalKey, set[CanonicalKey]]:
-    """Definitional adjacency, straight from symmetric-difference sizes.
-
-    psi / phibar: two states are adjacent iff the difference has 4 arcs;
-    phi additionally when it has 6 arcs on exactly 3 distinct vertices.
-    Used to cross-check that move-generated arcs agree with the definition.
-    """
-    nbrs: dict[CanonicalKey, set[CanonicalKey]] = {k: set() for k in sg.keys}
-    keys = sg.keys
-    n = sg.n
-    for i, x in enumerate(keys):
-        for y in keys[i + 1 :]:
-            diff = x.bits ^ y.bits
-            size = diff.bit_count()
-            adjacent = size == 4
-            if not adjacent and sg.kind == KIND_PHI and size == 6:
-                verts = set()
-                for i, pair in enumerate(Digraph.grid(n)):
-                    if diff >> i & 1:
-                        verts.update(pair)
-                adjacent = len(verts) == 3
-            if adjacent:
-                nbrs[x].add(y)
-                nbrs[y].add(x)
-    return nbrs
 
 
 # ---------------------------------------------------------------------------
@@ -598,131 +557,6 @@ def find_disjoint_3walk(sd: SymmetricDifference) -> Optional[AlternatingWalk]:
                         continue
                     return AlternatingWalk(sd.kind, (v1, v2, v3, v4), pattern)
     return None
-
-
-# ---------------------------------------------------------------------------
-# empirical one-step fidelity
-
-
-class ComparisonReport(NamedTuple):
-    kind: str
-    steps_per_state: int
-    max_abs_sigma: float
-    failures: list[tuple[str, str, int, float, float]]
-    # (state_hex, dest_hex, observed, expected_count, sigma)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def empirical_transition_check(
-    s: DegreeSequence | DiDegreeSequence,
-    kind: str,
-    steps_per_state: int,
-    seed: int = 0,
-    sg: Optional[StateGraph] = None,
-    alpha: float = 0.001,
-    complement: bool = False,
-) -> ComparisonReport:
-    """Single chain steps from every state vs. the explicit transition row.
-
-    Runs ``steps_per_state`` one-step trials from each enumerated state
-    through the sampling loop, undoing every move as it happens, and checks
-    each destination count against its exact binomial acceptance interval
-    (:func:`binomial_interval`).  ``alpha`` is family-wise: each of the
-    cells with 0 < p < 1 gets ``alpha / cells``, so an exact sampler fails
-    the check with chance at most ``alpha``; a cell with p = 0 or p = 1 must
-    hit its count exactly.  With ``complement`` each trial steps the state's
-    complement under the complement sequence's universe, padded to the
-    state graph's walk degree, as :func:`degswap.chain.run_chain` walks a
-    dense input.  A move flips its removed and added pairs alike, so the
-    complement's move names the state's destination directly.
-    """
-    if sg is None:
-        sg = build_state_graph(s, kind)
-    mode = _KIND_TO_MODE[kind]
-    walk_degree = sg.universe.walk_degree
-    rows = {key: sg.transition_row(key) for key in sg.keys}
-    cells = sum(1 for row in rows.values() for p in row.values() if 0.0 < p < 1.0)
-    alpha_cell = alpha / max(cells, 1)
-
-    failures = []
-    max_sigma = 0.0
-    for idx, key in enumerate(sg.keys):
-        g = sg.realizations[key]
-        g = g.complement() if complement else g.copy()
-        universe = universe_for(g, mode) if complement else sg.universe
-        rng = random.Random(derive_seed(seed, idx))
-        counts: dict[CanonicalKey, int] = {}
-        sig_dest: dict = {}
-        add, remove = g._add, g._remove
-
-        def on_move(t, removed, added):
-            res = (removed, added)
-            dest = sig_dest.get(res)
-            if dest is None:
-                dest = sig_dest[res] = _destination(key, removed, added)
-            counts[dest] = counts.get(dest, 0) + 1
-            for u, v in added:
-                remove(u, v)
-            for u, v in removed:
-                add(u, v)
-
-        moves = _run(g, universe, rng, steps_per_state, on_move, walk_degree)
-        counts[key] = steps_per_state - moves
-
-        row = rows[key]
-        for dest in set(counts) | set(row):
-            p = row.get(dest, 0.0)
-            obs = counts.get(dest, 0)
-            expected = steps_per_state * p
-            sigma = float("inf")
-            if 0.0 < p < 1.0:
-                sigma = abs(obs - expected) / (expected * (1.0 - p)) ** 0.5
-                max_sigma = max(max_sigma, sigma)
-            lo, hi = binomial_interval(steps_per_state, p, alpha_cell)
-            if not lo <= obs <= hi:
-                failures.append((key.hex(), dest.hex(), obs, expected, sigma))
-
-    return ComparisonReport(kind, steps_per_state, max_sigma, failures)
-
-
-@functools.lru_cache(maxsize=1024)
-def binomial_interval(n: int, p: float, alpha: float) -> tuple[int, int]:
-    """The narrowest count interval [lo, hi] whose two tails each hold <= alpha / 2.
-
-    For a Binomial(n, p) count X: P(X < lo) <= alpha / 2 < P(X <= lo) and
-    P(X > hi) <= alpha / 2 < P(X >= hi), exactly, not under a normal
-    approximation, whose tails are too thin for small p.  The pmf is
-    evaluated through ``math.lgamma`` outward from the mean until its terms
-    are negligible against alpha, and each tail is summed from its far end
-    inward.  p = 0 and p = 1 give the single count 0 or n.
-    """
-    if p <= 0.0:
-        return 0, 0
-    if p >= 1.0:
-        return n, n
-    half = alpha / 2
-    head = math.lgamma(n + 1)
-    lp, lq = math.log(p), math.log1p(-p)
-    mean = int(n * p)
-
-    def bound(ks) -> int:
-        terms = []
-        for k in ks:
-            x = math.exp(head - math.lgamma(k + 1) - math.lgamma(n - k + 1) + k * lp + (n - k) * lq)
-            terms.append(x)
-            if x < half * 1e-12:
-                break
-        tail = 0.0  # mass beyond ks[i], the far side of the mean
-        for i in range(len(terms) - 1, -1, -1):
-            if tail + terms[i] > half:
-                return ks[i]
-            tail += terms[i]
-        return ks[0]
-
-    return bound(range(mean, -1, -1)), bound(range(mean, n + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -1,27 +1,35 @@
 """Shared oracles and helpers.
 
-The enumeration oracles here deliberately avoid the package's backtracking
-enumerator: they filter every subset of the vertex-pair grid, so they can
-certify it.
+The subset enumeration oracles here deliberately avoid the package's
+backtracking enumerator: they filter every subset of the vertex-pair grid,
+so they can certify it.  The checks that only tests run live here too: the
+one-step fidelity sampler, the rule-A adjacency, the realization list and
+the breaking-walk wrapper.
 """
 
+import functools
 import itertools
 import math
+import random
 from typing import NamedTuple, Optional
 
 import pytest
 
 from degswap import chain
+from degswap.arcswap import _breaking_walk, _cycle_orientation
 from degswap.chain import (
     MODE_FULL,
     MODE_PLAIN,
     MODE_UNDIRECTED,
     _run,
+    derive_seed,
     iter_nonadjacent_pairs,
     iter_role_disjoint_arc_pairs,
     universe_for,
 )
 from degswap.core import (
+    DIRECTED,
+    UNDIRECTED,
     AlternatingCycle,
     CanonicalKey,
     DegreeSequence,
@@ -29,6 +37,16 @@ from degswap.core import (
     Digraph,
     Graph,
     canonical_key,
+    graph_from_key,
+)
+from degswap.errors import InvalidInputError
+from degswap.names import KIND_PHI
+from degswap.statespace import (
+    _KIND_TO_MODE,
+    StateGraph,
+    _destination,
+    build_state_graph,
+    enumerate_realization_keys,
 )
 
 
@@ -90,6 +108,171 @@ def oracle_cycle_sets(s: DiDegreeSequence, keys) -> list[tuple[int, int, int]]:
         if not cand:
             break
     return [t for (t, _, _, _) in cand]
+
+
+# ---------------------------------------------------------------------------
+# state-graph oracles: the package's enumerator as a list of graphs, the
+# definitional adjacency, and the one-step fidelity check of the sampling loop
+
+
+def enumerate_realizations(
+    s: DegreeSequence | DiDegreeSequence, max_n: Optional[int] = None
+) -> list[Graph | Digraph]:
+    """All labeled simple realizations of s, each exactly once."""
+    kind = DIRECTED if isinstance(s, DiDegreeSequence) else UNDIRECTED
+    return [
+        graph_from_key(CanonicalKey(kind, s.n, bits))
+        for bits in enumerate_realization_keys(s, max_n)
+    ]
+
+
+def rule_a_neighbors(sg: StateGraph) -> dict[CanonicalKey, set[CanonicalKey]]:
+    """Definitional adjacency, straight from symmetric-difference sizes.
+
+    psi / phibar: two states are adjacent iff the difference has 4 arcs;
+    phi additionally when it has 6 arcs on exactly 3 distinct vertices.
+    Used to cross-check that move-generated arcs agree with the definition.
+    """
+    nbrs: dict[CanonicalKey, set[CanonicalKey]] = {k: set() for k in sg.keys}
+    keys = sg.keys
+    n = sg.n
+    for i, x in enumerate(keys):
+        for y in keys[i + 1 :]:
+            diff = x.bits ^ y.bits
+            size = diff.bit_count()
+            adjacent = size == 4
+            if not adjacent and sg.kind == KIND_PHI and size == 6:
+                verts = set()
+                for i, pair in enumerate(Digraph.grid(n)):
+                    if diff >> i & 1:
+                        verts.update(pair)
+                adjacent = len(verts) == 3
+            if adjacent:
+                nbrs[x].add(y)
+                nbrs[y].add(x)
+    return nbrs
+
+
+class ComparisonReport(NamedTuple):
+    kind: str
+    steps_per_state: int
+    max_abs_sigma: float
+    failures: list[tuple[str, str, int, float, float]]
+    # (state_hex, dest_hex, observed, expected_count, sigma)
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+
+def empirical_transition_check(
+    s: DegreeSequence | DiDegreeSequence,
+    kind: str,
+    steps_per_state: int,
+    seed: int = 0,
+    sg: Optional[StateGraph] = None,
+    alpha: float = 0.001,
+    complement: bool = False,
+) -> ComparisonReport:
+    """Single chain steps from every state vs. the explicit transition row.
+
+    Runs ``steps_per_state`` one-step trials from each enumerated state
+    through the sampling loop, undoing every move as it happens, and checks
+    each destination count against its exact binomial acceptance interval
+    (:func:`binomial_interval`).  ``alpha`` is family-wise: each of the
+    cells with 0 < p < 1 gets ``alpha / cells``, so an exact sampler fails
+    the check with chance at most ``alpha``; a cell with p = 0 or p = 1 must
+    hit its count exactly.  With ``complement`` each trial steps the state's
+    complement under the complement sequence's universe, padded to the
+    state graph's walk degree, as :func:`degswap.chain.run_chain` walks a
+    dense input.  A move flips its removed and added pairs alike, so the
+    complement's move names the state's destination directly.
+    """
+    if sg is None:
+        sg = build_state_graph(s, kind)
+    mode = _KIND_TO_MODE[kind]
+    walk_degree = sg.universe.walk_degree
+    rows = {key: sg.transition_row(key) for key in sg.keys}
+    cells = sum(1 for row in rows.values() for p in row.values() if 0.0 < p < 1.0)
+    alpha_cell = alpha / max(cells, 1)
+
+    failures = []
+    max_sigma = 0.0
+    for idx, key in enumerate(sg.keys):
+        g = graph_from_key(key)
+        if complement:
+            g = g.complement()
+        universe = universe_for(g, mode) if complement else sg.universe
+        rng = random.Random(derive_seed(seed, idx))
+        counts: dict[CanonicalKey, int] = {}
+        sig_dest: dict = {}
+        add, remove = g._add, g._remove
+
+        def on_move(t, removed, added):
+            res = (removed, added)
+            dest = sig_dest.get(res)
+            if dest is None:
+                dest = sig_dest[res] = _destination(key, removed, added)
+            counts[dest] = counts.get(dest, 0) + 1
+            for u, v in added:
+                remove(u, v)
+            for u, v in removed:
+                add(u, v)
+
+        moves = _run(g, universe, rng, steps_per_state, on_move, walk_degree)
+        counts[key] = steps_per_state - moves
+
+        row = rows[key]
+        for dest in set(counts) | set(row):
+            p = row.get(dest, 0.0)
+            obs = counts.get(dest, 0)
+            expected = steps_per_state * p
+            sigma = float("inf")
+            if 0.0 < p < 1.0:
+                sigma = abs(obs - expected) / (expected * (1.0 - p)) ** 0.5
+                max_sigma = max(max_sigma, sigma)
+            lo, hi = binomial_interval(steps_per_state, p, alpha_cell)
+            if not lo <= obs <= hi:
+                failures.append((key.hex(), dest.hex(), obs, expected, sigma))
+
+    return ComparisonReport(kind, steps_per_state, max_sigma, failures)
+
+
+@functools.lru_cache(maxsize=1024)
+def binomial_interval(n: int, p: float, alpha: float) -> tuple[int, int]:
+    """The narrowest count interval [lo, hi] whose two tails each hold <= alpha / 2.
+
+    For a Binomial(n, p) count X: P(X < lo) <= alpha / 2 < P(X <= lo) and
+    P(X > hi) <= alpha / 2 < P(X >= hi), exactly, not under a normal
+    approximation, whose tails are too thin for small p.  The pmf is
+    evaluated through ``math.lgamma`` outward from the mean until its terms
+    are negligible against alpha, and each tail is summed from its far end
+    inward.  p = 0 and p = 1 give the single count 0 or n.
+    """
+    if p <= 0.0:
+        return 0, 0
+    if p >= 1.0:
+        return n, n
+    half = alpha / 2
+    head = math.lgamma(n + 1)
+    lp, lq = math.log(p), math.log1p(-p)
+    mean = int(n * p)
+
+    def bound(ks) -> int:
+        terms = []
+        for k in ks:
+            x = math.exp(head - math.lgamma(k + 1) - math.lgamma(n - k + 1) + k * lp + (n - k) * lq)
+            terms.append(x)
+            if x < half * 1e-12:
+                break
+        tail = 0.0  # mass beyond ks[i], the far side of the mean
+        for i in range(len(terms) - 1, -1, -1):
+            if tail + terms[i] > half:
+                return ks[i]
+            tail += terms[i]
+        return ks[0]
+
+    return bound(range(mean, -1, -1)), bound(range(mean, n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +454,48 @@ def swap_alternating_cycle(g: Graph | Digraph, c: AlternatingCycle):
     for e in absent:
         add(*e)
     return g
+
+
+# ---------------------------------------------------------------------------
+# breaking walks: degswap.arcswap's probe sweep, returned as a swap cycle
+
+
+def _swap_cycle(walk: list[int]) -> AlternatingCycle:
+    """The swap cycle of a breaking walk: the probe, then the walk backwards."""
+    removed = [(walk[0], walk[-1])]
+    added = []
+    for i in range(len(walk) - 1):
+        a, b = walk[i], walk[i + 1]
+        if i % 2:
+            removed.append((b, a))  # present arc into the in-copy a-
+        else:
+            added.append((a, b))  # absent arc out of the out-copy a+
+    verts = (walk[0],) + tuple(reversed(walk[1:]))
+    return AlternatingCycle("directed", verts, tuple(removed), tuple(added))
+
+
+def find_breaking_walk(
+    g: Digraph, cycle: tuple[int, int, int], arc: tuple[int, int]
+) -> Optional[AlternatingCycle]:
+    """Swap cycle removing ``arc`` that leaves the triple without a 3-cycle.
+
+    ``cycle`` is a vertex triple inducing a directed 3-cycle in g and ``arc``
+    one of its arcs.  Absent result means no simple symmetric swap through
+    this arc can break the triple.
+    """
+    arcs = _cycle_orientation(g, tuple(cycle))
+    if arcs is None:
+        raise InvalidInputError(f"{cycle} does not induce a directed 3-cycle")
+    if tuple(arc) not in arcs:
+        raise InvalidInputError(f"{arc} is not an arc of the induced 3-cycle")
+    v, w = arc
+    x = next(b for a, b in arcs if a == w)
+    walk = _breaking_walk(g, v, w, x, *g.adjacency())
+    return None if walk is None else _swap_cycle(walk)
+
+
+# ---------------------------------------------------------------------------
+# distributions and test instances
 
 
 def chi2_sf(x: float, df: int) -> float:

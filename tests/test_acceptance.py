@@ -23,7 +23,6 @@ from degswap.statespace import (
     build_state_graph,
     check_diameter_bounds,
     check_properties,
-    empirical_transition_check,
     enumerate_realization_keys,
 )
 from degswap.stats import ensemble_stats
@@ -31,6 +30,7 @@ from .conftest import (
     all_digraphical_sequences,
     all_graphical_sequences,
     chi2_sf,
+    empirical_transition_check,
     mobile_blocked_instance,
     oracle_cycle_sets,
     record_acceptance,

@@ -8,6 +8,8 @@ from degswap.errors import InternalInconsistencyError, InvalidInputError, Realiz
 from degswap.statespace import enumerate_realization_keys, symmetric_difference
 from .conftest import (
     all_digraphical_sequences,
+    enumerate_realizations,
+    find_breaking_walk,
     mobile_blocked_instance,
     oracle_cycle_sets,
     swap_alternating_cycle,
@@ -25,14 +27,14 @@ def _is_simple_symmetric(sd):
 def test_breaking_walk_three_cycle_alone_absent():
     g = Digraph(3, [(0, 1), (1, 2), (2, 0)])
     for arc in ((0, 1), (1, 2), (2, 0)):
-        assert arcswap.find_breaking_walk(g, (0, 1, 2), arc) is None
+        assert find_breaking_walk(g, (0, 1, 2), arc) is None
 
 
 def test_breaking_walk_five_vertices():
     # triangle plus a separate antiparallel pair: the triangle is breakable,
     # confirmed against full enumeration of the sequence
     g = Digraph(5, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 3)])
-    walk = arcswap.find_breaking_walk(g, (0, 1, 2), (0, 1))
+    walk = find_breaking_walk(g, (0, 1, 2), (0, 1))
     assert walk is not None
     g2 = g.copy()
     swap_alternating_cycle(g2, walk)
@@ -47,10 +49,10 @@ def test_breaking_walk_five_vertices():
 def test_breaking_walk_input_validation():
     bid = Digraph(3, [(0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0)])
     with pytest.raises(InvalidInputError):
-        arcswap.find_breaking_walk(bid, (0, 1, 2), (0, 1))
+        find_breaking_walk(bid, (0, 1, 2), (0, 1))
     g = Digraph(4, [(0, 1), (1, 2), (2, 0), (0, 3)])
     with pytest.raises(InvalidInputError):
-        arcswap.find_breaking_walk(g, (0, 1, 2), (0, 3))
+        find_breaking_walk(g, (0, 1, 2), (0, 3))
 
 
 def test_breaking_walks_yield_valid_swaps_everywhere():
@@ -62,7 +64,7 @@ def test_breaking_walks_yield_valid_swaps_everywhere():
             if arcs is None:
                 continue
             for arc in arcs:
-                walk = arcswap.find_breaking_walk(g, cs_candidate, arc)
+                walk = find_breaking_walk(g, cs_candidate, arc)
                 if walk is None:
                     continue
                 g2 = g.copy()
@@ -90,8 +92,6 @@ def test_detect_matches_oracle_small():
 
 
 def test_detect_realization_independent():
-    from degswap.statespace import enumerate_realizations
-
     for pairs in (((1, 1),) * 3, ((1, 1),) * 4, ((2, 2), (1, 1), (1, 1), (1, 1), (1, 1))):
         s = DiDegreeSequence(pairs)
         results = {

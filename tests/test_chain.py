@@ -19,13 +19,22 @@ from degswap.chain import (
     step_window,
     universe_for,
 )
-from degswap.core import DegreeSequence, DiDegreeSequence, Digraph, Graph, canonical_key
+from degswap.core import (
+    DegreeSequence,
+    DiDegreeSequence,
+    Digraph,
+    Graph,
+    canonical_key,
+    graph_from_key,
+)
 from degswap.errors import InvalidInputError
 from degswap.generators import BlockedInstanceSpec, generate_blocked
 from degswap.realize import realize_directed, realize_undirected
-from degswap.statespace import build_state_graph, enumerate_realizations
+from degswap.statespace import build_state_graph
 from degswap import arcswap
 from .conftest import (
+    binomial_interval,
+    enumerate_realizations,
     hub_with_back_arc,
     hub_with_matching,
     mobile_blocked_instance,
@@ -188,8 +197,6 @@ def test_switched_runs_step_with_the_direct_row():
     # the complement walk to the input's walk degree (unpadded, the loop
     # share would drop from 1 - k/d to 1 - k/d-bar); each row's cells are
     # checked at family-wise alpha = 0.001 on exact binomial tails
-    from degswap.statespace import binomial_interval, build_state_graph
-
     runs = 8000
     for seed, (s, kind, mode) in enumerate(
         (
@@ -201,7 +208,7 @@ def test_switched_runs_step_with_the_direct_row():
     ):
         sg = build_state_graph(s, kind)
         key = sg.keys[0]
-        g0 = sg.realizations[key]
+        g0 = graph_from_key(key)
         assert complement_universe(g0, sg.universe) is not None
         counts = {}
         for i in range(runs):
@@ -252,8 +259,9 @@ def _exact_rows(sg, mode, complement=False):
     rng = _Scripted()
     rows = {}
     for key in sg.keys:
-        g = sg.realizations[key]
-        g = g.complement() if complement else g.copy()
+        g = graph_from_key(key)
+        if complement:
+            g = g.complement()
         u = universe_for(g, mode)
         counts = {}
         dests = {}
@@ -331,7 +339,7 @@ def test_one_step_kernel_is_the_state_graph_row_exactly():
             for kind in kinds:
                 sg = build_state_graph(s, kind)
                 d = sg.universe.walk_degree
-                g = sg.realizations[sg.keys[0]]
+                g = graph_from_key(sg.keys[0])
                 walked = universe_for(g.complement(), modes[kind]) if complement else sg.universe
                 widths.add((kind, complement, step_window(d, walked.elements).width))
                 rows = _exact_rows(sg, modes[kind], complement)

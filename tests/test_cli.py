@@ -449,6 +449,15 @@ def test_sample_rejects_nonpositive_runs(capsys):
         assert "--runs" in json.loads(err)["error"]
 
 
+def test_stats_checks_runs_and_workers_before_the_input(capsys):
+    # "3 1" is not graphical: a flag checked after the input would fail
+    # with the realize error instead of its own
+    for flag, message in (("--runs", "--runs must be >= 1"), ("--workers", "--workers must be >= 1")):
+        code, out, err = run_cli(capsys, "stats", "--degrees", "3 1", flag, "0")
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": message}
+
+
 def test_sample_bad_tau_fails_before_the_pool(capsys, monkeypatch):
     import os
 

@@ -20,13 +20,13 @@ from degswap.core import (
 from degswap.errors import InvalidInputError
 from degswap.statespace import (
     decompose_alternating,
-    enumerate_realizations,
     find_disjoint_3walk,
     symmetric_difference,
 )
 from .conftest import (
     all_digraphical_sequences,
     all_graphical_sequences,
+    enumerate_realizations,
     reorient_triangle,
     swap_alternating_cycle,
     swap_arcs,
